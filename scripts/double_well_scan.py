@@ -39,8 +39,7 @@ def main() -> None:
         path = out_dir / f"doublewell_h{h1:g}.csv"
         with path.open("w") as fh:
             fh.write("k,determinant\n")
-            for k in ks:
-                det = secular_determinant(spec, k * k)
+            for k, det in zip(ks, secular_determinant(spec, ks * ks)):
                 fh.write(f"{k:.17g},{det:.17g}\n")
         scan = find_eigenvalues(spec, 0.05, h1, count=2)
         e1, e2 = scan.energies

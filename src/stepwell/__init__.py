@@ -8,6 +8,7 @@ from .errors import (
     DegenerateFrequencyError,
     DegeneracyParadoxError,
     FrequencyMismatchError,
+    NonFiniteDeterminantError,
     NormalizationObstructionError,
     NotARootError,
     PipelineError,

@@ -111,6 +111,13 @@ def _energy_window(args, spec: PotentialSpec) -> tuple[float, float]:
     return floor + 1e-4, floor + 50.0
 
 
+def _point_determinant(spec: PotentialSpec, energy: float) -> float | None:
+    try:
+        return secular_determinant(spec, energy)
+    except SolverError:
+        return None
+
+
 def cmd_scan(args) -> int:
     spec, _ = load_spec(args.spec)
     if args.k_lo is None or args.k_hi is None:
@@ -121,15 +128,14 @@ def cmd_scan(args) -> int:
         raise SchemaError("scan resolution must be at least 2 points")
     floor = reference_floor(spec)
     ks = np.linspace(args.k_lo, args.k_hi, args.points)
-    rows = []
-    for k in ks:
-        energy = floor + k * k
-        try:
-            det = secular_determinant(spec, energy)
-        except SolverError:
-            rows.append((float(k), None))
-            continue
-        rows.append((float(k), det))
+    energies = floor + ks * ks
+    try:
+        dets = secular_determinant(spec, energies).tolist()
+        dets = [None if np.isnan(d) else d for d in dets]
+    except SolverError:
+        # some point fails outright: evaluate point by point and skip those
+        dets = [_point_determinant(spec, e) for e in energies]
+    rows = list(zip(ks.tolist(), dets))
     if args.format == "json":
         doc = {
             "format_version": FORMAT_VERSION,

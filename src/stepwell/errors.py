@@ -13,8 +13,18 @@ class DegenerateEnergyError(SolverError):
     """Energy coincides with an interval height within the degeneracy floor.
 
     The local frequency vanishes there and the trigonometric basis breaks
-    down.  Shift all heights and the energy window by a common constant to
-    move the problem off the degeneracy (the spectrum shifts with it).
+    down.  Move the energy (the window or the scan grid) off the height; a
+    common shift of all heights and the window moves nothing, because it
+    leaves E - H_i unchanged.
+    """
+
+
+class NonFiniteDeterminantError(SolverError):
+    """Matching determinant is NaN or infinite at a non-degenerate energy.
+
+    Happens when a boundary value overflows, e.g. cosh(kappa w) for
+    kappa w above about 710 behind a tall, wide barrier; the message names
+    the energy and the interval.
     """
 
 

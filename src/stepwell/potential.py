@@ -27,6 +27,7 @@ __all__ = [
     "spec_document",
     "load_spec",
     "local_frequency",
+    "local_frequencies",
     "potential_value",
 ]
 
@@ -184,6 +185,17 @@ def potential_value(spec: PotentialSpec, x) -> np.ndarray:
     return out if np.ndim(x) else float(out[0])
 
 
+def degenerate_energy_error(
+    spec: PotentialSpec, interval: int, energy: float
+) -> DegenerateEnergyError:
+    """The error for an energy within beta_min^2 of an interval height."""
+    return DegenerateEnergyError(
+        f"E = {energy} degenerate with height {spec.heights[interval]} on interval "
+        f"{interval}; move the energy window (or scan grid) off this height "
+        "(a gauge shift cannot help: it leaves E - H unchanged)"
+    )
+
+
 def local_frequency(
     spec: PotentialSpec, interval: int, energy: float, *, tol: Tolerances = DEFAULT_TOL
 ) -> complex:
@@ -191,20 +203,38 @@ def local_frequency(
 
     Real and positive above the height, purely imaginary with positive
     imaginary part below it.  Energies within beta_min^2 of the height are
-    rejected; shift all heights and the window by a common constant to move
-    off the degeneracy.
+    rejected with DegenerateEnergyError; move the energy off the height (a
+    gauge shift of heights and window together moves nothing, because
+    E - H_i is unchanged).
     """
-    h = spec.heights[interval]
-    diff = energy - h
+    diff = energy - spec.heights[interval]
     if abs(diff) <= tol.beta_min**2:
-        raise DegenerateEnergyError(
-            f"E = {energy} degenerate with height {h} on interval {interval}; "
-            "gauge-shift all heights to move off the degeneracy"
-        )
+        raise degenerate_energy_error(spec, interval, energy)
     beta = complex(np.sqrt(complex(diff)))
     if beta.real < 0 or (beta.real == 0 and beta.imag < 0):
         beta = -beta
     return beta
+
+
+def local_frequencies(
+    spec: PotentialSpec, energies: np.ndarray, *, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """local_frequency for every interval at each energy of a 1-D array.
+
+    The same rule, vectorised; the scalar form stays for the per-energy
+    bases and is the reference the batched determinant is tested against.
+    Returns beta, shape (M, n_intervals), and the mask of entries within
+    beta_min^2 of their height, where local_frequency would raise; beta is
+    set to 1 there so that callers can evaluate without warnings and
+    discard those energies afterwards.
+    """
+    diff = np.asarray(energies, dtype=float)[:, None] - np.asarray(spec.heights)
+    degenerate = np.abs(diff) <= tol.beta_min**2
+    beta = np.sqrt(diff.astype(complex))
+    flip = (beta.real < 0) | ((beta.real == 0) & (beta.imag < 0))
+    beta = np.where(flip, -beta, beta)
+    beta[degenerate] = 1.0
+    return beta, degenerate
 
 
 # -- input document handling ------------------------------------------

@@ -38,6 +38,7 @@ __all__ = [
     "mul_polynomial",
     "derivative",
     "reanchor_poly",
+    "unit_solutions",
 ]
 
 
@@ -170,20 +171,44 @@ class TrigPoly:
         Raises RealityError when the imaginary residue exceeds the declared
         tolerance relative to the local magnitude of the piece.
         """
-        val = self.value(x)
-        scale = self._magnitude(x) + 1e-300
-        bad = np.abs(np.imag(val)) > tol.reality_rtol * np.maximum(scale, 1e-30)
-        if np.any(bad):
-            worst = float(np.max(np.abs(np.imag(val)) / scale))
-            raise RealityError(
-                f"imaginary residue {worst:.3e} above tolerance {tol.reality_rtol:.1e}"
-            )
-        out = np.real(val)
+        out = _checked_real(self.value(x), self._magnitude(x), tol)
         return float(out) if np.isscalar(x) else out
 
     def eval_deriv(self, x, *, tol: Tolerances = DEFAULT_TOL):
         """Real first derivative at x (reality-checked)."""
         return derivative(self).eval(x, tol=tol)
+
+
+def _checked_real(val, magnitude, tol: Tolerances) -> np.ndarray:
+    """Real part of val; RealityError when the imaginary residue exceeds
+    tol.reality_rtol relative to the local magnitude."""
+    scale = magnitude + 1e-300
+    bad = np.abs(np.imag(val)) > tol.reality_rtol * np.maximum(scale, 1e-30)
+    if np.any(bad):
+        worst = float(np.max(np.abs(np.imag(val)) / scale))
+        raise RealityError(
+            f"imaginary residue {worst:.3e} above tolerance {tol.reality_rtol:.1e}"
+        )
+    return np.real(val)
+
+
+def unit_solutions(
+    freq, t, *, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """cos(beta t) and sin(beta t) / beta, elementwise over broadcast arrays.
+
+    The values of TrigPoly.cosine(a, beta) and TrigPoly.sine_unit_slope(a,
+    beta) at x = a + t, from the same complex expressions (so the same bits
+    wherever they are finite) and with the same reality check, for a whole
+    array of frequencies at once.
+    """
+    arg = freq * t
+    cos, sin = np.cos(arg), np.sin(arg)
+    inv = 1.0 / freq
+    return (
+        _checked_real(cos, np.abs(cos), tol),
+        _checked_real(sin * inv, np.abs(sin) * np.abs(inv), tol),
+    )
 
 
 def derivative(f: TrigPoly) -> TrigPoly:

@@ -24,13 +24,19 @@ from .config import DEFAULT_SCAN, DEFAULT_TOL, ScanConfig, Tolerances
 from .errors import (
     DegenerateEnergyError,
     DegeneracyParadoxError,
+    NonFiniteDeterminantError,
     NormalizationObstructionError,
     NotARootError,
     SchemaError,
     TruncationError,
 )
-from .potential import PotentialSpec, local_frequency
-from .trigbasis import TrigPoly, reanchor_poly
+from .potential import (
+    PotentialSpec,
+    degenerate_energy_error,
+    local_frequencies,
+    local_frequency,
+)
+from .trigbasis import TrigPoly, reanchor_poly, unit_solutions
 
 __all__ = [
     "TaylorPiece",
@@ -252,27 +258,41 @@ def _domain_bases(spec, energy, tol, series_m=None) -> list[DomainBasis]:
     ]
 
 
-def _matrix_from_bases(bases: list[DomainBasis]) -> np.ndarray:
-    """Assemble the 2N x 2N matching matrix from cached boundary values.
+def _stacked_matrices(c_lo, s_lo, c_hi, s_hi) -> np.ndarray:
+    """Assemble 2N x 2N matching matrices from boundary values of shape (M, N).
 
-    Unknown ordering (c(1), d(1), ..., c(N), d(N)); row ordering
-    (domain 1 left, domain 1 right, domain 2 left, ...).  Row (j, left)
-    states c(j) C_j(L_{j-1}) + d(j) S_j(L_{j-1}) - c(j-1) = 0 and row
-    (j, right) the mirror image at L_{j+1}, with c(0) = c(N+1) = 0.
+    Entry [m, j - 1] of each argument is the cached boundary value of domain
+    j at the m-th energy.  Unknown ordering (c(1), d(1), ..., c(N), d(N));
+    row ordering (domain 1 left, domain 1 right, domain 2 left, ...).  Row
+    (j, left) states c(j) C_j(L_{j-1}) + d(j) S_j(L_{j-1}) - c(j-1) = 0 and
+    row (j, right) the mirror image at L_{j+1}, with c(0) = c(N+1) = 0.
     """
-    n = len(bases)
-    a = np.zeros((2 * n, 2 * n))
-    for jj, basis in enumerate(bases, start=1):
-        row = 2 * (jj - 1)
-        a[row, 2 * jj - 2] = basis.c_at_lo
-        a[row, 2 * jj - 1] = basis.s_at_lo
-        if jj >= 2:
-            a[row, 2 * (jj - 1) - 2] = -1.0
-        a[row + 1, 2 * jj - 2] = basis.c_at_hi
-        a[row + 1, 2 * jj - 1] = basis.s_at_hi
-        if jj <= n - 1:
-            a[row + 1, 2 * (jj + 1) - 2] = -1.0
+    m, n = np.shape(c_lo)
+    a = np.zeros((m, 2 * n, 2 * n))
+    j = 2 * np.arange(n)
+    a[:, j, j] = c_lo
+    a[:, j, j + 1] = s_lo
+    a[:, j + 1, j] = c_hi
+    a[:, j + 1, j + 1] = s_hi
+    a[:, j[1:], j[1:] - 2] = -1.0
+    a[:, j[:-1] + 1, j[:-1] + 2] = -1.0
     return a
+
+
+def _boundary_values(bases: list[DomainBasis]) -> np.ndarray:
+    """(N, 4) array of each domain's c_at_lo, s_at_lo, c_at_hi, s_at_hi."""
+    return np.array([[b.c_at_lo, b.s_at_lo, b.c_at_hi, b.s_at_hi] for b in bases])
+
+
+def _matrix_from_bases(bases: list[DomainBasis]) -> np.ndarray:
+    """The matching matrix at one energy, from its domain bases."""
+    return _stacked_matrices(*_boundary_values(bases).T[:, None, :])[0]
+
+
+def _row_normalized(a: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length: the determinant stays in [-1, 1] and
+    keeps its zeros."""
+    return a / np.linalg.norm(a, axis=-1)[..., None]
 
 
 def matching_matrix(
@@ -288,40 +308,104 @@ def matching_matrix(
     return _matrix_from_bases(_domain_bases(spec, energy, tol, series_m))
 
 
-def _box_sine_value(spec, energy, tol, series_m=None) -> float:
-    """Sine-like solution from the left wall, evaluated at the right wall (N = 0)."""
+def _box_sine_value(spec, energy, series_m=None) -> float:
+    """Power-series sine-like solution from the left wall, evaluated at the
+    right wall (N = 0)."""
+    v = np.atleast_1d(
+        np.asarray(reanchor_poly(spec.zero_order_polys[0], spec.x_min), dtype=float)
+    ).copy()
+    v[0] += spec.heights[0] - energy
+    m = series_m or 80
+    coeffs = _series_coeffs(v, 0.0, 1.0, m + 10)
+    piece = TaylorPiece(spec.x_min, coeffs)
+    return piece.eval(spec.x_max)
+
+
+# Largest size of the stacked matching matrices evaluated at once; longer
+# energy arrays go through the kernel in blocks.
+_BLOCK_BYTES = 8 * 2**20
+
+
+def _determinant_block(spec, energies, tol, series_m):
+    """Determinants at a block of energies, with two (M, N + 1) masks: the
+    intervals whose height an energy is degenerate with (its entries are
+    meaningless), and the intervals whose boundary values overflow the row
+    normalization (inf or NaN once squared)."""
+    n = spec.n_interior
     if spec.zero_order_polys is not None:
-        v = np.atleast_1d(
-            np.asarray(reanchor_poly(spec.zero_order_polys[0], spec.x_min), dtype=float)
-        ).copy()
-        v[0] += spec.heights[0] - energy
-        m = series_m or 80
-        coeffs = _series_coeffs(v, 0.0, 1.0, m + 10)
-        piece = TaylorPiece(spec.x_min, coeffs)
-        return piece.eval(spec.x_max)
-    beta = local_frequency(spec, 0, energy, tol=tol)
-    return TrigPoly.sine_unit_slope(spec.x_min, beta).eval(spec.x_max, tol=tol)
+        degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
+        if n == 0:
+            dets = np.array([_box_sine_value(spec, e, series_m) for e in energies])
+            return dets, degenerate, ~np.isfinite(dets)[:, None]
+        values = [_boundary_values(_domain_bases(spec, e, tol, series_m)) for e in energies]
+        c_lo, s_lo, c_hi, s_hi = np.moveaxis(np.array(values), -1, 0)
+    else:
+        beta, degenerate = local_frequencies(spec, energies, tol=tol)
+        bp = np.asarray(spec.breakpoints)
+        if n == 0:
+            dets = unit_solutions(beta, bp[1:] - bp[:-1], tol=tol)[1][:, 0]
+            return dets, degenerate, ~np.isfinite(dets)[:, None]
+        c_lo, s_lo = unit_solutions(beta[:, :-1], bp[:-2] - bp[1:-1], tol=tol)
+        c_hi, s_hi = unit_solutions(beta[:, 1:], bp[2:] - bp[1:-1], tol=tol)
+    # interval i holds the lo values of domain i + 1 and the hi values of domain i
+    overflow = np.zeros((len(energies), n + 1), dtype=bool)
+    overflow[:, :-1] = ~np.isfinite(c_lo * c_lo + s_lo * s_lo)
+    overflow[:, 1:] |= ~np.isfinite(c_hi * c_hi + s_hi * s_hi)
+    dets = np.linalg.det(_row_normalized(_stacked_matrices(c_lo, s_lo, c_hi, s_hi)))
+    return dets, degenerate, overflow
 
 
 def secular_determinant(
     spec: PotentialSpec,
-    energy: float,
+    energy: float | np.ndarray,
     *,
     tol: Tolerances = DEFAULT_TOL,
     series_m: int | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Row-normalized determinant of the matching system.
 
     Continuous in E between height degeneracies; its sign changes bracket
     the eigenvalues.  Row normalization keeps the value in [-1, 1] without
     moving any zero.  For N = 0 the matching degenerates to the boundary
     condition and the sine-like wall-to-wall value is returned instead.
+
+    ``energy`` is a scalar or a 1-D array.  The array form evaluates every
+    energy in one vectorised pass (blocked so that the stacked matrices stay
+    near 8 MB) and returns an array, NaN at energies degenerate with an
+    interval height; a scalar call there raises DegenerateEnergyError.
+    Either form raises NonFiniteDeterminantError at a non-degenerate energy
+    whose boundary values overflow: the determinant there is NaN, or an
+    exact 0 from rows normalized by an infinite norm.
     """
-    if spec.n_interior == 0:
-        return _box_sine_value(spec, energy, tol, series_m)
-    a = matching_matrix(spec, energy, tol=tol, series_m=series_m)
-    norms = np.linalg.norm(a, axis=1)
-    return float(np.linalg.det(a / norms[:, None]))
+    e = np.asarray(energy, dtype=float)
+    if e.ndim > 1:
+        raise ValueError("energy must be a scalar or a one-dimensional array")
+    energies = np.atleast_1d(e)
+    n = spec.n_interior
+    step = max(1, _BLOCK_BYTES // (32 * n * n)) if n else max(1, len(energies))
+    dets = np.empty(len(energies))
+    degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
+    for lo in range(0, len(energies), step):
+        block = slice(lo, lo + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets[block], degenerate[block], overflow = _determinant_block(
+                spec, energies[block], tol, series_m
+            )
+        bad = overflow.any(axis=1) | ~np.isfinite(dets[block])
+        bad &= ~degenerate[block].any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonFiniteDeterminantError(
+                f"secular determinant is not finite at E = {float(energies[lo + i])!r}: "
+                f"the boundary values on interval {int(np.argmax(overflow[i]))} "
+                "overflow (barrier too tall or too wide for double precision)"
+            )
+    if e.ndim == 0:
+        if degenerate[0].any():
+            raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
+        return float(dets[0])
+    dets[degenerate.any(axis=1)] = np.nan
+    return dets
 
 
 def reference_floor(spec: PotentialSpec) -> float:
@@ -360,39 +444,42 @@ class EigenvalueScan:
     near_degenerate: tuple[float, ...] = ()
 
 
-def _refine_dips(f, k_lo, k_hi, vals_lo, vals_hi, scan: ScanConfig, depth: int,
-                 roots: list, merged: list):
+def _brackets(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cells (i, i + 1) that start at an exact zero or change sign;
+    cells touching a skipped (NaN) point are neither."""
+    a, b = vals[:-1], vals[1:]
+    return (a == 0.0) & ~np.isnan(b), a * b < 0
+
+
+def _refine_dips(grid, det_of_k, k_lo, k_hi, vals_lo, vals_hi, scan: ScanConfig,
+                 depth: int, roots: list, merged: list):
     """Subdivide a magnitude dip looking for paired sign changes.
 
-    A dip that keeps deepening without ever changing sign, down to the
-    determinant's rounding floor, is an unresolvable near-double root; its
-    bottom is recorded in ``merged``.
+    ``grid`` evaluates the determinant on an array of k (NaN where skipped),
+    ``det_of_k`` at one k for root refinement.  A dip that keeps deepening
+    without ever changing sign, down to the determinant's rounding floor,
+    is an unresolvable near-double root; its bottom is recorded in
+    ``merged``.
     """
     ks = np.linspace(k_lo, k_hi, scan.refine_factor + 1)
-    vals = [f(k) for k in ks]
-    found = False
-    for i in range(len(ks) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a is None or b is None:
-            continue
-        if a == 0.0:
+    vals = grid(ks)
+    zero, change = _brackets(vals)
+    for i in np.flatnonzero(zero | change):
+        if zero[i]:
             roots.append(ks[i])
-            found = True
-        elif a * b < 0:
-            roots.append(brentq(f, ks[i], ks[i + 1], xtol=1e-15, rtol=8.9e-16))
-            found = True
-    if found:
+        else:
+            roots.append(brentq(det_of_k, ks[i], ks[i + 1], xtol=1e-15, rtol=8.9e-16))
+    if zero.any() or change.any():
         return
-    mags = [abs(v) if v is not None else np.inf for v in vals]
+    mags = np.where(np.isnan(vals), np.inf, np.abs(vals))
     i_min = int(np.argmin(mags))
     dipping = mags[i_min] < scan.dip_rel_threshold * min(abs(vals_lo), abs(vals_hi))
     narrow = (k_hi - k_lo) < 1e-12 * max(1.0, abs(k_hi))
     if dipping and depth > 0 and not narrow:
-        lo = ks[max(i_min - 1, 0)]
-        hi = ks[min(i_min + 1, len(ks) - 1)]
-        _refine_dips(f, lo, hi, vals[max(i_min - 1, 0)],
-                     vals[min(i_min + 1, len(ks) - 1)], scan, depth - 1,
-                     roots, merged)
+        lo = max(i_min - 1, 0)
+        hi = min(i_min + 1, len(ks) - 1)
+        _refine_dips(grid, det_of_k, ks[lo], ks[hi], vals[lo], vals[hi], scan,
+                     depth - 1, roots, merged)
         return
     if mags[i_min] < scan.merge_floor:
         merged.append(ks[i_min])
@@ -413,7 +500,9 @@ def find_eigenvalues(
     Scans a uniform grid in k = sqrt(E - floor) (the natural momentum
     variable, which spreads out low-lying roots), brackets sign changes,
     refines each bracket to |dE| ~ 1e-12, and recursively subdivides
-    magnitude dips so that quasi-degenerate doublets are not merged.
+    magnitude dips so that quasi-degenerate doublets are not merged.  The
+    grid and each refinement level are one array call of
+    secular_determinant, each root refinement a run of scalar calls.
     Grid points degenerate with an interval height are skipped and
     reported.  If fewer than ``count`` roots exist in the window the result
     carries complete=False.
@@ -431,57 +520,46 @@ def find_eigenvalues(
 
     skipped: list[float] = []
 
-    def f_of_e(energy: float):
-        try:
-            return secular_determinant(spec, energy, tol=tol, series_m=series_m)
-        except DegenerateEnergyError:
-            skipped.append(energy)
-            return None
+    def grid(ks: np.ndarray) -> np.ndarray:
+        energies = floor + ks * ks
+        vals = secular_determinant(spec, energies, tol=tol, series_m=series_m)
+        skipped.extend(energies[np.isnan(vals)])
+        return vals
 
-    def f_of_k(k: float):
-        return f_of_e(floor + k * k)
+    def det(energy: float) -> float:
+        return secular_determinant(spec, energy, tol=tol, series_m=series_m)
 
-    def brent_e(ka: float, kb: float) -> float:
-        ea, eb = floor + ka * ka, floor + kb * kb
-        return brentq(
-            lambda e: secular_determinant(spec, e, tol=tol, series_m=series_m),
-            ea,
-            eb,
-            xtol=tol.refine_xtol,
-            rtol=8.9e-16,
-        )
+    def det_of_k(k: float) -> float:
+        return det(floor + k * k)
 
     ks = np.linspace(k_lo, k_hi, scan.points)
-    vals = [f_of_k(k) for k in ks]
+    vals = grid(ks)
     roots_e: list[float] = []
-    for i in range(len(ks) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a is None or b is None:
-            continue
-        if a == 0.0:
+    zero, change = _brackets(vals)
+    for i in np.flatnonzero(zero | change):
+        if zero[i]:
             roots_e.append(floor + ks[i] ** 2)
-        elif a * b < 0:
-            roots_e.append(brent_e(ks[i], ks[i + 1]))
-    if vals and vals[-1] == 0.0:
+        else:
+            ea, eb = floor + ks[i] * ks[i], floor + ks[i + 1] * ks[i + 1]
+            roots_e.append(brentq(det, ea, eb, xtol=tol.refine_xtol, rtol=8.9e-16))
+    if len(vals) and vals[-1] == 0.0:
         roots_e.append(floor + ks[-1] ** 2)
 
     # Dips without a sign change can hide a quasi-degenerate pair.
     merged_e: list[float] = []
-    for i in range(1, len(ks) - 1):
-        a, m, b = vals[i - 1], vals[i], vals[i + 1]
-        if a is None or m is None or b is None:
-            continue
-        if a * m > 0 and m * b > 0 and abs(m) < abs(a) and abs(m) < abs(b):
-            if abs(m) < scan.dip_rel_threshold * min(abs(a), abs(b)):
-                sub_roots: list[float] = []
-                sub_merged: list[float] = []
-                _refine_dips(f_of_k, ks[i - 1], ks[i + 1], a, b, scan,
-                             scan.refine_depth, sub_roots, sub_merged)
-                for kr in sub_roots:
-                    roots_e.append(floor + kr * kr)
-                for kr in sub_merged:
-                    roots_e.append(floor + kr * kr)
-                    merged_e.append(floor + kr * kr)
+    a, m, b = np.abs(vals[:-2]), np.abs(vals[1:-1]), np.abs(vals[2:])
+    same_sign = (vals[:-2] * vals[1:-1] > 0) & (vals[1:-1] * vals[2:] > 0)
+    dips = same_sign & (m < a) & (m < b) & (m < scan.dip_rel_threshold * np.minimum(a, b))
+    for i in np.flatnonzero(dips) + 1:
+        sub_roots: list[float] = []
+        sub_merged: list[float] = []
+        _refine_dips(grid, det_of_k, ks[i - 1], ks[i + 1], vals[i - 1], vals[i + 1],
+                     scan, scan.refine_depth, sub_roots, sub_merged)
+        for kr in sub_roots:
+            roots_e.append(floor + kr * kr)
+        for kr in sub_merged:
+            roots_e.append(floor + kr * kr)
+            merged_e.append(floor + kr * kr)
 
     roots_e = sorted(float(r) for r in roots_e)
     dedup: list[float] = []
@@ -575,9 +653,7 @@ class MatchedState:
 def _extract_null_vector(spec, energy, tol, series_m):
     """Bases, matched coefficients and residual at a determinant root."""
     bases = _domain_bases(spec, energy, tol, series_m)
-    a = _matrix_from_bases(bases)
-    norms = np.linalg.norm(a, axis=1)
-    an = a / norms[:, None]
+    an = _row_normalized(_matrix_from_bases(bases))
     det = float(np.linalg.det(an))
     if abs(det) > 10.0 * tol.root_tol:
         raise NotARootError(
@@ -622,8 +698,8 @@ def _overlap_mismatch(spec, bases, coeffs) -> tuple[np.ndarray, float]:
         lo = spec.breakpoints[j]
         hi = spec.breakpoints[j + 1]
         xs = np.linspace(lo + 0.07 * (hi - lo), hi - 0.07 * (hi - lo), 9)
-        rv = np.array([right.eval(x) for x in xs])
-        lv = np.array([left.eval(x) for x in xs])
+        rv = right.eval(xs)
+        lv = left.eval(xs)
         scale = max(scale, float(np.max(np.abs(rv))), float(np.max(np.abs(lv))))
         samples.extend(rv - lv)
     return np.asarray(samples), scale
@@ -687,9 +763,7 @@ def _is_spurious_root(spec, energy, tol, series_m) -> bool:
     if not _resonant_overlap_intervals(spec, energy, tol, series_m):
         return False
     bases = _domain_bases(spec, energy, tol, series_m)
-    a = _matrix_from_bases(bases)
-    norms = np.linalg.norm(a, axis=1)
-    an = a / norms[:, None]
+    an = _row_normalized(_matrix_from_bases(bases))
     svals, vt = np.linalg.svd(an)[1:]
     small = [i for i, s in enumerate(svals) if s < 1e-6]
     if not small:

@@ -162,6 +162,17 @@ class TestSpectrum:
         energies = [s["energy"] for s in doc["eigenvalues"]]
         assert all(abs(e - (10 + PI**2)) > 1e-3 for e in energies)
 
+    def test_overflowing_barrier_exits_3(self, tmp_path, capsys):
+        # cosh overflows behind this barrier; an empty spectrum with exit 0
+        # would hide it
+        spec = write_spec(tmp_path, {"breakpoints": [0, 1, 2, 3], "heights": [0, 1e6, 0]})
+        out = tmp_path / "s.json"
+        rc = main(["spectrum", "--spec", spec, "--e-lo", "0.05", "--e-hi", "40",
+                   "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestPerturb:
     def test_box_constant_shift(self, tmp_path, box_file):

@@ -7,19 +7,23 @@ from hypothesis import strategies as st
 
 from stepwell import (
     DegenerateEnergyError,
+    NonFiniteDeterminantError,
     NormalizationObstructionError,
     NotARootError,
     PotentialSpec,
     SchemaError,
+    TrigPoly,
     TruncationError,
     build_domain_basis,
     fd_eigenvalues,
     find_eigenvalues,
+    local_frequency,
     match_coefficients,
     matching_matrix,
     secular_determinant,
     series_local_basis,
 )
+from stepwell import zero_order
 
 import golden_formulas as golden
 
@@ -262,6 +266,90 @@ class TestScanBehaviour:
             find_eigenvalues(box_spec, 5.0, 1.0)
         with pytest.raises(ValueError):
             find_eigenvalues(box_spec, 0.0, 10.0, count=0)
+
+
+def _scalar_reference(spec, energy):
+    """Row-normalized determinant rebuilt from build_domain_basis at one
+    energy (the wall-to-wall sine value for a plain box); NaN when the
+    energy is degenerate with a height."""
+    try:
+        if spec.n_interior == 0:
+            beta = local_frequency(spec, 0, energy)
+            return TrigPoly.sine_unit_slope(spec.x_min, beta).eval(spec.x_max)
+        n = spec.n_interior
+        a = np.zeros((2 * n, 2 * n))
+        for j in range(1, n + 1):
+            b = build_domain_basis(spec, energy, j)
+            r = 2 * (j - 1)
+            a[r, r], a[r, r + 1] = b.c_at_lo, b.s_at_lo
+            a[r + 1, r], a[r + 1, r + 1] = b.c_at_hi, b.s_at_hi
+            if j >= 2:
+                a[r, r - 2] = -1.0
+            if j <= n - 1:
+                a[r + 1, r + 2] = -1.0
+    except DegenerateEnergyError:
+        return np.nan
+    return float(np.linalg.det(a / np.linalg.norm(a, axis=1)[:, None]))
+
+
+class TestBatchedDeterminant:
+    """The array form of secular_determinant against per-energy bases."""
+
+    SPECS = {
+        "box": ((0.0, PI), (0.0,)),
+        "step": ((0.0, 1.0, 2.0), (0.0, 5.0)),
+        "double_well": ((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)),
+        # N = 4: up to four intervals evanescent at once on the grid
+        "n4_evanescent": ((0.0, 0.7, 1.3, 2.2, 2.9, 3.5), (0.0, 30.0, 4.0, 60.0, 1.0)),
+    }
+
+    @staticmethod
+    def grid(spec):
+        energies = np.linspace(min(spec.heights) - 3.0, max(spec.heights) + 25.0, 600)
+        energies[137] = spec.heights[-1]  # exactly at a height
+        return energies
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_bit_identical_to_per_energy_bases(self, name):
+        spec = PotentialSpec(*self.SPECS[name])
+        energies = self.grid(spec)
+        batched = secular_determinant(spec, energies)
+        reference = np.array([_scalar_reference(spec, e) for e in energies])
+        assert batched.shape == (600,)
+        assert np.array_equal(batched, reference, equal_nan=True)
+        assert np.isnan(batched[137])
+        assert np.isnan(batched).sum() == 1
+        with pytest.raises(DegenerateEnergyError):
+            secular_determinant(spec, energies[137])
+        assert secular_determinant(spec, energies[5]) == batched[5]
+
+    def test_blocks_change_nothing(self, monkeypatch):
+        spec = PotentialSpec(*self.SPECS["n4_evanescent"])
+        energies = self.grid(spec)
+        whole = secular_determinant(spec, energies)
+        # room for three 8 x 8 matrices per block
+        monkeypatch.setattr(zero_order, "_BLOCK_BYTES", 3 * 8 * 8 * 8)
+        assert np.array_equal(secular_determinant(spec, energies), whole, equal_nan=True)
+        assert secular_determinant(spec, energies[:0]).shape == (0,)
+
+    def test_series_backend_shares_the_path(self, n1_step_spec):
+        spec = PotentialSpec(
+            n1_step_spec.breakpoints, n1_step_spec.heights, ((0.0, 0.2), (0.0, 0.2))
+        )
+        energies = np.linspace(1.0, 12.0, 7)
+        reference = [_scalar_reference(spec, e) for e in energies]
+        assert np.array_equal(secular_determinant(spec, energies), reference)
+
+    @pytest.mark.parametrize("barrier", [1.6e5, 1e6])
+    def test_overflow_raises_instead_of_silence(self, barrier):
+        # cosh(kappa w) overflows the row norm (kappa w = 400) or the value
+        # itself (kappa w = 1000); neither may come back as an empty result
+        # or a zero determinant at every grid point
+        spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, barrier, 0.0))
+        with pytest.raises(NonFiniteDeterminantError, match="interval 1"):
+            find_eigenvalues(spec, 0.05, 40.0)
+        with pytest.raises(NonFiniteDeterminantError, match="E = 5.0"):
+            secular_determinant(spec, 5.0)
 
 
 class TestSeriesBackend:
