@@ -9,29 +9,12 @@ compared order by order against the exactly solved tilted problem.
 import argparse
 import math
 
-from scipy.optimize import brentq
-
 from stepwell import (
     PerturbationSpec,
     PotentialSpec,
+    exact_perturbed_energy,
     run_series,
-    secular_determinant,
 )
-
-
-def exact_tilted_energy(spec, pert, lam, guess):
-    tilted = PotentialSpec(
-        spec.breakpoints,
-        spec.heights,
-        tuple(tuple(lam * c for c in p) for p in pert.interval_polys),
-    )
-    return brentq(
-        lambda e: secular_determinant(tilted, e, series_m=60),
-        guess - 0.1,
-        guess + 0.1,
-        xtol=1e-14,
-        rtol=8.9e-16,
-    )
 
 
 def main() -> None:
@@ -56,7 +39,7 @@ def main() -> None:
     print(f"\n{'lambda':>8}  {'series sum':>22}  {'exact':>22}  {'remainder':>10}")
     for lam in (1e-1, 1e-2, 1e-3):
         partial = series.energy_at(lam)
-        exact = exact_tilted_energy(step, tilt, lam, partial)
+        exact = exact_perturbed_energy(step, tilt, lam, partial)
         print(f"{lam:8g}  {partial:22.15f}  {exact:22.15f}  {abs(partial - exact):10.2e}")
 
 

@@ -13,12 +13,18 @@ from .errors import (
     NotARootError,
     PipelineError,
     RealityError,
+    RootNotConvergedError,
     SchemaError,
     SequencingError,
     SolverError,
     TruncationError,
 )
-from .oracle import fd_eigenvalues, fd_eigenvector, rs_first_order
+from .oracle import (
+    exact_perturbed_energy,
+    fd_eigenvalues,
+    fd_eigenvector,
+    rs_first_order,
+)
 from .perturbation import (
     OrderBasis,
     OrderResult,

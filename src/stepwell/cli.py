@@ -18,6 +18,8 @@ from . import oracle
 from .config import DEFAULT_SCAN
 from .errors import (
     DegeneracyParadoxError,
+    DegenerateEnergyError,
+    NonFiniteDeterminantError,
     NormalizationObstructionError,
     PipelineError,
     SchemaError,
@@ -111,11 +113,14 @@ def _energy_window(args, spec: PotentialSpec) -> tuple[float, float]:
     return floor + 1e-4, floor + 50.0
 
 
-def _point_determinant(spec: PotentialSpec, energy: float) -> float | None:
+def _point_determinant(spec: PotentialSpec, energy: float) -> tuple[float | None, str]:
+    """Determinant at one energy, or None and why the point is skipped."""
     try:
-        return secular_determinant(spec, energy)
-    except SolverError:
-        return None
+        return secular_determinant(spec, energy), ""
+    except DegenerateEnergyError:
+        return None, "degenerate"
+    except NonFiniteDeterminantError:
+        return None, "non-finite"
 
 
 def cmd_scan(args) -> int:
@@ -130,25 +135,30 @@ def cmd_scan(args) -> int:
     ks = np.linspace(args.k_lo, args.k_hi, args.points)
     energies = floor + ks * ks
     try:
-        dets = secular_determinant(spec, energies).tolist()
-        dets = [None if np.isnan(d) else d for d in dets]
-    except SolverError:
-        # some point fails outright: evaluate point by point and skip those
-        dets = [_point_determinant(spec, e) for e in energies]
-    rows = list(zip(ks.tolist(), dets))
+        points = [
+            (None, "degenerate") if np.isnan(d) else (d, "")
+            for d in secular_determinant(spec, energies).tolist()
+        ]
+    except NonFiniteDeterminantError:
+        # some points overflow: evaluate point by point and skip those
+        points = [_point_determinant(spec, e) for e in energies]
+    rows = [(k, d, why) for k, (d, why) in zip(ks.tolist(), points)]
+    skipped = [(k, why) for k, d, why in rows if d is None]
     if args.format == "json":
         doc = {
             "format_version": FORMAT_VERSION,
             "momentum_floor": floor,
-            "rows": [[k, d] for k, d in rows if d is not None],
-            "skipped_k": [k for k, d in rows if d is None],
+            "rows": [[k, d] for k, d, _ in rows if d is not None],
+            "skipped_k": [k for k, _ in skipped],
         }
+        if skipped:
+            doc["skipped_reasons"] = [why for _, why in skipped]
         _write_output(_to_json(doc), args.out)
     else:
         lines = ["k,determinant"]
-        for k, det in rows:
+        for k, det, why in rows:
             if det is None:
-                lines.append(f"# skipped degenerate k={_fmt(k)}")
+                lines.append(f"# skipped {why} k={_fmt(k)}")
             else:
                 lines.append(f"{_fmt(k)},{_fmt(det)}")
         _write_output("\n".join(lines) + "\n", args.out)
@@ -333,7 +343,9 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
         lams = (1e-2, 3e-3, 1e-3)
         rems = []
         for lam in lams:
-            e_exact = _exact_energy_polynomial(spec, pert, lam, st_series)
+            e_exact = oracle.exact_perturbed_energy(
+                spec, pert, lam, st_series.energy_at(lam)
+            )
             partial = sum(
                 e * lam**k for k, e in enumerate(st_series.energies[: orders + 1])
             )
@@ -363,31 +375,6 @@ def _match_pert(series, spec, pert):
     if series.embedded_spec is None:
         return pert
     return pert.split_interval(0)
-
-
-def _exact_energy_polynomial(spec, pert, lam, st_series) -> float:
-    """E(lambda) from the power-series solver on the exactly perturbed potential."""
-    from scipy.optimize import brentq
-
-    polys = tuple(
-        tuple(lam * c for c in poly) for poly in pert.interval_polys
-    )
-    pspec = PotentialSpec(spec.breakpoints, spec.heights, polys)
-    guess = st_series.energy_at(lam)
-
-    def det(e: float) -> float:
-        return secular_determinant(pspec, e, series_m=60)
-
-    span = 0.05 * max(1.0, abs(guess))
-    lo, hi = guess - span, guess + span
-    flo, fhi = det(lo), det(hi)
-    while flo * fhi > 0:
-        span *= 2
-        lo, hi = guess - span, guess + span
-        flo, fhi = det(lo), det(hi)
-        if span > 1e3:
-            raise SolverError("could not bracket the perturbed eigenvalue")
-    return brentq(det, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def cmd_validate(args) -> int:

@@ -28,6 +28,10 @@ class NonFiniteDeterminantError(SolverError):
     """
 
 
+class RootNotConvergedError(SolverError):
+    """Root refinement ran out of iterations before the bracket closed."""
+
+
 class DegenerateFrequencyError(SolverError):
     """Local frequency below the degeneracy floor; resonant algebra undefined."""
 

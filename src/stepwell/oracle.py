@@ -3,20 +3,27 @@
 Finite-difference diagonalization of the full Hamiltonian (three-point
 stencil on a breakpoint-aligned grid, Sturm-sequence bisection for the low
 end of the spectrum, Richardson extrapolation across a grid doubling) and
-quadrature-based first-order integrals.  Nothing here shares code with the
-matching solver; that is the point.
+Gauss-Legendre first-order integrals.  Nothing here shares code with the
+matching solver; that is the point.  The one exception is
+exact_perturbed_energy, the reference for the perturbation series, which
+solves the exactly perturbed potential with the solver's independent
+power-series backend.
+
+scipy.linalg, the only scipy module used, is imported by the two FD
+functions themselves, so importing the package does not load scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
+from .errors import SolverError
 from .potential import PerturbationSpec, PotentialSpec
+from .zero_order import brentq, secular_determinant
 
 __all__ = [
     "GridHamiltonian",
@@ -25,6 +32,7 @@ __all__ = [
     "fd_eigenvalues",
     "fd_eigenvector",
     "rs_first_order",
+    "exact_perturbed_energy",
 ]
 
 
@@ -172,6 +180,8 @@ def fd_eigenvalues(
     clean.  If count exceeds the available grid dimension the result is
     truncated and flagged incomplete.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     if count < 1:
         raise ValueError("count must be at least 1")
     gh = build_grid_hamiltonian(spec, pert, lam, m)
@@ -205,6 +215,8 @@ def fd_eigenvector(
     u = sqrt(mu) psi; undoing the weight and normalizing against the
     quadrature sum mu psi^2 = 1 recovers the physical wave function.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     gh = build_grid_hamiltonian(spec, pert, lam, m)
     _, vec = eigh_tridiagonal(
         gh.diag, gh.offdiag, select="i", select_range=(index, index),
@@ -218,8 +230,13 @@ def fd_eigenvector(
 def rs_first_order(state, pert: PerturbationSpec) -> float:
     """Textbook first-order correction <psi|V1|psi> / <psi|psi> by quadrature.
 
-    Integrates piecewise to respect the breakpoints; used only as a
-    cross-check of the matching route, which never touches an integral.
+    One Gauss-Legendre rule per interval, to respect the breakpoints; used
+    only as a cross-check of the matching route, which never touches an
+    integral.  On interval i, psi^2 V1 is a polynomial of V1's degree
+    times a trig polynomial of frequency 2 sqrt(E - H_i); the node count
+    integrates the first exactly and resolves the phase (or growth) of the
+    second, with 16 nodes to spare.  The zero order is assumed piecewise
+    constant.
     """
     spec = state.spec
     pieces = state.global_pieces()
@@ -228,15 +245,39 @@ def rs_first_order(state, pert: PerturbationSpec) -> float:
     for i, piece in enumerate(pieces):
         a, b = spec.breakpoints[i], spec.breakpoints[i + 1]
         poly = pert.interval_polys[i]
-
-        def psi2(x):
-            v = piece.eval(x)
-            return v * v
-
-        def weighted(x):
-            v = piece.eval(x)
-            return v * v * npoly.polyval(x, poly)
-
-        num += quad(weighted, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-        den += quad(psi2, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        beta = math.sqrt(abs(state.energy - spec.heights[i]))
+        n = (len(poly) - 1) // 2 + 1 + math.ceil(2 * beta * (b - a)) + 16
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        psi2 = 0.5 * (b - a) * weights * piece.eval(xs) ** 2
+        num += float(np.dot(psi2, npoly.polyval(xs, poly)))
+        den += float(np.sum(psi2))
     return num / den
+
+
+def exact_perturbed_energy(
+    spec: PotentialSpec, pert: PerturbationSpec, lam: float, guess: float
+) -> float:
+    """E(lam) of V0 + lam V1 solved exactly, the level nearest ``guess``.
+
+    The perturbation is folded into the zero order as interval polynomials
+    and solved by the power-series backend (truncation 60).  The bracket
+    grows outward from guess +- 0.05 max(1, |guess|), doubling until the
+    determinant changes sign, and the root is refined to 1e-14.
+    """
+    polys = tuple(tuple(lam * c for c in poly) for poly in pert.interval_polys)
+    pspec = PotentialSpec(spec.breakpoints, spec.heights, polys)
+
+    def det(e: float) -> float:
+        return secular_determinant(pspec, e, series_m=60)
+
+    span = 0.05 * max(1.0, abs(guess))
+    lo, hi = guess - span, guess + span
+    flo, fhi = det(lo), det(hi)
+    while flo * fhi > 0:
+        span *= 2
+        lo, hi = guess - span, guess + span
+        flo, fhi = det(lo), det(hi)
+        if span > 1e3:
+            raise SolverError("could not bracket the perturbed eigenvalue")
+    return brentq(det, lo, hi, xtol=1e-14, rtol=8.9e-16)

@@ -24,10 +24,10 @@ c + d = 0 there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .config import DEFAULT_SCAN, DEFAULT_TOL, ScanConfig, Tolerances
 from .errors import (
@@ -443,16 +443,26 @@ class SeriesResult:
 _EMBED_FRACTIONS = (0.5, 0.381966011250105, 0.618033988749895, 0.707106781186548)
 
 
+def quad(pa: TrigPoly, pb: TrigPoly, a: float, b: float) -> float:
+    """Integral of pa * pb over [a, b] by one Gauss-Legendre rule.
+
+    The product is a polynomial of degree deg_a + deg_b times a trig
+    polynomial of frequency up to 2 beta; the node count covers the
+    polynomial exactly and resolves |2 beta| (b - a) of phase or growth,
+    with 16 nodes to spare.
+    """
+    freq = max(abs(pa.freq), abs(pb.freq))
+    n = (pa.degree + pb.degree) // 2 + 1 + math.ceil(2 * freq * (b - a)) + 16
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    return 0.5 * (b - a) * float(np.dot(weights, pa.eval(xs) * pb.eval(xs)))
+
+
 def _piecewise_overlap(spec: PotentialSpec, pieces_a, pieces_b) -> float:
-    acc = 0.0
-    for i in range(spec.n_intervals):
-        a, b = spec.breakpoints[i], spec.breakpoints[i + 1]
-        pa, pb = pieces_a[i], pieces_b[i]
-        acc += quad(
-            lambda x: pa.eval(x) * pb.eval(x), a, b, epsabs=1e-12, epsrel=1e-12,
-            limit=200,
-        )[0]
-    return acc
+    return sum(
+        quad(pieces_a[i], pieces_b[i], spec.breakpoints[i], spec.breakpoints[i + 1])
+        for i in range(spec.n_intervals)
+    )
 
 
 def _series_for_state(spec, pert, e0, order_max, tol) -> StateSeries:

@@ -15,10 +15,10 @@ sine-like solution from the left wall vanishing at the right wall.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .config import DEFAULT_SCAN, DEFAULT_TOL, ScanConfig, Tolerances
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteDeterminantError,
     NormalizationObstructionError,
     NotARootError,
+    RootNotConvergedError,
     SchemaError,
     TruncationError,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "find_eigenvalues",
     "match_coefficients",
     "reference_floor",
+    "brentq",
 ]
 
 
@@ -442,6 +444,76 @@ class EigenvalueScan:
     skipped: tuple[float, ...] = ()
     spurious: tuple[float, ...] = ()
     near_degenerate: tuple[float, ...] = ()
+
+
+# smallest relative tolerance brentq accepts: four ulps
+_RTOL_MIN = 4 * math.ulp(1.0)
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float = _RTOL_MIN) -> float:
+    """Root of f in [a, b] by the Brent-Dekker method (Brent 1973, ch. 4).
+
+    The iteration of scipy.optimize.brentq, step for step: inverse
+    quadratic (or secant) interpolation when it falls well inside the
+    bracket, bisection otherwise, and at least delta = (xtol + rtol |x|) / 2
+    per step; the bracket half-width below delta ends it.  Same inputs give
+    the same float.  Raises ValueError when f(a) and f(b) share a sign or f
+    returns NaN, RootNotConvergedError after 100 steps.
+    """
+    if xtol <= 0 or rtol < _RTOL_MIN:
+        raise ValueError(f"tolerances too small: xtol={xtol!r}, rtol={rtol!r}")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN; the root cannot be refined")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RootNotConvergedError(
+        f"root refinement did not converge in {_BRENT_MAXITER} steps; last x = {xcur!r}"
+    )
 
 
 def _brackets(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,11 @@ from stepwell import (
     PotentialSpec,
     TrigPoly,
     apply_hamiltonian,
+    exact_perturbed_energy,
     fd_eigenvalues,
     find_eigenvalues,
     rs_first_order,
     run_series,
-    secular_determinant,
 )
 
 import golden_formulas as golden
@@ -334,19 +334,7 @@ def test_criterion_8_series_consistency_slope():
     lams = (1e-2, 3e-3, 1e-3)
     rems = []
     for lam in lams:
-        tilted = PotentialSpec(
-            spec.breakpoints,
-            spec.heights,
-            tuple(tuple(lam * c for c in p) for p in pert.interval_polys),
-        )
-        guess = series.energy_at(lam)
-        e_exact = brentq(
-            lambda e: secular_determinant(tilted, e, series_m=60),
-            guess - 0.05,
-            guess + 0.05,
-            xtol=1e-14,
-            rtol=8.9e-16,
-        )
+        e_exact = exact_perturbed_energy(spec, pert, lam, series.energy_at(lam))
         rems.append(abs(e_exact - series.energy_at(lam)))
     slope = float(np.polyfit(np.log(lams), np.log(rems), 1)[0])
     ok = slope >= 2.7

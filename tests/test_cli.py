@@ -96,6 +96,32 @@ class TestScan:
         assert doc["format_version"] == 1
         assert len(doc["rows"]) == 11
         assert doc["rows"][0][0] == 0.5
+        assert doc["skipped_k"] == [] and "skipped_reasons" not in doc
+
+    @pytest.mark.parametrize(
+        "heights, k_hi, points, skipped, reason",
+        [
+            # k = 1 puts E exactly on the barrier height
+            ([0, 1, 0], 1.5, 3, [1.0], "degenerate"),
+            # cosh(1000) overflows at every grid energy
+            ([0, 1e6, 0], 3.5, 4, [0.5, 1.5, 2.5, 3.5], "non-finite"),
+        ],
+    )
+    def test_skipped_points_name_their_reason(
+        self, tmp_path, heights, k_hi, points, skipped, reason
+    ):
+        spec = write_spec(tmp_path, {"breakpoints": [0, 1, 2, 3], "heights": heights})
+        flags = ["--k-lo", "0.5", "--k-hi", str(k_hi), "--points", str(points)]
+        csv, js = tmp_path / "scan.csv", tmp_path / "scan.json"
+        assert main(["scan", "--spec", spec, *flags, "--out", str(csv)]) == 0
+        flags += ["--format", "json"]
+        assert main(["scan", "--spec", spec, *flags, "--out", str(js)]) == 0
+        comments = [ln for ln in csv.read_text().splitlines() if ln.startswith("#")]
+        assert comments == [f"# skipped {reason} k={k:.17g}" for k in skipped]
+        doc = json.loads(js.read_text())
+        assert doc["skipped_k"] == skipped
+        assert doc["skipped_reasons"] == [reason] * len(skipped)
+        assert len(doc["rows"]) == points - len(skipped)
 
     def test_resolution_validation(self, box_file):
         assert main(["scan", "--spec", box_file, "--k-lo", "0.5", "--k-hi", "3.5",

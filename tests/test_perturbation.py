@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from stepwell import (
     DegeneracyParadoxError,
@@ -17,10 +16,11 @@ from stepwell import (
     build_omega,
     build_order_basis,
     build_tau,
+    exact_perturbed_energy,
+    find_eigenvalues,
     match_coefficients,
     rs_first_order,
     run_series,
-    secular_determinant,
     solve_order,
 )
 from stepwell.perturbation import equation_residual
@@ -33,17 +33,6 @@ def box_state(anchor_frac=0.5):
     spec = PotentialSpec((0.0, PI), (0.0,))
     aug = spec.with_fictitious_breakpoint(anchor_frac * PI)
     return match_coefficients(aug, 1.0)
-
-
-def exact_energy_series_backend(spec, pert, lam, guess):
-    """Independent route: power-series solve of the exactly tilted potential."""
-    polys = tuple(tuple(lam * c for c in p) for p in pert.interval_polys)
-    pspec = PotentialSpec(spec.breakpoints, spec.heights, polys)
-
-    def det(e):
-        return secular_determinant(pspec, e, series_m=60)
-
-    return brentq(det, guess - 0.1, guess + 0.1, xtol=1e-14, rtol=8.9e-16)
 
 
 class TestOmega:
@@ -298,7 +287,7 @@ class TestRunSeries:
         result = run_series(n1_step_spec, pert, (0.05, 10.0), 4, max_states=1)
         series = result.states[0]
         for lam in (1e-2, 1e-3):
-            exact = exact_energy_series_backend(
+            exact = exact_perturbed_energy(
                 n1_step_spec, pert, lam, series.energy_at(lam)
             )
             assert series.energy_at(lam) == pytest.approx(exact, abs=5e-12)
@@ -337,7 +326,7 @@ class TestStress:
             double_well_spec, pert, (0.05, 10.0), 6, max_states=1
         ).states[0]
         for lam, tol in ((0.05, 5e-10), (0.01, 1e-13)):
-            exact = exact_energy_series_backend(
+            exact = exact_perturbed_energy(
                 double_well_spec, pert, lam, series.energy_at(lam)
             )
             assert abs(series.energy_at(lam) - exact) < tol
@@ -375,7 +364,7 @@ class TestStress:
         assert max(series.equation_residuals) < 1e-12
         e1 = rs_first_order(series.matched, pert)
         assert series.energies[1] == pytest.approx(e1, rel=1e-10)
-        exact = exact_energy_series_backend(
+        exact = exact_perturbed_energy(
             double_well_spec, pert, 1e-2, series.energy_at(1e-2)
         )
         assert abs(exact - series.energy_at(1e-2)) < 1e-11
@@ -406,6 +395,86 @@ class TestStress:
         assert b[0] - shift == pytest.approx(a[0], abs=1e-10)
         for k in (1, 2, 3):
             assert b[k] == pytest.approx(a[k], abs=1e-10)
+
+
+class TestGaussLegendreIntegrals:
+    """The Gauss-Legendre overlaps <psi0|psik> and first-order integrals
+    against scipy's adaptive quad, the rule they replaced.
+
+    Orders <= 6 only: from order 8 the correction pieces are rounding noise
+    (the high-order drift of the series), and quad and Gauss-Legendre rules
+    of 64, 200 and 400 nodes disagree with each other there: by 6e-10 at
+    order 8 and 0.2 % at order 12 on (0,3,6)/(0,0) with a linear tilt.  The
+    same noise reaches orders 5 and 6 when |beta| w falls to 0.1-0.2, so the
+    near-height case keeps |beta| w at about 0.3.
+    """
+
+    CASES = {
+        # the second interval is evanescent, kappa w = 0.79
+        "step": ((0.0, 1.0, 2.0), (0.0, 5.0), (0.05, 10.0)),
+        # evanescent barrier, kappa w = 2.4
+        "double_well": ((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0), (0.05, 10.0)),
+        # every interval oscillatory, above the barrier
+        "above_barrier": ((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0), (12.0, 25.0)),
+        # E0 = 4.0707, 0.1 above the step: beta w = 0.32
+        "near_height": ((0.0, 1.0, 2.0), (0.0, 3.97), (0.05, 10.0)),
+        # a plain box, split at a fictitious anchor
+        "box": ((0.0, PI), (0.0,), (0.2, 2.0)),
+    }
+
+    @staticmethod
+    def quad_overlap(spec, pieces_a, pieces_b):
+        from scipy.integrate import quad
+
+        acc = 0.0
+        for i in range(spec.n_intervals):
+            a, b = spec.breakpoints[i], spec.breakpoints[i + 1]
+            pa, pb = pieces_a[i], pieces_b[i]
+            acc += quad(
+                lambda x: pa.eval(x) * pb.eval(x), a, b, epsabs=1e-12, epsrel=1e-12,
+                limit=200,
+            )[0]
+        return acc
+
+    @staticmethod
+    def quad_first_order(state, pert):
+        from scipy.integrate import quad
+
+        num = den = 0.0
+        for i, piece in enumerate(state.global_pieces()):
+            a, b = state.spec.breakpoints[i], state.spec.breakpoints[i + 1]
+            poly = pert.interval_polys[i]
+            opts = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
+            v1 = np.polynomial.Polynomial(poly)
+            num += quad(lambda x: piece.eval(x) ** 2 * v1(x), a, b, **opts)[0]
+            den += quad(lambda x: piece.eval(x) ** 2, a, b, **opts)[0]
+        return num / den
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_overlaps_through_order_six(self, name):
+        bp, heights, window = self.CASES[name]
+        pert = PerturbationSpec(tuple((0.0, 1.0) for _ in heights))
+        result = run_series(PotentialSpec(bp, heights), pert, window, 6, max_states=1)
+        spec = result.embedded_spec or PotentialSpec(bp, heights)
+        series = result.states[0]
+        psi0 = series.matched.global_pieces()
+        for order, overlap in zip(series.orders, series.overlaps):
+            reference = self.quad_overlap(spec, psi0, order.global_pieces)
+            assert overlap == pytest.approx(reference, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_first_order_integral(self, name):
+        bp, heights, window = self.CASES[name]
+        spec = PotentialSpec(bp, heights)
+        if spec.n_interior == 0:
+            spec = spec.with_fictitious_breakpoint(1.0)
+        energy = find_eigenvalues(spec, *window, count=1).energies[0]
+        state = match_coefficients(spec, energy)
+        for coeffs in ((0.0, 1.0), (0.3, -1.0, 0.2, 0.05)):
+            pert = PerturbationSpec(tuple(coeffs for _ in spec.heights))
+            assert rs_first_order(state, pert) == pytest.approx(
+                self.quad_first_order(state, pert), rel=1e-12, abs=0
+            )
 
 
 class TestEquationResidualHelper:

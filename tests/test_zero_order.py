@@ -11,6 +11,7 @@ from stepwell import (
     NormalizationObstructionError,
     NotARootError,
     PotentialSpec,
+    RootNotConvergedError,
     SchemaError,
     TrigPoly,
     TruncationError,
@@ -350,6 +351,85 @@ class TestBatchedDeterminant:
             find_eigenvalues(spec, 0.05, 40.0)
         with pytest.raises(NonFiniteDeterminantError, match="E = 5.0"):
             secular_determinant(spec, 5.0)
+
+
+def _random_wells(seed: int, count: int) -> list[PotentialSpec]:
+    rng = np.random.default_rng(seed)
+    wells = []
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        bp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, n))])
+        wells.append(PotentialSpec(tuple(bp), tuple(rng.uniform(0.0, 20.0, n))))
+    return wells
+
+
+class TestBrentq:
+    """zero_order.brentq against scipy.optimize.brentq, the iteration it ports."""
+
+    WELLS = [
+        PotentialSpec(*TestBatchedDeterminant.SPECS[name])
+        for name in ("box", "step", "double_well")
+    ] + _random_wells(seed=7, count=12)
+
+    @pytest.mark.parametrize("xtol", [1e-13, 1e-14, 1e-15])
+    def test_bit_identical_to_scipy_on_scan_brackets(self, xtol):
+        from scipy.optimize import brentq as scipy_brentq
+
+        brackets = 0
+        for spec in self.WELLS:
+            # the scan grid of find_eigenvalues: 600 points uniform in k
+            floor = zero_order.reference_floor(spec)
+            ks = np.linspace(np.sqrt(0.05), np.sqrt(40.0), 600)
+            energies = floor + ks * ks
+            vals = secular_determinant(spec, energies)
+            for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+                def det(e):
+                    return secular_determinant(spec, e)
+
+                ea, eb = energies[i], energies[i + 1]
+                ours = zero_order.brentq(det, ea, eb, xtol=xtol, rtol=8.9e-16)
+                assert ours == scipy_brentq(det, ea, eb, xtol=xtol, rtol=8.9e-16)
+                brackets += 1
+        assert brackets > 60
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: math.sin(x) - x / 2, 1.0, 3.0),
+            (lambda x: math.cbrt(x - 1.0), -2.0, 5.0),  # infinite slope at the root
+            (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 2.0),  # near-jump
+            (lambda x: math.exp(x) - 1e3, 0.0, 20.0),
+            (lambda x: 1.0 / x - 0.5, 0.5, 10.0),
+        ],
+    )
+    def test_bit_identical_to_scipy_on_hard_functions(self, f, a, b):
+        # curved and steep functions, where interpolation steps get rejected
+        from scipy.optimize import brentq as scipy_brentq
+
+        for xtol in (1e-13, 1e-14, 1e-15):
+            assert zero_order.brentq(f, a, b, xtol=xtol) == scipy_brentq(f, a, b, xtol=xtol)
+
+    def test_endpoint_zero_and_same_sign(self):
+        from scipy.optimize import brentq as scipy_brentq
+
+        def f(x):
+            return x - 1.0
+
+        for a, b in ((1.0, 3.0), (-2.0, 1.0)):
+            assert zero_order.brentq(f, a, b, xtol=1e-14) == 1.0
+            assert scipy_brentq(f, a, b, xtol=1e-14) == 1.0
+        for brentq in (zero_order.brentq, scipy_brentq):
+            with pytest.raises(ValueError):
+                brentq(f, 2.0, 3.0, xtol=1e-14)
+
+    def test_no_convergence_is_a_solver_error(self):
+        # a jump needs about 2000 bisections from this bracket; scipy raises
+        # a bare RuntimeError after its 100 steps
+        def step(x):
+            return -1.0 if x < 0.3 else 1.0
+
+        with pytest.raises(RootNotConvergedError):
+            zero_order.brentq(step, -1e300, 1e300, xtol=1e-300)
 
 
 class TestSeriesBackend:
