@@ -63,6 +63,7 @@ from .zero_order import (
     matching_matrix,
     secular_determinant,
     series_local_basis,
+    sturm_count,
 )
 
 __version__ = "0.1.0"

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import oracle
-from .config import DEFAULT_SCAN
+from .config import ScanConfig
 from .errors import (
     DegeneracyParadoxError,
     DegenerateEnergyError,
@@ -168,8 +167,7 @@ def cmd_scan(args) -> int:
 def cmd_spectrum(args) -> int:
     spec, _ = load_spec(args.spec)
     e_lo, e_hi = _energy_window(args, spec)
-    scan_cfg = replace(DEFAULT_SCAN, points=args.points)
-    scan = find_eigenvalues(spec, e_lo, e_hi, count=args.count, scan=scan_cfg)
+    scan = find_eigenvalues(spec, e_lo, e_hi, count=args.count, scan=ScanConfig(points=args.points))
     states = []
     warnings = []
     for e in scan.energies:

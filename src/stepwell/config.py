@@ -26,22 +26,15 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Controls for the secular-determinant root scan.
+    """Grid of the eigenvalue scan.
 
-    The scan walks a uniform grid in the momentum-like variable
-    k = sqrt(E - min V), brackets sign changes, and recursively refines
-    magnitude dips so that quasi-degenerate doublets are not merged.  A dip
-    that descends to merge_floor without ever producing a sign change is a
-    root pair split below double-precision resolution (nearly symmetric
-    wells behind a tall barrier); its bottom is reported as one
-    near-degenerate root rather than silently dropped.
+    find_eigenvalues evaluates the Sturm count and the secular determinant
+    at ``points`` energies uniform in k = sqrt(E - min V).  The count says
+    how many eigenvalues each grid cell holds, so the grid sets where
+    refinement starts, not which eigenvalues are found.
     """
 
     points: int = 600
-    refine_factor: int = 48
-    refine_depth: int = 10
-    dip_rel_threshold: float = 0.5
-    merge_floor: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.points < 2:

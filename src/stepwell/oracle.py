@@ -16,14 +16,15 @@ functions themselves, so importing the package does not load scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .config import DEFAULT_TOL, ScanConfig
 from .errors import SolverError
 from .potential import PerturbationSpec, PotentialSpec
-from .zero_order import brentq, secular_determinant
+from .zero_order import find_eigenvalues
 
 __all__ = [
     "GridHamiltonian",
@@ -261,23 +262,23 @@ def exact_perturbed_energy(
     """E(lam) of V0 + lam V1 solved exactly, the level nearest ``guess``.
 
     The perturbation is folded into the zero order as interval polynomials
-    and solved by the power-series backend (truncation 60).  The bracket
-    grows outward from guess +- 0.05 max(1, |guess|), doubling until the
-    determinant changes sign, and the root is refined to 1e-14.
+    and solved by the power-series backend (truncation 60).  The window
+    guess +- 0.05 max(1, |guess|) doubles until find_eigenvalues, on a
+    three-point grid, finds a level in it; it isolates the window's levels
+    by the Sturm count and refines them to 1e-14.  The grid's middle point,
+    uniform in k, lies off guess: a bisection point on the level itself,
+    where the determinant's sign is rounding, would be bisected down to the
+    last digits.
     """
     polys = tuple(tuple(lam * c for c in poly) for poly in pert.interval_polys)
     pspec = PotentialSpec(spec.breakpoints, spec.heights, polys)
-
-    def det(e: float) -> float:
-        return secular_determinant(pspec, e, series_m=60)
-
+    tol = replace(DEFAULT_TOL, refine_xtol=1e-14)
     span = 0.05 * max(1.0, abs(guess))
-    lo, hi = guess - span, guess + span
-    flo, fhi = det(lo), det(hi)
-    while flo * fhi > 0:
+    while span <= 1e3:
+        levels = find_eigenvalues(
+            pspec, guess - span, guess + span, scan=ScanConfig(points=3), tol=tol, series_m=60
+        ).energies
+        if levels:
+            return min(levels, key=lambda e: abs(e - guess))
         span *= 2
-        lo, hi = guess - span, guess + span
-        flo, fhi = det(lo), det(hi)
-        if span > 1e3:
-            raise SolverError("could not bracket the perturbed eigenvalue")
-    return brentq(det, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    raise SolverError("could not bracket the perturbed eigenvalue")

@@ -51,6 +51,7 @@ from .zero_order import (
     MatchedState,
     find_eigenvalues,
     match_coefficients,
+    overlap_gap,
 )
 
 __all__ = [
@@ -154,13 +155,6 @@ class OrderResult:
     overlap_gap: float
 
 
-def _psi0_domain_pieces(state: MatchedState) -> list[tuple[TrigPoly, TrigPoly]]:
-    return [
-        (state.domain_piece(j, "left"), state.domain_piece(j, "right"))
-        for j in range(1, state.n_domains + 1)
-    ]
-
-
 def build_omega(state: MatchedState, *, tol: Tolerances = DEFAULT_TOL) -> OmegaSet:
     """Solve H omega_j = psi_0 on every domain with zero initial data."""
     pieces = []
@@ -199,7 +193,7 @@ def build_tau(
         raise SequencingError(
             f"order {k} needs history through order {k - 1}, have {len(history)}"
         )
-    psi0 = _psi0_domain_pieces(state)
+    psi0 = state.domain_pieces()
     pieces = []
     for j in range(1, state.n_domains + 1):
         basis = state.bases[j - 1]
@@ -309,7 +303,7 @@ def solve_order(
     for j in range(1, n):
         xi[j] = xi[j - 1] + z[j - 1]
 
-    psi0 = _psi0_domain_pieces(state)
+    psi0 = state.domain_pieces()
     domain_pieces = []
     for j in range(1, n + 1):
         pair = []
@@ -339,14 +333,6 @@ def solve_order(
         matching_residual = max(
             matching_residual, abs(left_val - expected), abs(right_val - expected)
         )
-    overlap_gap = 0.0
-    for j in range(1, n):
-        lo, hi = spec.breakpoints[j], spec.breakpoints[j + 1]
-        xs = np.linspace(lo + 0.07 * (hi - lo), hi - 0.07 * (hi - lo), 7)
-        rv = np.array([domain_pieces[j - 1][1].eval(xv, tol=tol) for xv in xs])
-        lv = np.array([domain_pieces[j][0].eval(xv, tol=tol) for xv in xs])
-        scale = max(1.0, float(np.max(np.abs(rv))))
-        overlap_gap = max(overlap_gap, float(np.max(np.abs(rv - lv))) / scale)
 
     return OrderResult(
         basis.k,
@@ -359,7 +345,7 @@ def solve_order(
         condition,
         boundary_residual,
         matching_residual,
-        overlap_gap,
+        overlap_gap(spec, domain_pieces, tol=tol),
     )
 
 
@@ -377,7 +363,7 @@ def equation_residual(
     so anything beyond rounding indicates a bookkeeping bug.
     """
     spec = state.spec
-    psi0 = _psi0_domain_pieces(state)
+    psi0 = state.domain_pieces()
     worst = 0.0
     cover = [(1, 0)] + [(j, 1) for j in range(1, state.n_domains + 1)]
     for i, (j, s) in enumerate(cover):

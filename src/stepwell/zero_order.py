@@ -16,13 +16,12 @@ sine-like solution from the left wall vanishing at the right wall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import DEFAULT_SCAN, DEFAULT_TOL, ScanConfig, Tolerances
 from .errors import (
-    DegenerateEnergyError,
     DegeneracyParadoxError,
     NonFiniteDeterminantError,
     NormalizationObstructionError,
@@ -48,6 +47,7 @@ __all__ = [
     "series_local_basis",
     "matching_matrix",
     "secular_determinant",
+    "sturm_count",
     "find_eigenvalues",
     "match_coefficients",
     "reference_floor",
@@ -164,20 +164,30 @@ def build_domain_basis(
     )
 
 
-def _series_coeffs(v_coeffs: np.ndarray, h0: float, h1: float, m: int) -> np.ndarray:
-    """Taylor recurrence for -psi'' + v(t) psi = 0, v polynomial in t = x - anchor.
+def _local_series(spec, interval, anchor, energy, m) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients h_0..h_m about ``anchor`` of the cosine-like and
+    sine-like solutions on ``interval`` ((value, slope) = (1, 0) and (0, 1)
+    there): (n+2)(n+1) h_{n+2} = sum_l v_l h_{n-l} for -psi'' + v(t) psi = 0,
+    with v = V - E in powers of t = x - anchor.
 
-    (n+2)(n+1) h_{n+2} = sum_l v_l h_{n-l}.
+    ``energy`` is a scalar, giving two arrays of shape (m + 1,), or a 1-D
+    array of M energies, giving shape (M, m + 1).
     """
-    h = np.zeros(m + 1)
-    h[0], h[1] = h0, h1
-    deg = len(v_coeffs) - 1
-    for n in range(m - 1):
-        acc = 0.0
-        for l in range(min(n, deg) + 1):
-            acc += v_coeffs[l] * h[n - l]
-        h[n + 2] = acc / ((n + 2) * (n + 1))
-    return h
+    polys = spec.zero_order_polys or ((0.0,),) * spec.n_intervals
+    v = reanchor_poly(polys[interval], anchor).tolist()
+    pairs = []
+    for e in np.atleast_1d(energy).tolist():
+        ve = [v[0] + (spec.heights[interval] - e)] + v[1:]
+        pair = ([1.0, 0.0], [0.0, 1.0])
+        for n in range(m - 1):
+            for h in pair:
+                acc = 0.0
+                for l in range(min(n, len(ve) - 1) + 1):
+                    acc += ve[l] * h[n - l]
+                h.append(acc / ((n + 2) * (n + 1)))
+        pairs.append(pair)
+    c, s = np.moveaxis(np.array(pairs).reshape(-1, 2, m + 1), 1, 0)
+    return (c, s) if np.ndim(energy) else (c[0], s[0])
 
 
 def series_local_basis(
@@ -218,11 +228,7 @@ def series_local_basis(
     pieces = {}
     values = {}
     for side, interval, endpoint in (("left", j - 1, x_lo), ("right", j, x_hi)):
-        v = np.atleast_1d(np.asarray(reanchor_poly(polys[interval], anchor), dtype=float))
-        v = v.copy()
-        v[0] += spec.heights[interval] - energy
-        for kind, h0, h1 in (("c", 1.0, 0.0), ("s", 0.0, 1.0)):
-            coeffs = _series_coeffs(v, h0, h1, m + 10)
+        for kind, coeffs in zip("cs", _local_series(spec, interval, anchor, energy, m + 10)):
             piece = TaylorPiece(anchor, coeffs)
             t = endpoint - anchor
             powers = t ** np.arange(m + 11)
@@ -313,14 +319,8 @@ def matching_matrix(
 def _box_sine_value(spec, energy, series_m=None) -> float:
     """Power-series sine-like solution from the left wall, evaluated at the
     right wall (N = 0)."""
-    v = np.atleast_1d(
-        np.asarray(reanchor_poly(spec.zero_order_polys[0], spec.x_min), dtype=float)
-    ).copy()
-    v[0] += spec.heights[0] - energy
-    m = series_m or 80
-    coeffs = _series_coeffs(v, 0.0, 1.0, m + 10)
-    piece = TaylorPiece(spec.x_min, coeffs)
-    return piece.eval(spec.x_max)
+    coeffs = _local_series(spec, 0, spec.x_min, energy, (series_m or 80) + 10)[1]
+    return TaylorPiece(spec.x_min, coeffs).eval(spec.x_max)
 
 
 # Largest size of the stacked matching matrices evaluated at once; longer
@@ -410,32 +410,144 @@ def secular_determinant(
     return dets
 
 
+def _potential_range(spec: PotentialSpec, i: int) -> tuple[float, float]:
+    """Least and greatest value of V on interval i (polynomial backend),
+    sampled at 201 points."""
+    xs = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], 201)
+    vals = spec.heights[i] + np.polynomial.polynomial.polyval(xs, spec.zero_order_polys[i])
+    return float(np.min(vals)), float(np.max(vals))
+
+
 def reference_floor(spec: PotentialSpec) -> float:
     """Reference potential floor for the momentum variable k = sqrt(E - floor)."""
     if spec.zero_order_polys is None:
         return float(min(spec.heights))
-    lo = np.inf
-    for i in range(spec.n_intervals):
-        xs = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], 201)
-        vals = spec.heights[i] + np.polynomial.polynomial.polyval(
-            xs, spec.zero_order_polys[i]
-        )
-        lo = min(lo, float(np.min(vals)))
-    return lo
+    return min(_potential_range(spec, i)[0] for i in range(spec.n_intervals))
+
+
+def _shots(spec: PotentialSpec) -> tuple[list, list]:
+    """Paths from the left and the right wall to the matching point, the
+    middle of the tallest interval, as (interval, x_from, x_to) in order."""
+    bp = spec.breakpoints
+    c = int(np.argmax(spec.heights))
+    mid = 0.5 * (bp[c] + bp[c + 1])
+    left = [(i, bp[i], bp[i + 1]) for i in range(c)] + [(c, bp[c], mid)]
+    right = [(i, bp[i + 1], bp[i]) for i in range(spec.n_intervals - 1, c, -1)]
+    return left, right + [(c, bp[c + 1], mid)]
+
+
+def _trig_angle(spec, energies, path, tol) -> np.ndarray:
+    """Modified Pruefer angle at the end of ``path``, shot from a wall.
+
+    tan(theta) = S psi / psi', psi' taken along the path, with the scale
+    S = sqrt|E - H_i| on interval i (1 where E is within beta_min^2 of
+    H_i, the rule of local_frequency); theta = 0 at the wall and passes each
+    multiple of pi upward at a zero of psi.  Each interval has a closed form
+    that cannot overflow: an oscillatory one advances theta by beta w, an
+    evanescent one shrinks tan(theta - pi/4) (mod pi) by exp(-2 kappa w)
+    toward the growing solution, and a flat one adds w to tan(theta).
+    """
+    theta = np.zeros(len(energies))
+    s_old = None
+    for i, x0, x1 in path:
+        q = energies - spec.heights[i]
+        flat = np.abs(q) <= tol.beta_min**2
+        s = np.where(flat, 1.0, np.sqrt(np.abs(q)))
+        if s_old is not None:
+            # a change of scale keeps every multiple of pi / 2 in place
+            k = np.floor(theta / np.pi) * np.pi
+            theta = k + np.arctan2(s * np.sin(theta - k), s_old * np.cos(theta - k))
+        w = abs(x1 - x0)
+        advanced = theta + s * w
+        if (q < 0).any():
+            k = np.floor(theta / np.pi + 0.25) * np.pi + np.pi / 4
+            decayed = np.arctan2(np.sin(theta - k) * np.exp(-2 * s * w), np.cos(theta - k))
+            advanced = np.where(q < 0, k + decayed, advanced)
+        if flat.any():
+            k = np.floor(theta / np.pi + 0.5) * np.pi
+            linear = k + np.arctan2(np.sin(theta - k) + w * np.cos(theta - k), np.cos(theta - k))
+            advanced = np.where(flat, linear, advanced)
+        theta, s_old = advanced, s
+    return theta
+
+
+def _series_angle(spec, energies, path, m) -> np.ndarray:
+    """Pruefer angle tan(theta) = psi / psi' at the end of ``path`` for the
+    power-series backend, shot from a wall.
+
+    One series per interval, expanded where the path enters it, is sampled
+    at steps of length h with h sqrt(A) <= 2, A the largest |E - V| on the
+    interval.  That is shorter than pi / sqrt(max(E - V)), so by Sturm
+    comparison no step holds two zeros of psi, and each sign change between
+    samples is exactly one zero.  psi' is taken along the path.
+    """
+    psi, slope = np.zeros(len(energies)), np.ones(len(energies))
+    sign, zeros = np.ones(len(energies)), np.zeros(len(energies))
+    n = np.arange(m + 1)
+    for i, x0, x1 in path:
+        v_lo, v_hi = _potential_range(spec, i)
+        bound = max(np.max(energies, initial=v_lo) - v_lo, v_hi - np.min(energies, initial=v_hi))
+        steps = max(1, math.ceil(abs(x1 - x0) * math.sqrt(bound) / 2))
+        powers = np.linspace(0.0, x1 - x0, steps + 1)[None, 1:] ** n[:, None]
+        weights = n[1:] * (x1 - x0) ** n[:-1]
+        c, s = _local_series(spec, i, x0, energies, m)
+        direction = math.copysign(1.0, x1 - x0)
+        psi0, dpsi0 = psi[:, None], direction * slope[:, None]  # where the path enters
+        values = psi0 * (c @ powers) + dpsi0 * (s @ powers)
+        signs = np.where(values < 0, -1.0, 1.0)
+        zeros += np.sum(signs * np.column_stack([sign, signs[:, :-1]]) < 0, axis=1)
+        sign = signs[:, -1]
+        psi = values[:, -1]
+        slope = direction * (psi0[:, 0] * (c[:, 1:] @ weights) + dpsi0[:, 0] * (s[:, 1:] @ weights))
+        norm = np.hypot(psi, slope)
+        psi, slope = psi / norm, slope / norm
+    return zeros * np.pi + np.arctan2(sign * psi, sign * slope)
+
+
+def sturm_count(
+    spec: PotentialSpec,
+    energies: float | np.ndarray,
+    *,
+    tol: Tolerances = DEFAULT_TOL,
+    series_m: int | None = None,
+) -> int | np.ndarray:
+    """Number of eigenvalues below each energy, by the oscillation theorem.
+
+    Pruefer angles are shot from both walls to the middle of the tallest
+    interval (theta_R in the mirrored problem); the eigenvalues are the
+    energies where theta_L + theta_R crosses a positive multiple of pi, so
+    N(E) = floor((theta_L + theta_R) / pi).  This is SLEDGE's count for
+    piecewise-constant problems (Pruess & Fulton, ACM TOMS 19 (1993) 360).
+    Any matching point gives the same count in exact arithmetic; in floats
+    it decides how a pair split below double precision rounds.  Matched in
+    the tallest interval, such a pair steps by two at one energy (matched in
+    a well, by one twice, rounding apart).  ``energies`` is a scalar or a
+    1-D array; the result is an int or an int array.
+    """
+    e = np.asarray(energies, dtype=float)
+    if e.ndim > 1:
+        raise ValueError("energies must be a scalar or a one-dimensional array")
+    es = np.atleast_1d(e)
+    if spec.zero_order_polys is None:
+        theta = sum(_trig_angle(spec, es, path, tol) for path in _shots(spec))
+    else:
+        theta = sum(_series_angle(spec, es, path, series_m or 80) for path in _shots(spec))
+    counts = np.floor(theta / np.pi).astype(int)
+    return int(counts[0]) if e.ndim == 0 else counts
 
 
 @dataclass(frozen=True)
 class EigenvalueScan:
-    """Result of a determinant-root scan.
+    """Result of find_eigenvalues.
 
-    ``spurious`` lists determinant zeros rejected by the overlap-agreement
-    check: when E coincides with a Dirichlet eigenvalue of a single
-    sub-interval, value matching at two points no longer pins the solution
-    on the overlap and the determinant can vanish without a smooth global
-    eigenfunction existing.  ``near_degenerate`` lists entries of
-    ``energies`` that stand for a root pair split below double-precision
-    resolution (the determinant dips to its rounding floor without a
-    certifiable sign change); coefficient extraction there reports the
+    ``energies`` are the eigenvalues in the window, certified by the Sturm
+    count.  ``spurious`` lists determinant zeros across which the count does
+    not rise: when E coincides with a Dirichlet eigenvalue of an overlap
+    interval, value matching at two points no longer pins the solution there
+    and the determinant vanishes without an eigenfunction behind it.
+    ``near_degenerate`` lists entries of ``energies`` that stand for a pair
+    split below double-precision resolution (the count rises by two within
+    the refinement tolerance); coefficient extraction there reports the
     degeneracy paradox instead of inventing a null vector.
     """
 
@@ -516,45 +628,18 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = _RTOL_MIN) -> float
     )
 
 
-def _brackets(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Grid cells (i, i + 1) that start at an exact zero or change sign;
-    cells touching a skipped (NaN) point are neither."""
-    a, b = vals[:-1], vals[1:]
-    return (a == 0.0) & ~np.isnan(b), a * b < 0
+# A determinant zero is an eigenvalue when the count steps within this
+# relative distance of it.  The count and the determinant locate a level
+# apart by their rounding (up to 1e-13 relative for the power-series backend
+# near E = 40); a spurious zero closer than this to a level passes for it,
+# an error below this bound.
+_STEP_RTOL = 1e-9
 
 
-def _refine_dips(grid, det_of_k, k_lo, k_hi, vals_lo, vals_hi, scan: ScanConfig,
-                 depth: int, roots: list, merged: list):
-    """Subdivide a magnitude dip looking for paired sign changes.
-
-    ``grid`` evaluates the determinant on an array of k (NaN where skipped),
-    ``det_of_k`` at one k for root refinement.  A dip that keeps deepening
-    without ever changing sign, down to the determinant's rounding floor,
-    is an unresolvable near-double root; its bottom is recorded in
-    ``merged``.
-    """
-    ks = np.linspace(k_lo, k_hi, scan.refine_factor + 1)
-    vals = grid(ks)
-    zero, change = _brackets(vals)
-    for i in np.flatnonzero(zero | change):
-        if zero[i]:
-            roots.append(ks[i])
-        else:
-            roots.append(brentq(det_of_k, ks[i], ks[i + 1], xtol=1e-15, rtol=8.9e-16))
-    if zero.any() or change.any():
-        return
-    mags = np.where(np.isnan(vals), np.inf, np.abs(vals))
-    i_min = int(np.argmin(mags))
-    dipping = mags[i_min] < scan.dip_rel_threshold * min(abs(vals_lo), abs(vals_hi))
-    narrow = (k_hi - k_lo) < 1e-12 * max(1.0, abs(k_hi))
-    if dipping and depth > 0 and not narrow:
-        lo = max(i_min - 1, 0)
-        hi = min(i_min + 1, len(ks) - 1)
-        _refine_dips(grid, det_of_k, ks[lo], ks[hi], vals[lo], vals[hi], scan,
-                     depth - 1, roots, merged)
-        return
-    if mags[i_min] < scan.merge_floor:
-        merged.append(ks[i_min])
+def _is_spurious_root(count_below: int, count_above: int) -> bool:
+    """A determinant zero is spurious when the Sturm count does not step
+    across it: no eigenvalue sits there."""
+    return bool(count_below == count_above)
 
 
 def find_eigenvalues(
@@ -567,17 +652,20 @@ def find_eigenvalues(
     tol: Tolerances = DEFAULT_TOL,
     series_m: int | None = None,
 ) -> EigenvalueScan:
-    """Locate determinant roots in (e_lo, e_hi), ascending.
+    """Eigenvalues in (e_lo, e_hi), ascending, from the count and the determinant.
 
-    Scans a uniform grid in k = sqrt(E - floor) (the natural momentum
-    variable, which spreads out low-lying roots), brackets sign changes,
-    refines each bracket to |dE| ~ 1e-12, and recursively subdivides
-    magnitude dips so that quasi-degenerate doublets are not merged.  The
-    grid and each refinement level are one array call of
-    secular_determinant, each root refinement a run of scalar calls.
-    Grid points degenerate with an interval height are skipped and
-    reported.  If fewer than ``count`` roots exist in the window the result
-    carries complete=False.
+    sturm_count and secular_determinant are evaluated on scan.points
+    energies uniform in k = sqrt(E - floor), which spreads out low-lying
+    roots.  A cell where the determinant changes sign and the count rises by
+    at most one has its zero refined by brentq to |dE| ~ 1e-13: a level if
+    the count steps across it, spurious (listed, not returned) if not.  Any
+    other cell where the count rises (by two, or past no usable sign change)
+    is bisected, in one array call of both functions per round, until that
+    rule applies or the cell is down to the refinement tolerance: then its
+    midpoint is a level, listed as near-degenerate (a pair split below
+    double precision, returned once) if the count rose by two or more.
+    Points degenerate with an interval height are skipped and reported.  If
+    fewer than ``count`` levels exist in the window, complete=False.
     """
     if not e_lo < e_hi:
         raise ValueError("energy window must satisfy e_lo < e_hi")
@@ -591,80 +679,73 @@ def find_eigenvalues(
     k_lo = max(k_lo, 1e-9 * (k_hi - k_lo) + 1e-300)
 
     skipped: list[float] = []
+    levels: list[float] = []
+    spurious: list[float] = []
+    near_degenerate: list[float] = []
 
-    def grid(ks: np.ndarray) -> np.ndarray:
-        energies = floor + ks * ks
-        vals = secular_determinant(spec, energies, tol=tol, series_m=series_m)
-        skipped.extend(energies[np.isnan(vals)])
-        return vals
+    def sample(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dets = secular_determinant(spec, energies, tol=tol, series_m=series_m)
+        skipped.extend(energies[np.isnan(dets)])
+        return dets, sturm_count(spec, energies, tol=tol, series_m=series_m)
 
     def det(energy: float) -> float:
         return secular_determinant(spec, energy, tol=tol, series_m=series_m)
 
-    def det_of_k(k: float) -> float:
-        return det(floor + k * k)
+    def settle(cell: tuple) -> None:
+        """A cell holding a level that no sign change isolates: bisect it,
+        or take its midpoint once it is down to the refinement tolerance."""
+        ea, eb, na, nb, _, _ = cell
+        if eb - ea > tol.refine_xtol + 8.9e-16 * abs(eb):
+            split.append(cell)
+            return
+        levels.append(float(ea + eb) / 2)
+        if nb - na > 1:
+            near_degenerate.append(levels[-1])
 
     ks = np.linspace(k_lo, k_hi, scan.points)
-    vals = grid(ks)
-    roots_e: list[float] = []
-    zero, change = _brackets(vals)
-    for i in np.flatnonzero(zero | change):
-        if zero[i]:
-            roots_e.append(floor + ks[i] ** 2)
-        else:
-            ea, eb = floor + ks[i] * ks[i], floor + ks[i + 1] * ks[i + 1]
-            roots_e.append(brentq(det, ea, eb, xtol=tol.refine_xtol, rtol=8.9e-16))
-    if len(vals) and vals[-1] == 0.0:
-        roots_e.append(floor + ks[-1] ** 2)
+    grid = floor + ks * ks
+    dets, counts = sample(grid)
+    live = np.flatnonzero((counts[1:] != counts[:-1]) | (dets[:-1] * dets[1:] < 0))
+    cells = [(grid[i], grid[i + 1], counts[i], counts[i + 1], dets[i], dets[i + 1]) for i in live]
+    while cells:
+        split: list[tuple] = []
+        zeros = []
+        for cell in cells:
+            ea, eb, na, nb, da, db = cell
+            if da * db < 0 and nb - na <= 1:
+                zeros.append((brentq(det, ea, eb, xtol=tol.refine_xtol, rtol=8.9e-16), cell))
+            elif nb > na:
+                settle(cell)
+        if zeros:
+            # the count either side of each zero, inside its cell
+            lo = [max(cell[0], r - _STEP_RTOL * max(1.0, abs(r))) for r, cell in zeros]
+            hi = [min(cell[1], r + _STEP_RTOL * max(1.0, abs(r))) for r, cell in zeros]
+            steps = sturm_count(spec, np.array(lo + hi), tol=tol, series_m=series_m)
+            for (root, cell), below, above in zip(zeros, steps[: len(zeros)], steps[len(zeros) :]):
+                if not _is_spurious_root(below, above):
+                    levels.append(root)
+                elif cell[3] > cell[2]:
+                    settle(cell)
+                else:
+                    spurious.append(root)
+        if not split:
+            break
+        mids = np.array([(ea + eb) / 2 for ea, eb, *_ in split])
+        d_mid, n_mid = sample(mids)
+        cells = []
+        for (ea, eb, na, nb, da, db), em, nm, dm in zip(split, mids, n_mid, d_mid):
+            cells += [(ea, em, na, nm, da, dm), (em, eb, nm, nb, dm, db)]
 
-    # Dips without a sign change can hide a quasi-degenerate pair.
-    merged_e: list[float] = []
-    a, m, b = np.abs(vals[:-2]), np.abs(vals[1:-1]), np.abs(vals[2:])
-    same_sign = (vals[:-2] * vals[1:-1] > 0) & (vals[1:-1] * vals[2:] > 0)
-    dips = same_sign & (m < a) & (m < b) & (m < scan.dip_rel_threshold * np.minimum(a, b))
-    for i in np.flatnonzero(dips) + 1:
-        sub_roots: list[float] = []
-        sub_merged: list[float] = []
-        _refine_dips(grid, det_of_k, ks[i - 1], ks[i + 1], vals[i - 1], vals[i + 1],
-                     scan, scan.refine_depth, sub_roots, sub_merged)
-        for kr in sub_roots:
-            roots_e.append(floor + kr * kr)
-        for kr in sub_merged:
-            roots_e.append(floor + kr * kr)
-            merged_e.append(floor + kr * kr)
-
-    roots_e = sorted(float(r) for r in roots_e)
-    dedup: list[float] = []
-    for r in roots_e:
-        if not dedup or abs(r - dedup[-1]) > 1e-11 * max(1.0, abs(r)):
-            dedup.append(r)
-
-    genuine: list[float] = []
-    spurious: list[float] = []
-    near_degenerate: list[float] = []
-    for r in dedup:
-        try:
-            if _is_spurious_root(spec, r, tol, series_m):
-                spurious.append(r)
-                continue
-        except DegenerateEnergyError:
-            skipped.append(r)
-            continue
-        genuine.append(r)
-        if any(abs(r - me) <= 1e-10 * max(1.0, abs(r)) for me in merged_e):
-            near_degenerate.append(r)
-
+    levels.sort()
+    complete = count is None or len(levels) >= count
     if count is not None:
-        complete = len(genuine) >= count
-        genuine = genuine[:count]
-    else:
-        complete = True
+        levels = levels[:count]
     return EigenvalueScan(
-        tuple(genuine),
+        tuple(levels),
         complete,
         tuple(skipped),
-        tuple(spurious),
-        tuple(near_degenerate),
+        tuple(sorted(spurious)),
+        tuple(e for e in sorted(near_degenerate) if e in levels),
     )
 
 
@@ -703,6 +784,11 @@ class MatchedState:
         basis = self.bases[j - 1]
         c, d = self.coeffs[j - 1]
         return c * basis.piece("c", side) + d * basis.piece("s", side)
+
+    def domain_pieces(self) -> list[tuple]:
+        """Each domain's (left, right) representation, domains 1..N."""
+        return [(self.domain_piece(j, "left"), self.domain_piece(j, "right"))
+                for j in range(1, self.n_domains + 1)]
 
     def global_pieces(self) -> tuple:
         """Non-overlapping cover: interval i gets domain 1's left piece for
@@ -751,103 +837,23 @@ def _extract_null_vector(spec, energy, tol, series_m):
     return bases, coeffs, residual
 
 
-def _overlap_mismatch(spec, bases, coeffs) -> tuple[np.ndarray, float]:
-    """Sampled disagreement of adjacent domain representations, plus scale.
+def overlap_gap(spec: PotentialSpec, domain_pieces, *, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Worst disagreement of adjacent domain representations of a state.
 
-    Domains j and j+1 both represent the state on (L_j, L_{j+1}); for a
-    genuine eigenvalue the two representations coincide there.
+    domain_pieces[j - 1] is domain j's (left, right) pair.  Domains j and
+    j + 1 both represent the state on (L_j, L_{j+1}); they are compared at
+    nine interior points of each such overlap, relative to the largest value
+    sampled (at least 1).  Machine-small for a genuine solution.
     """
-    n = len(bases)
-    samples: list[float] = []
-    scale = 1.0
-    for j in range(1, n):
-        right = coeffs[j - 1, 0] * bases[j - 1].piece("c", "right") + coeffs[
-            j - 1, 1
-        ] * bases[j - 1].piece("s", "right")
-        left = coeffs[j, 0] * bases[j].piece("c", "left") + coeffs[j, 1] * bases[
-            j
-        ].piece("s", "left")
-        lo = spec.breakpoints[j]
-        hi = spec.breakpoints[j + 1]
+    gap, scale = 0.0, 1.0
+    for j in range(1, len(domain_pieces)):
+        lo, hi = spec.breakpoints[j], spec.breakpoints[j + 1]
         xs = np.linspace(lo + 0.07 * (hi - lo), hi - 0.07 * (hi - lo), 9)
-        rv = right.eval(xs)
-        lv = left.eval(xs)
+        rv = domain_pieces[j - 1][1].eval(xs, tol=tol)
+        lv = domain_pieces[j][0].eval(xs, tol=tol)
+        gap = max(gap, float(np.max(np.abs(rv - lv))))
         scale = max(scale, float(np.max(np.abs(rv))), float(np.max(np.abs(lv))))
-        samples.extend(rv - lv)
-    return np.asarray(samples), scale
-
-
-def _overlap_gap(spec, bases, coeffs) -> float:
-    """Worst relative disagreement of adjacent domain representations."""
-    samples, scale = _overlap_mismatch(spec, bases, coeffs)
-    if samples.size == 0:
-        return 0.0
-    return float(np.max(np.abs(samples))) / scale
-
-
-def _resonant_overlap_intervals(spec, energy, tol, series_m) -> list[int]:
-    """Overlap intervals whose own Dirichlet mode vanishes at both ends.
-
-    Only intervals bounded by two interior breakpoints are overlaps of
-    adjacent domains; a wall-adjacent interval's resonance imposes a real
-    constraint instead of a redundancy and cannot fake a determinant zero.
-    """
-    out = []
-    for j in range(1, spec.n_interior):
-        width = spec.breakpoints[j + 1] - spec.breakpoints[j]
-        if spec.zero_order_polys is not None:
-            v = np.atleast_1d(
-                np.asarray(
-                    reanchor_poly(spec.zero_order_polys[j], spec.breakpoints[j]),
-                    dtype=float,
-                )
-            ).copy()
-            v[0] += spec.heights[j] - energy
-            coeffs = _series_coeffs(v, 0.0, 1.0, (series_m or 80) + 10)
-            val = abs(float(np.polynomial.polynomial.polyval(width, coeffs)))
-            if val < 1e-6 * max(width, 1.0):
-                out.append(j)
-            continue
-        beta = local_frequency(spec, j, energy, tol=tol)
-        if abs(np.sin(beta * width)) < 1e-6:
-            out.append(j)
-    return out
-
-
-def _is_spurious_root(spec, energy, tol, series_m) -> bool:
-    """Determinant zero without a smooth global eigenfunction behind it.
-
-    Spurious zeros originate exclusively from sub-interval Dirichlet
-    resonances on overlap intervals, which make the two-point value match
-    redundant there.  Away from any such resonance every determinant zero
-    is genuine and is kept without further scrutiny (important for deep
-    symmetric barriers, where the huge hyperbolic dynamic range makes
-    direct gluing uncertifiable in floats).  At a resonance the candidate
-    survives only if *some* combination of the small-singular-value
-    directions glues smoothly across every overlap, a linear least-squares
-    question on the sampled mismatches; this keeps a genuine eigenvalue
-    that happens to sit next to a resonance while rejecting the bare
-    resonance zeros, including simultaneous ones from several equal-width
-    intervals.
-    """
-    if spec.n_interior < 2:
-        return False
-    if not _resonant_overlap_intervals(spec, energy, tol, series_m):
-        return False
-    bases = _domain_bases(spec, energy, tol, series_m)
-    an = _row_normalized(_matrix_from_bases(bases))
-    svals, vt = np.linalg.svd(an)[1:]
-    small = [i for i, s in enumerate(svals) if s < 1e-6]
-    if not small:
-        return False
-    cols = []
-    scale = 1.0
-    for i in small:
-        mismatch, sc = _overlap_mismatch(spec, bases, vt[i].reshape(-1, 2))
-        cols.append(mismatch)
-        scale = max(scale, sc)
-    fit = float(np.linalg.svd(np.column_stack(cols), compute_uv=False)[-1])
-    return fit / scale > 1e-6
+    return gap / scale
 
 
 def match_coefficients(
@@ -865,8 +871,7 @@ def match_coefficients(
     DegeneracyParadoxError when the null space is not simple, and
     NormalizationObstructionError when some c(j) + d(j) vanishes, which
     would block the order-k rescaling downstream.  The overlap_gap
-    diagnostic records whether adjacent representations actually agree;
-    find_eigenvalues uses the same check to reject spurious zeros.
+    diagnostic records whether adjacent representations actually agree.
     """
     if spec.n_interior == 0:
         raise SchemaError(
@@ -874,11 +879,11 @@ def match_coefficients(
             "breakpoint (see PotentialSpec.with_fictitious_breakpoint)"
         )
     bases, coeffs, residual = _extract_null_vector(spec, energy, tol, series_m)
-    gap = _overlap_gap(spec, bases, coeffs)
     for jj, (c, d) in enumerate(coeffs, start=1):
         if abs(c + d) <= tol.coeff_sum_floor:
             raise NormalizationObstructionError(
                 f"c({jj}) + d({jj}) = {c + d:.3e} vanishes; the order-k "
                 "rescaling is impossible for this state"
             )
-    return MatchedState(spec, float(energy), coeffs, tuple(bases), residual, gap)
+    state = MatchedState(spec, float(energy), coeffs, tuple(bases), residual)
+    return replace(state, overlap_gap=overlap_gap(spec, state.domain_pieces(), tol=tol))

@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from stepwell import (
     PerturbationSpec,
+    PotentialSpec,
+    exact_perturbed_energy,
     fd_eigenvalues,
     find_eigenvalues,
     match_coefficients,
@@ -96,3 +98,19 @@ class TestFirstOrderIntegral:
         state = match_coefficients(aug, 1.0)
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         assert rs_first_order(state, pert) == pytest.approx(PI / 2, abs=1e-10)
+
+
+class TestExactPerturbedEnergy:
+    def test_resonance_in_bracket_keeps_the_level(self):
+        # guess +- 5 % holds the level and the Dirichlet resonance of the
+        # interval (1.18, 2.62) near 11.53: the determinant's two sign changes
+        # cancel, and a sign-change bracket widened to the level below
+        spec = PotentialSpec(
+            (0.0, 0.3518005004958605, 1.1751805560501503, 2.621187262326551,
+             4.105036321041169),
+            (42.92652892054752, 3.908022772589886, 6.8300682196743345, 39.86124233275844),
+        )
+        pert = PerturbationSpec(tuple((0.0, -0.9657177561067429) for _ in range(4)))
+        energy = exact_perturbed_energy(spec, pert, 0.01, 11.440968901466423)
+        fd = fd_eigenvalues(spec, pert, 0.01, m=3000, count=2)
+        assert abs(energy - fd.values[1]) < fd.estimate[1]

@@ -23,6 +23,7 @@ from stepwell import (
     matching_matrix,
     secular_determinant,
     series_local_basis,
+    sturm_count,
 )
 from stepwell import zero_order
 
@@ -518,3 +519,103 @@ class TestSeriesBackend:
         fd = fd_eigenvalues(spec, m=2500, count=len(scan.energies))
         for i, e in enumerate(scan.energies):
             assert abs(e - fd.values[i]) < max(fd.estimate[i], 1e-8)
+
+
+def _fd_levels_match(spec, e_lo, e_hi, scan):
+    """Levels of a scan against the FD oracle, a near-degenerate entry
+    counting twice, each within the oracle's estimate (floored at 1e-7
+    relative, where the estimate vanishes by accident)."""
+    levels = sorted(list(scan.energies) + list(scan.near_degenerate))
+    fd = fd_eigenvalues(spec, m=3000, count=len(levels) + 3)
+    inside = (fd.values > e_lo) & (fd.values < e_hi)
+    ref = fd.values[inside]
+    tol = np.maximum(fd.estimate, 1e-7 * np.maximum(1.0, np.abs(fd.values)))[inside]
+    assert len(levels) == len(ref), (levels, ref)
+    assert np.all(np.abs(np.array(levels) - ref) <= tol), (levels, ref, tol)
+
+
+class TestSturmCount:
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.05, 3.0), st.floats(0.0, 1e4)), min_size=1, max_size=9
+        )
+    )
+    def test_count_matches_fd_levels(self, intervals):
+        # N <= 8 interior steps; every window between two gap midpoints of the
+        # FD spectrum must hold as many levels as the count difference says
+        widths, heights = zip(*intervals)
+        spec = PotentialSpec(tuple(np.concatenate([[0.0], np.cumsum(widths)])), heights)
+        fd = fd_eigenvalues(spec, m=4000, count=8)
+        mids, expected = [min(heights) - 1.0], [0]
+        for k in range(7):
+            lo, hi = fd.values[k], fd.values[k + 1]
+            if hi - lo > 100 * (fd.estimate[k] + fd.estimate[k + 1]):
+                mids.append(0.5 * (lo + hi))
+                expected.append(k + 1)
+        counts = sturm_count(spec, np.array(mids))
+        for i in range(len(mids)):
+            for j in range(i + 1, len(mids)):
+                assert counts[j] - counts[i] == expected[j] - expected[i], (mids, counts)
+
+    def test_monotone_across_resolvable_doublet(self):
+        # splitting ~ 9e-9: sampled every 1e-9, the count steps 0 -> 1 -> 2
+        spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, 400.0, 0.0))
+        e1, e2 = find_eigenvalues(spec, 0.05, 12.0).energies
+        energies = e1 - 5e-8 + 1e-9 * np.arange(int((e2 - e1 + 1e-7) / 1e-9))
+        counts = sturm_count(spec, energies)
+        assert set(np.diff(counts)) == {0, 1}
+        assert counts[0] == 0 and counts[-1] == 2
+        assert counts[np.searchsorted(energies, 0.5 * (e1 + e2))] == 1
+
+    def test_tall_barrier_does_not_overflow(self):
+        # kappa w = 1e4: decoupled wells of width 1, levels n^2 pi^2 in pairs
+        spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, 1e8, 0.0))
+        with np.errstate(over="raise", invalid="raise"):
+            counts = sturm_count(spec, np.array([5.0, 20.0, 45.0, 80.0]))
+        assert list(counts) == [0, 2, 4, 4]
+        assert sturm_count(spec, 20.0) == 2
+
+    def test_series_backend_counts_like_closed_form(self, double_well_spec):
+        polys = ((0.0,), (0.0,), (0.0,))
+        series = PotentialSpec(double_well_spec.breakpoints, double_well_spec.heights, polys)
+        energies = np.linspace(0.3, 45.0, 149)
+        assert np.array_equal(
+            sturm_count(series, energies, series_m=60), sturm_count(double_well_spec, energies)
+        )
+
+    @pytest.mark.parametrize(
+        "breakpoints, heights",
+        [
+            # four near-symmetric doublets and one N = 4 well of the
+            # spectrum_wells benchmark (seed/index 2/9, 7/17, 9/9, 10/17,
+            # 10/23) on which dip refinement and the overlap-agreement test
+            # lost levels
+            (
+                (0.0, 1.3611770684100377, 2.208654780713683, 3.5708270845791334),
+                (2.218400384286134, 42.39277005171036, 2.2192449729391783),
+            ),
+            (
+                (0.0, 1.8175060186539356, 2.6713131746313303, 4.488800244156072),
+                (4.711363294738816, 39.050488451663114, 4.711485116956138),
+            ),
+            (
+                (0.0, 1.5158909619841725, 2.5194138288680277, 4.0344005911831795),
+                (0.4620474824019749, 40.081241078877646, 0.4627886582270943),
+            ),
+            (
+                (0.0, 1.870722551193349, 2.749924184533326, 4.6205871520181665),
+                (4.244271868675684, 37.56727558743859, 4.244536360226796),
+            ),
+            (
+                (0.0, 1.9246923845695565, 3.8486242088676548, 4.765609509495318,
+                 7.606819940539094, 8.604622292041194),
+                (2.9533143036411467, 8.6368702154135, 1.1838875465714993,
+                 1.888231290352288, 7.4836804117884235),
+            ),
+        ],
+    )
+    def test_scan_finds_every_level(self, breakpoints, heights):
+        spec = PotentialSpec(breakpoints, heights)
+        floor = min(heights)
+        scan = find_eigenvalues(spec, floor, floor + 40.0)
+        _fd_levels_match(spec, floor, floor + 40.0, scan)
