@@ -27,6 +27,7 @@ from .errors import (
 from .perturbation import run_series
 from .potential import PotentialSpec, load_spec
 from .zero_order import (
+    eval_pieces,
     find_eigenvalues,
     match_coefficients,
     reference_floor,
@@ -216,13 +217,9 @@ def cmd_perturb(args) -> int:
     xs = np.linspace(spec.x_min, spec.x_max, args.grid_points)
     states = []
     for series in result.states:
-        psi_orders = [[float(v) for v in series.matched.eval(xs)]]
+        psi_orders = [series.matched.eval(xs).tolist()]
         for order in series.orders:
-            vals = []
-            for xv in xs:
-                i = wspec.interval_index(float(xv))
-                vals.append(float(order.global_pieces[i].eval(float(xv))))
-            psi_orders.append(vals)
+            psi_orders.append(eval_pieces(wspec, order.global_pieces, xs).tolist())
         states.append(
             {
                 "energies": list(series.energies),

@@ -52,6 +52,7 @@ from .zero_order import (
     find_eigenvalues,
     match_coefficients,
     overlap_gap,
+    pieces_on_overlaps,
 )
 
 __all__ = [
@@ -345,7 +346,7 @@ def solve_order(
         condition,
         boundary_residual,
         matching_residual,
-        overlap_gap(spec, domain_pieces, tol=tol),
+        overlap_gap(spec, pieces_on_overlaps(domain_pieces, tol=tol)),
     )
 
 

@@ -105,12 +105,17 @@ class PotentialSpec:
     def x_max(self) -> float:
         return self.breakpoints[-1]
 
-    def interval_index(self, x: float) -> int:
-        """Index of the interval containing x; breakpoints go to the right interval."""
-        if x < self.x_min or x > self.x_max:
-            raise ValueError(f"x = {x} outside the box ({self.x_min}, {self.x_max})")
-        i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        return min(max(i, 0), self.n_intervals - 1)
+    def interval_index(self, x):
+        """Index of the interval containing x; breakpoints go to the right interval.
+
+        ``x`` is a scalar, giving an int, or an array, giving an int array.
+        """
+        xs = np.asarray(x, dtype=float)
+        outside = (xs < self.x_min) | (xs > self.x_max)
+        if outside.any():
+            raise ValueError(f"x = {xs[outside].flat[0]} outside the box ({self.x_min}, {self.x_max})")
+        i = np.clip(np.searchsorted(self.breakpoints, xs, side="right") - 1, 0, self.n_intervals - 1)
+        return int(i) if xs.ndim == 0 else i
 
     def gauge_shifted(self, shift: float) -> "PotentialSpec":
         """Add a constant to every height; spectra shift by the same constant."""

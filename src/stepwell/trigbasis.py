@@ -39,6 +39,7 @@ __all__ = [
     "derivative",
     "reanchor_poly",
     "unit_solutions",
+    "trig_values",
 ]
 
 
@@ -209,6 +210,19 @@ def unit_solutions(
         _checked_real(cos, np.abs(cos), tol),
         _checked_real(sin * inv, np.abs(sin) * np.abs(inv), tol),
     )
+
+
+def trig_values(freq, t, p, q, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """p cos(beta t) + q sin(beta t), elementwise over broadcast arrays.
+
+    The value of TrigPoly(a, beta, [p], [q]) at x = a + t, from the same
+    complex expressions (so the same bits wherever they are finite) and with
+    the same reality check, for a whole array of degree-0 pieces at once.
+    """
+    arg = freq * t
+    cos, sin = np.cos(arg), np.sin(arg)
+    magnitude = np.abs(p) * np.abs(cos) + np.abs(q) * np.abs(sin)
+    return _checked_real(p * cos + q * sin, magnitude, tol)
 
 
 def derivative(f: TrigPoly) -> TrigPoly:

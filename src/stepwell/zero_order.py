@@ -36,7 +36,7 @@ from .potential import (
     local_frequencies,
     local_frequency,
 )
-from .trigbasis import TrigPoly, reanchor_poly, unit_solutions
+from .trigbasis import TrigPoly, reanchor_poly, trig_values, unit_solutions
 
 __all__ = [
     "TaylorPiece",
@@ -144,23 +144,22 @@ def build_domain_basis(
     x_hi = spec.breakpoints[j + 1]
     beta_l = local_frequency(spec, j - 1, energy, tol=tol)
     beta_r = local_frequency(spec, j, energy, tol=tol)
-    c_left = TrigPoly.cosine(anchor, beta_l)
-    s_left = TrigPoly.sine_unit_slope(anchor, beta_l)
-    c_right = TrigPoly.cosine(anchor, beta_r)
-    s_right = TrigPoly.sine_unit_slope(anchor, beta_r)
+    c_ends, s_ends = unit_solutions(
+        np.array([beta_l, beta_r]), np.array([x_lo - anchor, x_hi - anchor]), tol=tol
+    )
     return DomainBasis(
         j,
         anchor,
         x_lo,
         x_hi,
-        c_left,
-        s_left,
-        c_right,
-        s_right,
-        c_at_lo=c_left.eval(x_lo, tol=tol),
-        s_at_lo=s_left.eval(x_lo, tol=tol),
-        c_at_hi=c_right.eval(x_hi, tol=tol),
-        s_at_hi=s_right.eval(x_hi, tol=tol),
+        TrigPoly.cosine(anchor, beta_l),
+        TrigPoly.sine_unit_slope(anchor, beta_l),
+        TrigPoly.cosine(anchor, beta_r),
+        TrigPoly.sine_unit_slope(anchor, beta_r),
+        c_at_lo=float(c_ends[0]),
+        s_at_lo=float(s_ends[0]),
+        c_at_hi=float(c_ends[1]),
+        s_at_hi=float(s_ends[1]),
     )
 
 
@@ -563,7 +562,7 @@ _RTOL_MIN = 4 * math.ulp(1.0)
 _BRENT_MAXITER = 100
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float = _RTOL_MIN) -> float:
+def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN):
     """Root of f in [a, b] by the Brent-Dekker method (Brent 1973, ch. 4).
 
     The iteration of scipy.optimize.brentq, step for step: inverse
@@ -572,18 +571,47 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = _RTOL_MIN) -> float
     per step; the bracket half-width below delta ends it.  Same inputs give
     the same float.  Raises ValueError when f(a) and f(b) share a sign or f
     returns NaN, RootNotConvergedError after 100 steps.
+
+    ``a`` and ``b`` are scalars, or 1-D arrays of brackets refined in
+    lock-step: f is called with the array of every unfinished bracket's
+    trial point, once per step, and each bracket takes the same steps, and
+    returns the same float, as it would alone.  A NaN in that array is
+    evaluated again as a scalar, so that f raises there what its scalar form
+    raises.
     """
     if xtol <= 0 or rtol < _RTOL_MIN:
         raise ValueError(f"tolerances too small: xtol={xtol!r}, rtol={rtol!r}")
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    lo = np.atleast_1d(np.asarray(a, dtype=float))
+    hi = np.atleast_1d(np.asarray(b, dtype=float))
+    if lo.ndim > 1 or lo.shape != hi.shape:
+        raise ValueError("brackets must be two scalars or two 1-D arrays of one length")
+    lanes = [_brent(x, y, xtol, rtol) for x, y in zip(lo.tolist(), hi.tolist())]
+    trials = {i: next(lane) for i, lane in enumerate(lanes)}
+    roots = [0.0] * len(lanes)
+    while trials:
+        xs = list(trials.values())
+        fxs = [f(xs[0])] if scalar else np.asarray(f(np.array(xs)), dtype=float).tolist()
+        pending = {}
+        for (i, x), fx in zip(trials.items(), fxs):
+            fx = float(fx)
+            if math.isnan(fx) and not scalar:
+                fx = float(f(x))
+            if math.isnan(fx):
+                raise ValueError(f"f({x!r}) is NaN; the root cannot be refined")
+            try:
+                pending[i] = lanes[i].send(fx)
+            except StopIteration as done:
+                roots[i] = done.value
+        trials = pending
+    return roots[0] if scalar else np.array(roots)
 
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN; the root cannot be refined")
-        return fx
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+def _brent(xpre: float, xcur: float, xtol: float, rtol: float):
+    """One bracket's Brent-Dekker iteration, as a generator: it yields each
+    point where f is wanted, is sent f there, and returns the root."""
+    fpre = yield xpre
+    fcur = yield xcur
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -622,7 +650,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = _RTOL_MIN) -> float
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = yield xcur
     raise RootNotConvergedError(
         f"root refinement did not converge in {_BRENT_MAXITER} steps; last x = {xcur!r}"
     )
@@ -657,8 +685,9 @@ def find_eigenvalues(
     sturm_count and secular_determinant are evaluated on scan.points
     energies uniform in k = sqrt(E - floor), which spreads out low-lying
     roots.  A cell where the determinant changes sign and the count rises by
-    at most one has its zero refined by brentq to |dE| ~ 1e-13: a level if
-    the count steps across it, spurious (listed, not returned) if not.  Any
+    at most one has its zero refined by brentq to |dE| ~ 1e-13 (all such
+    cells of a round in lock-step, one determinant call per step): a level
+    if the count steps across it, spurious (listed, not returned) if not.  Any
     other cell where the count rises (by two, or past no usable sign change)
     is bisected, in one array call of both functions per round, until that
     rule applies or the cell is down to the refinement tolerance: then its
@@ -688,9 +717,6 @@ def find_eigenvalues(
         skipped.extend(energies[np.isnan(dets)])
         return dets, sturm_count(spec, energies, tol=tol, series_m=series_m)
 
-    def det(energy: float) -> float:
-        return secular_determinant(spec, energy, tol=tol, series_m=series_m)
-
     def settle(cell: tuple) -> None:
         """A cell holding a level that no sign change isolates: bisect it,
         or take its midpoint once it is down to the refinement tolerance."""
@@ -709,14 +735,23 @@ def find_eigenvalues(
     cells = [(grid[i], grid[i + 1], counts[i], counts[i + 1], dets[i], dets[i + 1]) for i in live]
     while cells:
         split: list[tuple] = []
-        zeros = []
+        bracketed = []
         for cell in cells:
             ea, eb, na, nb, da, db = cell
             if da * db < 0 and nb - na <= 1:
-                zeros.append((brentq(det, ea, eb, xtol=tol.refine_xtol, rtol=8.9e-16), cell))
+                bracketed.append(cell)
             elif nb > na:
                 settle(cell)
-        if zeros:
+        if bracketed:
+            # every bracket of the round in lock-step, one determinant call a step
+            roots = brentq(
+                lambda energies: secular_determinant(spec, energies, tol=tol, series_m=series_m),
+                np.array([cell[0] for cell in bracketed]),
+                np.array([cell[1] for cell in bracketed]),
+                xtol=tol.refine_xtol,
+                rtol=8.9e-16,
+            )
+            zeros = list(zip(roots.tolist(), bracketed))
             # the count either side of each zero, inside its cell
             lo = [max(cell[0], r - _STEP_RTOL * max(1.0, abs(r))) for r, cell in zeros]
             hi = [min(cell[1], r + _STEP_RTOL * max(1.0, abs(r))) for r, cell in zeros]
@@ -799,13 +834,22 @@ class MatchedState:
         return tuple(pieces)
 
     def eval(self, x) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        pieces = self.global_pieces()
-        out = np.empty_like(xs)
-        for n, xv in enumerate(xs):
-            i = self.spec.interval_index(xv)
-            out[n] = pieces[i].eval(xv)
-        return out if np.ndim(x) else float(out[0])
+        return eval_pieces(self.spec, self.global_pieces(), x)
+
+
+def eval_pieces(spec: PotentialSpec, pieces, x):
+    """Values at x of the function that is pieces[i] on interval i of spec.
+
+    Each piece is evaluated once, on all of its points; breakpoints go to
+    the right interval, as in PotentialSpec.interval_index.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    index = spec.interval_index(xs)
+    out = np.empty_like(xs)
+    for i in np.unique(index).tolist():
+        at = index == i
+        out[at] = pieces[i].eval(xs[at])
+    return out if np.ndim(x) else float(out[0])
 
 
 def _extract_null_vector(spec, energy, tol, series_m):
@@ -837,23 +881,52 @@ def _extract_null_vector(spec, energy, tol, series_m):
     return bases, coeffs, residual
 
 
-def overlap_gap(spec: PotentialSpec, domain_pieces, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def overlap_gap(spec: PotentialSpec, values) -> float:
     """Worst disagreement of adjacent domain representations of a state.
 
-    domain_pieces[j - 1] is domain j's (left, right) pair.  Domains j and
-    j + 1 both represent the state on (L_j, L_{j+1}); they are compared at
-    nine interior points of each such overlap, relative to the largest value
-    sampled (at least 1).  Machine-small for a genuine solution.
+    Domains j and j + 1 both represent the state on (L_j, L_{j+1}); they
+    are compared at nine interior points of each such overlap, relative to
+    the largest value sampled (at least 1).  ``values(xs)`` is given the
+    points, row j - 1 on overlap j, shape (N - 1, 9), and returns domain j's
+    right and domain j + 1's left representation there.  Machine-small for
+    a genuine solution.
     """
-    gap, scale = 0.0, 1.0
-    for j in range(1, len(domain_pieces)):
-        lo, hi = spec.breakpoints[j], spec.breakpoints[j + 1]
-        xs = np.linspace(lo + 0.07 * (hi - lo), hi - 0.07 * (hi - lo), 9)
-        rv = domain_pieces[j - 1][1].eval(xs, tol=tol)
-        lv = domain_pieces[j][0].eval(xs, tol=tol)
-        gap = max(gap, float(np.max(np.abs(rv - lv))))
-        scale = max(scale, float(np.max(np.abs(rv))), float(np.max(np.abs(lv))))
-    return gap / scale
+    bp = np.asarray(spec.breakpoints)
+    lo, hi = bp[1:-2], bp[2:-1]
+    right, left = values(np.linspace(lo + 0.07 * (hi - lo), hi - 0.07 * (hi - lo), 9, axis=1))
+    gap = np.max(np.abs(right - left), initial=0.0)
+    scale = max(1.0, np.max(np.abs(right), initial=0.0), np.max(np.abs(left), initial=0.0))
+    return float(gap / scale)
+
+
+def pieces_on_overlaps(domain_pieces, *, tol: Tolerances = DEFAULT_TOL):
+    """overlap_gap's ``values`` from each domain's (left, right) pieces."""
+
+    def values(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        right = [pair[1].eval(x, tol=tol) for pair, x in zip(domain_pieces, xs)]
+        left = [pair[0].eval(x, tol=tol) for pair, x in zip(domain_pieces[1:], xs)]
+        return np.array(right), np.array(left)
+
+    return values
+
+
+def _trig_on_overlaps(spec, energy, coeffs, tol):
+    """overlap_gap's ``values`` for a closed-form state, in one trig_values
+    call: c(j) cos + (d(j) / beta) sin on each overlap, the expression
+    TrigPoly.eval evaluates for MatchedState.domain_pieces."""
+    beta = local_frequencies(spec, np.array([energy]), tol=tol)[0][0, 1:-1, None]
+    inv = 1.0 / beta
+    anchors = np.asarray(spec.breakpoints)[1:-1, None]
+    c, d = coeffs[:, :1], coeffs[:, 1:]
+
+    def values(xs: np.ndarray) -> np.ndarray:
+        # domain j's right piece is anchored at L_j, domain j + 1's left at L_{j+1}
+        t = np.stack([xs - anchors[:-1], xs - anchors[1:]])
+        p = np.stack([c[:-1], c[1:]])
+        q = np.stack([d[:-1] * inv, d[1:] * inv])
+        return trig_values(beta, t, p, q, tol=tol)
+
+    return values
 
 
 def match_coefficients(
@@ -886,4 +959,8 @@ def match_coefficients(
                 "rescaling is impossible for this state"
             )
     state = MatchedState(spec, float(energy), coeffs, tuple(bases), residual)
-    return replace(state, overlap_gap=overlap_gap(spec, state.domain_pieces(), tol=tol))
+    if spec.zero_order_polys is None:
+        values = _trig_on_overlaps(spec, energy, coeffs, tol)
+    else:
+        values = pieces_on_overlaps(state.domain_pieces(), tol=tol)
+    return replace(state, overlap_gap=overlap_gap(spec, values))

@@ -177,6 +177,17 @@ class TestAsymmetricDoubleWell:
                 )
             assert state.overlap_gap < 1e-10
 
+    def test_grid_eval_equals_pointwise_eval(self, double_well_spec):
+        # one eval per piece on all of its points, the bits of one per point
+        energy = find_eigenvalues(double_well_spec, 0.05, 10.0, count=1).energies[0]
+        state = match_coefficients(double_well_spec, energy)
+        spec, pieces = double_well_spec, state.global_pieces()
+        xs = np.concatenate([np.linspace(0.0, PI, 201), spec.breakpoints]).tolist()
+        assert spec.interval_index(np.array(xs)).tolist() == [spec.interval_index(x) for x in xs]
+        assert state.eval(np.array(xs)).tolist() == [pieces[spec.interval_index(x)].eval(x) for x in xs]
+        with pytest.raises(ValueError, match="x = 4.0 outside"):
+            spec.interval_index(np.array([0.5, 4.0]))
+
     def test_ground_state_matches_fd_eigenvector(self, double_well_spec):
         from stepwell import fd_eigenvector
 
@@ -431,6 +442,151 @@ class TestBrentq:
 
         with pytest.raises(RootNotConvergedError):
             zero_order.brentq(step, -1e300, 1e300, xtol=1e-300)
+
+
+def _per_lane(g):
+    """An array function that applies the scalar g to each element."""
+    return lambda xs: [g(x) for x in xs]
+
+
+def _scan_brackets(spec):
+    """The scan grid of find_eigenvalues and its sign-change brackets."""
+    floor = zero_order.reference_floor(spec)
+    ks = np.linspace(np.sqrt(0.05), np.sqrt(40.0), 600)
+    energies = floor + ks * ks
+    vals = secular_determinant(spec, energies)
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    return energies[i], energies[i + 1]
+
+
+class TestLockStepBrentq:
+    """Array brackets refined in lock-step against one bracket at a time."""
+
+    SPECS = [PotentialSpec(*spec) for spec in TestBatchedDeterminant.SPECS.values()]
+
+    @pytest.mark.parametrize("xtol", [1e-13, 1e-15])
+    def test_bit_identical_to_scalar_on_scan_brackets(self, xtol):
+        for spec in self.SPECS:
+            calls = []
+
+            def det(energies):
+                calls.append(len(energies))
+                return secular_determinant(spec, energies)
+
+            a, b = _scan_brackets(spec)
+            assert len(a) >= 3
+            roots = zero_order.brentq(det, a, b, xtol=xtol, rtol=8.9e-16)
+            expected = [
+                zero_order.brentq(lambda e: secular_determinant(spec, e), ea, eb, xtol=xtol, rtol=8.9e-16)
+                for ea, eb in zip(a, b)
+            ]
+            assert roots.tolist() == expected
+            # one call for each end, then one per step of the slowest bracket
+            assert calls[:2] == [len(a), len(a)]
+            assert len(calls) <= 2 + zero_order._BRENT_MAXITER
+            assert calls == sorted(calls, reverse=True)
+
+    @pytest.mark.parametrize(
+        "g, a, b, narrow",
+        [
+            (lambda x: math.sin(x) - x / 2, 1.0, 3.0, (1.5, 2.5)),
+            (lambda x: math.cbrt(x - 1.0), -2.0, 5.0, (0.0, 1.5)),
+            (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 2.0, (0.0, 0.5)),
+            (lambda x: math.exp(x) - 1e3, 0.0, 20.0, (5.0, 8.0)),
+            (lambda x: 1.0 / x - 0.5, 0.5, 10.0, (1.0, 3.0)),
+        ],
+    )
+    def test_bit_identical_to_scalar_on_hard_functions(self, g, a, b, narrow):
+        # the scipy-port brackets, reversed and narrowed, finish at different steps
+        lo, hi = np.array([a, b, narrow[0]]), np.array([b, a, narrow[1]])
+        for xtol in (1e-13, 1e-14, 1e-15):
+            roots = zero_order.brentq(_per_lane(g), lo, hi, xtol=xtol)
+            assert roots.tolist() == [
+                zero_order.brentq(g, x, y, xtol=xtol) for x, y in zip(lo, hi)
+            ]
+
+    def test_scalar_and_empty_brackets(self):
+        assert zero_order.brentq(lambda x: x - 1.0, 0.0, 3.0, xtol=1e-14) == 1.0
+        assert isinstance(zero_order.brentq(lambda x: x - 1.0, 0.0, 3.0, xtol=1e-14), float)
+        empty = zero_order.brentq(_per_lane(lambda x: x - 1.0), np.array([]), np.array([]), xtol=1e-14)
+        assert empty.shape == (0,)
+        with pytest.raises(ValueError):
+            zero_order.brentq(lambda x: x, np.zeros((2, 2)), np.ones((2, 2)), xtol=1e-14)
+
+    def test_degenerate_trial_raises_the_scalar_error(self, n1_step_spec):
+        # the array kernel gives NaN at the height 5; the lane is evaluated
+        # again as a scalar, which raises, as refinement one at a time did
+        def det(energies):
+            return secular_determinant(n1_step_spec, energies)
+
+        assert np.isnan(det(np.array([5.0]))[0])
+        with pytest.raises(DegenerateEnergyError):
+            zero_order.brentq(det, np.array([3.0, 5.0]), np.array([4.0, 6.0]), xtol=1e-14)
+
+    def test_nan_and_same_sign_raise_value_error(self):
+        def f(xs):
+            return np.where(np.asarray(xs) > 2.5, np.nan, np.asarray(xs) - 1.0)
+
+        with pytest.raises(ValueError, match="NaN"):
+            zero_order.brentq(f, np.array([0.0, 2.0]), np.array([2.0, 3.0]), xtol=1e-14)
+        with pytest.raises(ValueError, match="different signs"):
+            zero_order.brentq(f, np.array([0.0, 1.5]), np.array([2.0, 2.0]), xtol=1e-14)
+
+    def test_no_convergence_with_array_brackets(self):
+        def step(xs):
+            return np.where(np.asarray(xs) < 0.3, -1.0, 1.0)
+
+        with pytest.raises(RootNotConvergedError):
+            zero_order.brentq(step, np.array([0.0, -1e300]), np.array([1.0, 1e300]), xtol=1e-300)
+
+    def test_find_eigenvalues_refines_through_brentq(self, double_well_spec, monkeypatch):
+        # perfbench times refinement by wrapping zero_order.brentq; a rename
+        # or a direct call would zero those metrics without a failure
+        calls = []
+        original = zero_order.brentq
+
+        def counted(f, a, b, **kwargs):
+            roots = original(f, a, b, **kwargs)
+            calls.append(roots.tolist())
+            return roots
+
+        monkeypatch.setattr(zero_order, "brentq", counted)
+        scan = find_eigenvalues(double_well_spec, 0.05, 40.0)
+        # the 600-point grid isolates every level: one round, one call
+        assert len(calls) == 1
+        assert set(scan.energies) | set(scan.spurious) == set(calls[0])
+        assert len(scan.energies) >= 5
+
+
+class TestMatchWithoutTrigPolyEvals:
+    """The boundary and overlap values match_coefficients takes from array
+    kernels against TrigPoly.eval of the pieces."""
+
+    SPECS = [PotentialSpec(*spec) for spec in TestBatchedDeterminant.SPECS.values() if len(spec[1]) > 1]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_boundary_values_equal_trigpoly_eval(self, spec):
+        for energy in np.linspace(min(spec.heights) + 0.1, max(spec.heights) + 25.0, 97):
+            for j in range(1, spec.n_interior + 1):
+                try:
+                    basis = build_domain_basis(spec, energy, j)
+                except DegenerateEnergyError:
+                    continue
+                assert basis.c_at_lo == basis.c_left.eval(basis.x_lo)
+                assert basis.s_at_lo == basis.s_left.eval(basis.x_lo)
+                assert basis.c_at_hi == basis.c_right.eval(basis.x_hi)
+                assert basis.s_at_hi == basis.s_right.eval(basis.x_hi)
+
+    WELLS = SPECS + [spec for spec in _random_wells(seed=11, count=12) if spec.n_interior > 1]
+
+    @pytest.mark.parametrize("spec", WELLS)
+    def test_overlap_gap_equals_gap_of_domain_pieces(self, spec):
+        scan = find_eigenvalues(spec, min(spec.heights) + 0.05, min(spec.heights) + 40.0)
+        assert scan.energies
+        for energy in scan.energies:
+            state = match_coefficients(spec, energy)
+            pieces = zero_order.pieces_on_overlaps(state.domain_pieces())
+            assert state.overlap_gap == zero_order.overlap_gap(spec, pieces)
 
 
 class TestSeriesBackend:
