@@ -293,9 +293,10 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
     )
     record("fictitious-breakpoint-invariance", fict_err, 1e-9)
 
-    # matched-state smoothness (needs at least one interior breakpoint)
-    base = aug if spec.n_interior == 0 else spec
-    st = match_coefficients(base, find_eigenvalues(base, e_lo, e_hi, count=1).energies[0])
+    # matched-state smoothness (needs at least one interior breakpoint): the
+    # ground state, matched on the fictitious-breakpoint copy for a plain box
+    base, ground = (aug, scan3.energies[0]) if spec.n_interior == 0 else (spec, energies[0])
+    st = match_coefficients(base, ground)
     cont = 0.0
     pieces = st.global_pieces()
     for j in range(1, base.n_interior + 1):

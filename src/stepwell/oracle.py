@@ -37,32 +37,35 @@ __all__ = [
 ]
 
 
-def _poly_cell_integral(coeffs, a: float, b: float) -> float:
-    """Exact integral of a global-coordinate polynomial over [a, b]."""
+def _poly_cell_integral(coeffs, a, b):
+    """Exact integral of a global-coordinate polynomial over [a, b],
+    elementwise over arrays of ends."""
     anti = npoly.polyint(np.asarray(coeffs, dtype=float))
-    return float(npoly.polyval(b, anti) - npoly.polyval(a, anti))
+    return npoly.polyval(b, anti) - npoly.polyval(a, anti)
 
 
-def _cell_average(
-    spec: PotentialSpec, pert: PerturbationSpec | None, lam: float, a: float, b: float
-) -> float:
-    """Exact average of V0 + lam V1 over the cell [a, b].
+def _cell_average(spec: PotentialSpec, pert: PerturbationSpec | None, lam: float, a, b):
+    """Exact average of V0 + lam V1 over the cell [a, b], elementwise over
+    arrays of cells.
 
     Averaging (rather than point sampling) keeps the discretization error
     O(h^2) with breakpoints anywhere relative to the grid; a jump landing on
-    a node automatically receives the mean of its two sides.
+    a node automatically receives the mean of its two sides.  Each cell sums
+    its intervals left to right, the height term before the polynomial ones.
     """
-    acc = 0.0
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    acc = np.zeros(np.broadcast(a, b).shape)
     for i in range(spec.n_intervals):
-        lo = max(a, spec.breakpoints[i])
-        hi = min(b, spec.breakpoints[i + 1])
-        if hi <= lo:
-            continue
-        acc += spec.heights[i] * (hi - lo)
+        lo = np.maximum(a, spec.breakpoints[i])
+        hi = np.minimum(b, spec.breakpoints[i + 1])
+        inside = hi > lo
+        acc = np.where(inside, acc + spec.heights[i] * (hi - lo), acc)
         if spec.zero_order_polys is not None:
-            acc += _poly_cell_integral(spec.zero_order_polys[i], lo, hi)
+            integral = _poly_cell_integral(spec.zero_order_polys[i], lo, hi)
+            acc = np.where(inside, acc + integral, acc)
         if pert is not None and lam != 0.0:
-            acc += lam * _poly_cell_integral(pert.interval_polys[i], lo, hi)
+            integral = _poly_cell_integral(pert.interval_polys[i], lo, hi)
+            acc = np.where(inside, acc + lam * integral, acc)
     return acc / (b - a)
 
 
@@ -116,32 +119,23 @@ def build_grid_hamiltonian(
     if m < 3:
         raise ValueError("grid size m must be at least 3")
     cells = tuple(c * refine for c in _interval_cells(spec, m))
-    xs: list[float] = []
-    spacing_left: list[float] = []
-    spacing_right: list[float] = []
+    bp = spec.breakpoints
+    spacing = [(bp[i + 1] - bp[i]) / n_i for i, n_i in enumerate(cells)]
+    xs, spacing_left, spacing_right = [], [], []
     for i, n_i in enumerate(cells):
-        a, b = spec.breakpoints[i], spec.breakpoints[i + 1]
-        h_i = (b - a) / n_i
-        for j in range(1, n_i):
-            xs.append(a + j * h_i)
-            spacing_left.append(h_i)
-            spacing_right.append(h_i)
+        # the interior nodes of interval i, then its right breakpoint
+        xs.append(bp[i] + np.arange(1, n_i) * spacing[i])
+        spacing_left.append(np.full(n_i - 1, spacing[i]))
+        spacing_right.append(np.full(n_i - 1, spacing[i]))
         if i < len(cells) - 1:
-            xs.append(b)
-            spacing_left.append(h_i)
-            spacing_right.append(
-                (spec.breakpoints[i + 2] - b) / (cells[i + 1])
-            )
-    x = np.asarray(xs)
-    h_l = np.asarray(spacing_left)
-    h_r = np.asarray(spacing_right)
+            xs.append([bp[i + 1]])
+            spacing_left.append([spacing[i]])
+            spacing_right.append([spacing[i + 1]])
+    x = np.concatenate(xs)
+    h_l = np.concatenate(spacing_left)
+    h_r = np.concatenate(spacing_right)
     mu = 0.5 * (h_l + h_r)
-    v = np.array(
-        [
-            _cell_average(spec, pert, lam, xi - hl / 2, xi + hr / 2)
-            for xi, hl, hr in zip(x, h_l, h_r)
-        ]
-    )
+    v = _cell_average(spec, pert, lam, x - h_l / 2, x + h_r / 2)
     diag = (1.0 / h_l + 1.0 / h_r) / mu + v
     offdiag = -1.0 / (h_r[:-1] * np.sqrt(mu[:-1] * mu[1:]))
     nominal_h = (spec.x_max - spec.x_min) / (sum(cells))

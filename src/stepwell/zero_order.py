@@ -100,8 +100,12 @@ class DomainBasis:
 
     c_* pieces have (value, slope) = (1, 0) at the anchor, s_* pieces (0, 1);
     the left piece lives on (x_lo, anchor), the right piece on (anchor, x_hi),
-    and the four boundary values at x_lo and x_hi are cached because the
-    matching system consumes nothing else.
+    and the four boundary values at x_lo and x_hi are cached.  For
+    closed-form specs the matching kernel takes those values from
+    unit_solutions itself and no basis is built to find or match a level;
+    a MatchedState builds its bases on first access, for the perturbation
+    series.  The power-series backend builds one basis per domain and
+    energy and feeds the kernel its boundary values.
     """
 
     j: int
@@ -286,16 +290,6 @@ def _stacked_matrices(c_lo, s_lo, c_hi, s_hi) -> np.ndarray:
     return a
 
 
-def _boundary_values(bases: list[DomainBasis]) -> np.ndarray:
-    """(N, 4) array of each domain's c_at_lo, s_at_lo, c_at_hi, s_at_hi."""
-    return np.array([[b.c_at_lo, b.s_at_lo, b.c_at_hi, b.s_at_hi] for b in bases])
-
-
-def _matrix_from_bases(bases: list[DomainBasis]) -> np.ndarray:
-    """The matching matrix at one energy, from its domain bases."""
-    return _stacked_matrices(*_boundary_values(bases).T[:, None, :])[0]
-
-
 def _row_normalized(a: np.ndarray) -> np.ndarray:
     """Rows scaled to unit length: the determinant stays in [-1, 1] and
     keeps its zeros."""
@@ -309,10 +303,11 @@ def matching_matrix(
     tol: Tolerances = DEFAULT_TOL,
     series_m: int | None = None,
 ) -> np.ndarray:
-    """The homogeneous matching system; singular exactly at eigenvalues."""
+    """The homogeneous matching system with rows scaled to unit length;
+    singular exactly at eigenvalues."""
     if spec.n_interior < 1:
         raise ValueError("matching matrix needs at least one interior breakpoint")
-    return _matrix_from_bases(_domain_bases(spec, energy, tol, series_m))
+    return _matching_matrix_at(spec, energy, tol, series_m)[0]
 
 
 def _box_sine_value(spec, energy, series_m=None) -> float:
@@ -327,33 +322,63 @@ def _box_sine_value(spec, energy, series_m=None) -> float:
 _BLOCK_BYTES = 8 * 2**20
 
 
-def _determinant_block(spec, energies, tol, series_m):
-    """Determinants at a block of energies, with two (M, N + 1) masks: the
-    intervals whose height an energy is degenerate with (its entries are
-    meaningless), and the intervals whose boundary values overflow the row
-    normalization (inf or NaN once squared)."""
+def _matching_block(spec, energies, tol, series_m):
+    """The matching kernel: row-normalized matching matrices at a block of
+    energies (N >= 1), the one place such a matrix is built.
+
+    Returns the (M, 2N, 2N) matrices; two (M, N + 1) masks, the intervals
+    whose height an energy is degenerate with (its entries are meaningless)
+    and the intervals whose boundary values overflow the row normalization
+    (inf or NaN once squared); and what the boundary values came from: the
+    local frequencies beta, shape (M, N + 1), for closed-form specs, each
+    energy's list of domain bases for the power-series backend.
+    """
     n = spec.n_interior
     if spec.zero_order_polys is not None:
         degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
-        if n == 0:
-            dets = np.array([_box_sine_value(spec, e, series_m) for e in energies])
-            return dets, degenerate, ~np.isfinite(dets)[:, None]
-        values = [_boundary_values(_domain_bases(spec, e, tol, series_m)) for e in energies]
+        source = [_domain_bases(spec, e, tol, series_m) for e in energies]
+        values = [[(b.c_at_lo, b.s_at_lo, b.c_at_hi, b.s_at_hi) for b in bases] for bases in source]
         c_lo, s_lo, c_hi, s_hi = np.moveaxis(np.array(values), -1, 0)
     else:
-        beta, degenerate = local_frequencies(spec, energies, tol=tol)
+        source, degenerate = local_frequencies(spec, energies, tol=tol)
         bp = np.asarray(spec.breakpoints)
-        if n == 0:
-            dets = unit_solutions(beta, bp[1:] - bp[:-1], tol=tol)[1][:, 0]
-            return dets, degenerate, ~np.isfinite(dets)[:, None]
-        c_lo, s_lo = unit_solutions(beta[:, :-1], bp[:-2] - bp[1:-1], tol=tol)
-        c_hi, s_hi = unit_solutions(beta[:, 1:], bp[2:] - bp[1:-1], tol=tol)
+        # one call for both ends: column j - 1 is domain j's lo end, N + j - 1 its hi end
+        c, s = unit_solutions(
+            np.concatenate([source[:, :-1], source[:, 1:]], axis=1),
+            np.concatenate([bp[:-2] - bp[1:-1], bp[2:] - bp[1:-1]]),
+            tol=tol,
+        )
+        c_lo, c_hi, s_lo, s_hi = c[:, :n], c[:, n:], s[:, :n], s[:, n:]
     # interval i holds the lo values of domain i + 1 and the hi values of domain i
     overflow = np.zeros((len(energies), n + 1), dtype=bool)
     overflow[:, :-1] = ~np.isfinite(c_lo * c_lo + s_lo * s_lo)
     overflow[:, 1:] |= ~np.isfinite(c_hi * c_hi + s_hi * s_hi)
-    dets = np.linalg.det(_row_normalized(_stacked_matrices(c_lo, s_lo, c_hi, s_hi)))
-    return dets, degenerate, overflow
+    matrices = _row_normalized(_stacked_matrices(c_lo, s_lo, c_hi, s_hi))
+    return matrices, degenerate, overflow, source
+
+
+def _matching_matrix_at(spec, energy, tol, series_m):
+    """The kernel at one energy: the row-normalized matrix and what its
+    boundary values came from.  DegenerateEnergyError at an energy
+    degenerate with an interval height."""
+    matrices, degenerate, _, source = _matching_block(spec, np.array([float(energy)]), tol, series_m)
+    if degenerate[0].any():
+        raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
+    return matrices[0], source[0]
+
+
+def _determinant_block(spec, energies, tol, series_m):
+    """Determinants at a block of energies, with the kernel's two masks."""
+    if spec.n_interior > 0:
+        matrices, degenerate, overflow, _ = _matching_block(spec, energies, tol, series_m)
+        return np.linalg.det(matrices), degenerate, overflow
+    if spec.zero_order_polys is not None:
+        degenerate = np.zeros((len(energies), 1), dtype=bool)
+        dets = np.array([_box_sine_value(spec, e, series_m) for e in energies])
+    else:
+        beta, degenerate = local_frequencies(spec, energies, tol=tol)
+        dets = unit_solutions(beta[:, 0], spec.x_max - spec.x_min, tol=tol)[1]
+    return dets, degenerate, ~np.isfinite(dets)[:, None]
 
 
 def secular_determinant(
@@ -784,9 +809,33 @@ def find_eigenvalues(
     )
 
 
+class _LazyBases:
+    """A matched state's domain bases 1..N, built on first access with the
+    match's tolerances and truncation: only the perturbation series, the
+    Wronskian check and MatchedState.domain_piece read the pieces."""
+
+    def __init__(self, spec, energy, tol, series_m) -> None:
+        self._args = (spec, energy, tol, series_m)
+        self._bases = None
+
+    def _built(self) -> tuple[DomainBasis, ...]:
+        if self._bases is None:
+            self._bases = tuple(_domain_bases(*self._args))
+        return self._bases
+
+    def __len__(self) -> int:
+        return self._args[0].n_interior
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+
 @dataclass(frozen=True)
 class MatchedState:
-    """Matched zero-order state: energy, per-domain coefficients, cached bases.
+    """Matched zero-order state: energy, per-domain coefficients, domain bases.
 
     coeffs[j - 1] = (c(j), d(j)) for domains j = 1..N, normalized to a unit
     Euclidean null vector with the first nonzero component positive.
@@ -794,19 +843,23 @@ class MatchedState:
     of the row-normalized matching system; overlap_gap is the worst
     disagreement of adjacent domain representations on their shared
     interval (machine-small for genuine eigenvalues, order one for the
-    spurious sub-interval-resonance zeros).
+    spurious sub-interval-resonance zeros).  The null vector comes from the
+    matching kernel's boundary values; ``bases`` is a sequence of the
+    domains' DomainBasis, which match_coefficients builds on first access
+    for closed-form specs (with its tol and series_m) and passes on from
+    the kernel for the power-series backend.
     """
 
     spec: PotentialSpec
     energy: float
     coeffs: np.ndarray
-    bases: tuple[DomainBasis, ...]
+    bases: tuple[DomainBasis, ...] | _LazyBases
     residual: float
     overlap_gap: float = 0.0
 
     @property
     def n_domains(self) -> int:
-        return len(self.bases)
+        return len(self.coeffs)
 
     def c_value(self, j: int) -> float:
         """psi(L_j) = c(j), zero at the walls."""
@@ -853,9 +906,9 @@ def eval_pieces(spec: PotentialSpec, pieces, x):
 
 
 def _extract_null_vector(spec, energy, tol, series_m):
-    """Bases, matched coefficients and residual at a determinant root."""
-    bases = _domain_bases(spec, energy, tol, series_m)
-    an = _row_normalized(_matrix_from_bases(bases))
+    """Matched coefficients and residual at a determinant root, with what
+    the kernel built the matrix from."""
+    an, source = _matching_matrix_at(spec, energy, tol, series_m)
     det = float(np.linalg.det(an))
     if abs(det) > 10.0 * tol.root_tol:
         raise NotARootError(
@@ -878,7 +931,7 @@ def _extract_null_vector(spec, energy, tol, series_m):
         v = -v
     coeffs = v.reshape(-1, 2).copy()
     coeffs.setflags(write=False)
-    return bases, coeffs, residual
+    return coeffs, residual, source
 
 
 def overlap_gap(spec: PotentialSpec, values) -> float:
@@ -910,11 +963,12 @@ def pieces_on_overlaps(domain_pieces, *, tol: Tolerances = DEFAULT_TOL):
     return values
 
 
-def _trig_on_overlaps(spec, energy, coeffs, tol):
+def _trig_on_overlaps(spec, beta, coeffs, tol):
     """overlap_gap's ``values`` for a closed-form state, in one trig_values
     call: c(j) cos + (d(j) / beta) sin on each overlap, the expression
-    TrigPoly.eval evaluates for MatchedState.domain_pieces."""
-    beta = local_frequencies(spec, np.array([energy]), tol=tol)[0][0, 1:-1, None]
+    TrigPoly.eval evaluates for MatchedState.domain_pieces.  ``beta`` holds
+    the kernel's local frequencies at the state's energy."""
+    beta = beta[1:-1, None]
     inv = 1.0 / beta
     anchors = np.asarray(spec.breakpoints)[1:-1, None]
     c, d = coeffs[:, :1], coeffs[:, 1:]
@@ -951,16 +1005,18 @@ def match_coefficients(
             "a plain box has no matching coefficients; insert a fictitious "
             "breakpoint (see PotentialSpec.with_fictitious_breakpoint)"
         )
-    bases, coeffs, residual = _extract_null_vector(spec, energy, tol, series_m)
+    coeffs, residual, source = _extract_null_vector(spec, energy, tol, series_m)
     for jj, (c, d) in enumerate(coeffs, start=1):
         if abs(c + d) <= tol.coeff_sum_floor:
             raise NormalizationObstructionError(
                 f"c({jj}) + d({jj}) = {c + d:.3e} vanishes; the order-k "
                 "rescaling is impossible for this state"
             )
-    state = MatchedState(spec, float(energy), coeffs, tuple(bases), residual)
-    if spec.zero_order_polys is None:
-        values = _trig_on_overlaps(spec, energy, coeffs, tol)
+    closed_form = spec.zero_order_polys is None
+    bases = _LazyBases(spec, float(energy), tol, series_m) if closed_form else tuple(source)
+    state = MatchedState(spec, float(energy), coeffs, bases, residual)
+    if closed_form:
+        values = _trig_on_overlaps(spec, source, coeffs, tol)
     else:
         values = pieces_on_overlaps(state.domain_pieces(), tol=tol)
     return replace(state, overlap_gap=overlap_gap(spec, values))

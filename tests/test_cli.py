@@ -282,6 +282,29 @@ class TestValidate:
         )
         assert slope["measured"] >= 2.7
 
+    @pytest.mark.parametrize("geometry", ["box", "double_well"])
+    def test_zero_order_checks_scan_three_times(self, geometry, monkeypatch):
+        # the window, its gauge-shifted copy and the fictitious-breakpoint
+        # copy; psi0-smoothness matches the ground level found already
+        from stepwell import PotentialSpec, cli
+
+        spec = {
+            "box": PotentialSpec((0.0, math.pi), (0.0,)),
+            "double_well": PotentialSpec((0.0, 1.0, 2.0, math.pi), (0.0, 10.0, 0.0)),
+        }[geometry]
+        scans = []
+        original = cli.find_eigenvalues
+
+        def counted(*args, **kwargs):
+            scans.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "find_eigenvalues", counted)
+        checks = cli._validate_checks(spec, None, 0.2, 20.0, 0)
+        assert len(scans) == 3
+        assert all(c["passed"] for c in checks)
+        assert "psi0-smoothness" in {c["name"] for c in checks}
+
     def test_corrupted_spec_exits_2(self, tmp_path):
         bad = write_spec(tmp_path, {"breakpoints": [0, 1, 2], "heights": [0]})
         assert main(["validate", "--spec", bad]) == 2

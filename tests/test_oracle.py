@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from stepwell import (
@@ -13,7 +14,7 @@ from stepwell import (
     match_coefficients,
     rs_first_order,
 )
-from stepwell.oracle import _cell_average, build_grid_hamiltonian
+from stepwell.oracle import _cell_average, _interval_cells, build_grid_hamiltonian
 from stepwell.potential import potential_value
 
 PI = math.pi
@@ -44,6 +45,89 @@ class TestGrid:
                 points=[1.0, 2.0], limit=100,
             )[0] / (b - a)
             assert got == pytest.approx(want, abs=1e-10)
+
+
+def _per_cell_average(spec, pert, lam, a, b):
+    """Average of V0 + lam V1 over one cell, its intervals left to right."""
+    acc = 0.0
+    for i in range(spec.n_intervals):
+        lo, hi = max(a, spec.breakpoints[i]), min(b, spec.breakpoints[i + 1])
+        if hi <= lo:
+            continue
+        acc += spec.heights[i] * (hi - lo)
+        if spec.zero_order_polys is not None:
+            anti = npoly.polyint(np.asarray(spec.zero_order_polys[i], dtype=float))
+            acc += float(npoly.polyval(hi, anti) - npoly.polyval(lo, anti))
+        if pert is not None and lam != 0.0:
+            anti = npoly.polyint(np.asarray(pert.interval_polys[i], dtype=float))
+            acc += lam * float(npoly.polyval(hi, anti) - npoly.polyval(lo, anti))
+    return acc / (b - a)
+
+
+def _per_node_grid(spec, pert, lam, m, refine):
+    """Nodes, diagonal, off-diagonal and weights of the grid built node by
+    node (the construction build_grid_hamiltonian vectorises), then each
+    node's cell ends and cell average."""
+    bp = spec.breakpoints
+    cells = tuple(c * refine for c in _interval_cells(spec, m))
+    xs, h_l, h_r = [], [], []
+    for i, n_i in enumerate(cells):
+        h_i = (bp[i + 1] - bp[i]) / n_i
+        for j in range(1, n_i):
+            xs.append(bp[i] + j * h_i)
+            h_l.append(h_i)
+            h_r.append(h_i)
+        if i < len(cells) - 1:
+            xs.append(bp[i + 1])
+            h_l.append(h_i)
+            h_r.append((bp[i + 2] - bp[i + 1]) / cells[i + 1])
+    v = np.array([_per_cell_average(spec, pert, lam, x - l / 2, x + r / 2) for x, l, r in zip(xs, h_l, h_r)])
+    h_l, h_r = np.array(h_l), np.array(h_r)
+    mu = 0.5 * (h_l + h_r)
+    diag = (1.0 / h_l + 1.0 / h_r) / mu + v
+    offdiag = -1.0 / (h_r[:-1] * np.sqrt(mu[:-1] * mu[1:]))
+    xs = np.array(xs)
+    return (xs, diag, offdiag, mu), (xs - h_l / 2, xs + h_r / 2, v)
+
+
+def _many_breakpoints(n=12, seed=5):
+    rng = np.random.default_rng(seed)
+    spec = PotentialSpec(
+        tuple(np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.5, n))])),
+        tuple(rng.uniform(-3.0, 30.0, n)),
+        zero_order_polys=tuple(tuple(rng.normal(size=3)) for _ in range(n)),
+    )
+    return spec, PerturbationSpec(tuple(tuple(rng.normal(size=2)) for _ in range(n))), 0.37
+
+
+class TestGridIsPerNodeExact:
+    """build_grid_hamiltonian works interval by interval; its grid is the
+    node-by-node construction's, bit for bit."""
+
+    CASES = [
+        (PotentialSpec((0.0, PI), (0.0,)), None, 0.0),
+        (PotentialSpec((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)), PerturbationSpec(((0.0, 1.0),) * 3), 0.7),
+        (PotentialSpec((0.0, 0.7, 1.5, 2.1, 3.0), (0.0, 12.0, 3.0, 20.0)), None, 0.0),
+        (
+            PotentialSpec((0.0, 1.5, PI), (0.0, 1.0), zero_order_polys=((0.0, 2.0), (1.0, 0.0, -0.5))),
+            PerturbationSpec(((0.0, 0.0, 1.0), (0.3,))),
+            -0.2,
+        ),
+    ]
+    # many breakpoints with random polynomials: at m = 4 every node is a
+    # breakpoint whose cell straddles two intervals, where summation order shows
+    CASES.append(_many_breakpoints())
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("m, refine", [(4, 1), (300, 1), (300, 2)])
+    def test_bit_identical(self, case, m, refine):
+        spec, pert, lam = self.CASES[case]
+        gh = build_grid_hamiltonian(spec, pert, lam, m=m, refine=refine)
+        grid, (a, b, v) = _per_node_grid(spec, pert, lam, m, refine)
+        for got, want in zip((gh.x, gh.diag, gh.offdiag, gh.weights), grid):
+            assert np.array_equal(got, want)
+        # the diagonal's 1/h^2 term hides the last bits of the averages
+        assert np.array_equal(_cell_average(spec, pert, lam, a, b), v)
 
 
 class TestFdEigenvalues:

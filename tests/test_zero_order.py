@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from stepwell import (
     sturm_count,
 )
 from stepwell import zero_order
+from stepwell.config import DEFAULT_TOL
 
 import golden_formulas as golden
 
@@ -281,6 +283,23 @@ class TestScanBehaviour:
             find_eigenvalues(box_spec, 0.0, 10.0, count=0)
 
 
+def _reference_matrix(spec, energy):
+    """Row-normalized matching matrix rebuilt from build_domain_basis at one
+    energy, one domain at a time."""
+    n = spec.n_interior
+    a = np.zeros((2 * n, 2 * n))
+    for j in range(1, n + 1):
+        b = build_domain_basis(spec, energy, j)
+        r = 2 * (j - 1)
+        a[r, r], a[r, r + 1] = b.c_at_lo, b.s_at_lo
+        a[r + 1, r], a[r + 1, r + 1] = b.c_at_hi, b.s_at_hi
+        if j >= 2:
+            a[r, r - 2] = -1.0
+        if j <= n - 1:
+            a[r + 1, r + 2] = -1.0
+    return a / np.linalg.norm(a, axis=1)[:, None]
+
+
 def _scalar_reference(spec, energy):
     """Row-normalized determinant rebuilt from build_domain_basis at one
     energy (the wall-to-wall sine value for a plain box); NaN when the
@@ -289,20 +308,9 @@ def _scalar_reference(spec, energy):
         if spec.n_interior == 0:
             beta = local_frequency(spec, 0, energy)
             return TrigPoly.sine_unit_slope(spec.x_min, beta).eval(spec.x_max)
-        n = spec.n_interior
-        a = np.zeros((2 * n, 2 * n))
-        for j in range(1, n + 1):
-            b = build_domain_basis(spec, energy, j)
-            r = 2 * (j - 1)
-            a[r, r], a[r, r + 1] = b.c_at_lo, b.s_at_lo
-            a[r + 1, r], a[r + 1, r + 1] = b.c_at_hi, b.s_at_hi
-            if j >= 2:
-                a[r, r - 2] = -1.0
-            if j <= n - 1:
-                a[r + 1, r + 2] = -1.0
+        return float(np.linalg.det(_reference_matrix(spec, energy)))
     except DegenerateEnergyError:
         return np.nan
-    return float(np.linalg.det(a / np.linalg.norm(a, axis=1)[:, None]))
 
 
 class TestBatchedDeterminant:
@@ -587,6 +595,121 @@ class TestMatchWithoutTrigPolyEvals:
             state = match_coefficients(spec, energy)
             pieces = zero_order.pieces_on_overlaps(state.domain_pieces())
             assert state.overlap_gap == zero_order.overlap_gap(spec, pieces)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _same_piece(a, b):
+    if isinstance(a, TrigPoly):
+        return (a.anchor, a.freq) == (b.anchor, b.freq) and all(
+            np.array_equal(x, y) for x, y in ((a.cos_coeffs, b.cos_coeffs), (a.sin_coeffs, b.sin_coeffs))
+        )
+    return a.anchor == b.anchor and np.array_equal(a.coeffs, b.coeffs)
+
+
+def _same_basis(a, b):
+    fields = ("j", "anchor", "x_lo", "x_hi", "c_at_lo", "s_at_lo", "c_at_hi", "s_at_hi")
+    pieces = ("c_left", "s_left", "c_right", "s_right")
+    return all(getattr(a, f) == getattr(b, f) for f in fields) and all(
+        _same_piece(getattr(a, f), getattr(b, f)) for f in pieces
+    )
+
+
+class TestOneMatchingKernel:
+    """The grid, the Brent steps and the null vector share one kernel
+    (zero_order._matching_block); a matched state builds its pieces only
+    when they are read."""
+
+    WELLS = [
+        PotentialSpec((0.0, 1.0, 2.0), (0.0, 5.0)),
+        PotentialSpec((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)),
+        PotentialSpec((0.0, PI), (0.0,)).with_fictitious_breakpoint(PI / 2),
+    ] + [w for w in _random_wells(seed=23, count=8) if w.n_interior][:5]
+    SERIES = PotentialSpec((0.0, 1.5, PI), (0.0, 0.0), zero_order_polys=((0.0, 2.0), (0.0, 2.0)))
+
+    @staticmethod
+    def levels(spec, **kwargs):
+        floor = zero_order.reference_floor(spec)
+        energies = find_eigenvalues(spec, floor + 0.05, floor + 40.0, **kwargs).energies
+        assert energies
+        return energies
+
+    @pytest.mark.parametrize("spec", WELLS)
+    def test_match_uses_the_kernels_matrix(self, spec):
+        for energy in self.levels(spec):
+            kernel = zero_order._matching_block(spec, np.array([energy]), DEFAULT_TOL, None)[0][0]
+            assert np.array_equal(kernel, _reference_matrix(spec, energy))
+            assert np.array_equal(matching_matrix(spec, energy), kernel)
+            assert np.linalg.det(kernel) == secular_determinant(spec, energy)
+            state = match_coefficients(spec, energy)
+            assert state.residual == np.max(np.abs(kernel @ state.coeffs.ravel()))
+
+    @pytest.mark.parametrize("spec", WELLS)
+    def test_lazy_bases_equal_build_domain_basis(self, spec, monkeypatch):
+        tol = replace(DEFAULT_TOL, reality_rtol=1e-9, beta_min=1e-7)
+        for energy in self.levels(spec, tol=tol):
+            state = match_coefficients(spec, energy, tol=tol)
+            builds = _counting(monkeypatch, zero_order, "build_domain_basis")
+            assert len(state.bases) == state.n_domains == spec.n_interior
+            assert not builds
+            for j, basis in enumerate(state.bases, start=1):
+                assert _same_basis(basis, build_domain_basis(spec, energy, j, tol=tol))
+            # built once, with the match's tolerances
+            assert [args[2] for args, _ in builds] == list(range(1, spec.n_interior + 1))
+            assert all(kwargs["tol"] is tol for _, kwargs in builds)
+            monkeypatch.undo()
+
+    def test_lazy_series_bases_keep_the_truncation(self):
+        energy = self.levels(self.SERIES, series_m=60)[0]
+        state = match_coefficients(self.SERIES, energy, series_m=60)
+        for j, basis in enumerate(state.bases, start=1):
+            assert len(basis.c_left.coeffs) == 71
+            assert _same_basis(basis, build_domain_basis(self.SERIES, energy, j, series_m=60))
+
+    @pytest.mark.parametrize("spec", WELLS)
+    def test_closed_form_match_builds_no_trigpoly(self, spec, monkeypatch):
+        energies = self.levels(spec)
+        made = _counting(monkeypatch, TrigPoly, "__post_init__")
+        unit = _counting(monkeypatch, zero_order, "unit_solutions")
+        for energy in energies:
+            del unit[:]
+            state = match_coefficients(spec, energy)
+            assert len(unit) == 1
+            assert state.n_domains == spec.n_interior
+        assert not made
+        state.domain_piece(1, "left")
+        assert len(made) > 4 * spec.n_interior
+
+    def test_series_match_builds_each_basis_once(self, monkeypatch):
+        spec = PotentialSpec(
+            (0.0, 0.8, 1.5, 2.2, PI), (0.0, 0.0, 1.0, 0.0),
+            zero_order_polys=((0.0, 2.0), (0.0, 2.0), (0.0, 2.0), (0.0, 2.0)),
+        )
+        energy = self.levels(spec)[0]
+        builds = _counting(monkeypatch, zero_order, "series_local_basis")
+        state = match_coefficients(spec, energy)
+        state.domain_pieces()
+        list(state.bases)
+        assert sorted(args[2] for args, _ in builds) == [1, 2, 3]
+
+    @pytest.mark.parametrize("spec", WELLS[:2])
+    def test_match_near_a_height_is_degenerate(self, spec):
+        for energy in (spec.heights[1], spec.heights[1] + 0.5 * DEFAULT_TOL.beta_min**2):
+            with pytest.raises(DegenerateEnergyError):
+                match_coefficients(spec, energy)
+            with pytest.raises(DegenerateEnergyError):
+                matching_matrix(spec, energy)
 
 
 class TestSeriesBackend:
