@@ -9,8 +9,10 @@ exact_perturbed_energy, the reference for the perturbation series, which
 solves the exactly perturbed potential with the solver's independent
 power-series backend.
 
-scipy.linalg, the only scipy module used, is imported by the two FD
-functions themselves, so importing the package does not load scipy.
+Everything runs on numpy alone: the Sturm counts come from odd-even
+elimination of the tridiagonal matrix, the eigenvector from inverse
+iteration.  The tests cross-check both against scipy's LAPACK tridiagonal
+solvers, which the package itself never imports.
 """
 
 from __future__ import annotations
@@ -161,6 +163,139 @@ class FdEigenvalues:
     complete: bool
 
 
+# dstebz's constants: the smallest pivot magnitude is _SAFMIN max(1, max b^2),
+# the Gershgorin interval is widened by _FUDGE (n eps ||T|| + pivmin).
+_EPS = float(np.finfo(float).eps)
+_SAFMIN = float(np.finfo(float).tiny)
+_FUDGE = 2.1
+# Largest |b^2 / pivot| an elimination may form, relative to a bound on
+# ||T||, before that shift is counted again row by row.
+_GROWTH = 16.0
+
+
+def _pivmin(off2: np.ndarray) -> float:
+    return _SAFMIN * max(1.0, float(np.max(off2, initial=0.0)))
+
+
+def _row_count(diag: list, off2: list, shift: float, pivmin: float) -> int:
+    """dstebz's count for one shift: the pivots of T - shift I row by row
+    (off2 carries a leading 0)."""
+    count, q = 0, 1.0
+    for a, b2 in zip(diag, off2):
+        q = a - shift - b2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        count += q < 0.0
+    return count
+
+
+def _negative_count(diag: np.ndarray, off2: np.ndarray, shifts) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal T below each shift x.
+
+    T has diagonal ``diag`` and squared off-diagonal ``off2``.  By
+    Sylvester's law of inertia the count is the number of negative pivots
+    of T - xI, eliminated in any order.  Odd-even elimination takes every
+    other row at once: the eliminated pivots are counted, and the kept rows
+    form the tridiagonal Schur complement a'_i = a_i - b_{i-1}^2 / a_{i-1}
+    - b_i^2 / a_{i+1}, b'^2 = b_i^2 b_{i+1}^2 / a_{i+1}^2 of half the size.
+    That is log2 m numpy passes over all rows and shifts.  A pivot with
+    |a| < pivmin becomes -pivmin, as in LAPACK's dstebz.
+
+    Unlike the row-by-row count, the elimination is not backward stable
+    when a pivot is small next to its off-diagonals: the huge terms
+    b^2 / a cancel a level later.  A shift whose terms grow past _GROWTH
+    times a bound on ||T|| is therefore counted again row by row.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    pivmin = _pivmin(off2)
+    norm = float(np.max(np.abs(diag))) + 2.0 * math.sqrt(float(np.max(off2, initial=0.0)))
+    limit = _GROWTH * norm
+    count = np.zeros(len(shifts), dtype=np.int64)
+    grown = np.zeros(len(shifts), dtype=bool)
+    a, b2 = diag - shifts[:, None], off2
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            e = a[:, 0::2]
+            e = np.where(np.abs(e) < pivmin, -pivmin, e)
+            count += np.count_nonzero(e < 0.0, axis=1)
+            n = a.shape[1]
+            if n == 1:
+                break
+            # b2[i] couples rows i and i + 1, of which the even one goes
+            t = b2 / np.repeat(e, 2, axis=1)[:, 1:n]
+            grown |= np.max(np.abs(t), axis=1) > limit
+            a = a[:, 1::2] - t[:, 0::2]
+            a[:, : (n - 1) // 2] -= t[:, 1::2]
+            b2 = t[:, 1:-1:2] * t[:, 2::2]
+    if grown.any():
+        rows, couplings = diag.tolist(), [0.0] + off2.tolist()
+        count[grown] = [_row_count(rows, couplings, x, pivmin) for x in shifts[grown].tolist()]
+    return count
+
+
+def _lowest_eigenvalues(diag: np.ndarray, offdiag: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of a symmetric tridiagonal matrix.
+
+    Bisection of Sturm counts, every eigenvalue in lock-step with one
+    _negative_count call per step for all unfinished ones, from dstebz's
+    widened Gershgorin interval down to dstebz's own tolerance: until the
+    interval is narrower than eps max(|Gershgorin end|) (at least pivmin)
+    or 2 eps times its ends.  Returns the midpoints.
+    """
+    off2 = offdiag * offdiag
+    radius = np.abs(np.concatenate([offdiag, [0.0]])) + np.abs(np.concatenate([[0.0], offdiag]))
+    gl, gu = float(np.min(diag - radius)), float(np.max(diag + radius))
+    tnorm = max(abs(gl), abs(gu))
+    pivmin = _pivmin(off2)
+    pad = _FUDGE * (tnorm * _EPS * len(diag) + pivmin)
+    lo = np.full(count, gl - pad - _FUDGE * pivmin)
+    hi = np.full(count, gu + pad)
+    atol = max(_EPS * tnorm, pivmin)
+    index = np.arange(count)
+    while True:
+        width = np.maximum(atol, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+        active = np.flatnonzero(hi - lo >= width)
+        if not len(active):
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[active] + hi[active])
+        # eigenvalues not yet separated share their trial point
+        shifts, lane = np.unique(mid, return_inverse=True)
+        above = _negative_count(diag, off2, shifts)[lane] > index[active]
+        hi[active[above]] = mid[above]
+        lo[active[~above]] = mid[~above]
+
+
+def _inverse_iteration(diag: np.ndarray, offdiag: np.ndarray, shift: float) -> np.ndarray:
+    """Unit eigenvector of the tridiagonal matrix for the eigenvalue
+    ``shift`` (to bisection accuracy): two solves with the LDL^T
+    factorization of T - shift I, from a fixed pseudo-random start.  A
+    pivot below eps ||T|| in magnitude is replaced by eps ||T||.  The sign
+    makes the largest component positive, as LAPACK's dstein does."""
+    n = len(diag)
+    tiny = _EPS * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(offdiag), initial=0.0)))
+    a, b = (diag - shift).tolist(), offdiag.tolist()
+    d, ell = [0.0] * n, [0.0] * (n - 1)
+    q = a[0]
+    for i in range(n - 1):
+        d[i] = q if abs(q) >= tiny else tiny
+        ell[i] = b[i] / d[i]
+        q = a[i + 1] - ell[i] * b[i]
+    d[n - 1] = q if abs(q) >= tiny else tiny
+    inv_d = 1.0 / np.array(d)
+    y = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    for _ in range(2):
+        z = y.tolist()
+        for i in range(1, n):
+            z[i] -= ell[i - 1] * z[i - 1]
+        w = (np.array(z) * inv_d).tolist()
+        for i in range(n - 2, -1, -1):
+            w[i] -= ell[i] * w[i + 1]
+        y = np.array(w)
+        y /= np.max(np.abs(y))
+    y /= np.linalg.norm(y)
+    return y if y[np.argmax(np.abs(y))] > 0 else -y
+
+
 def fd_eigenvalues(
     spec: PotentialSpec,
     pert: PerturbationSpec | None = None,
@@ -175,8 +310,6 @@ def fd_eigenvalues(
     clean.  If count exceeds the available grid dimension the result is
     truncated and flagged incomplete.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
     if count < 1:
         raise ValueError("count must be at least 1")
     gh = build_grid_hamiltonian(spec, pert, lam, m)
@@ -184,14 +317,9 @@ def fd_eigenvalues(
     if count > gh.m:
         count = gh.m
         complete = False
-    lowest = (0, count - 1)
-    coarse = eigvalsh_tridiagonal(
-        gh.diag, gh.offdiag, select="i", select_range=lowest, lapack_driver="stebz"
-    )
+    coarse = _lowest_eigenvalues(gh.diag, gh.offdiag, count)
     gh2 = build_grid_hamiltonian(spec, pert, lam, m, refine=2)
-    fine = eigvalsh_tridiagonal(
-        gh2.diag, gh2.offdiag, select="i", select_range=lowest, lapack_driver="stebz"
-    )
+    fine = _lowest_eigenvalues(gh2.diag, gh2.offdiag, count)
     richardson = (4.0 * fine - coarse) / 3.0
     estimate = np.abs(coarse - fine) / 3.0
     return FdEigenvalues(richardson, estimate, coarse, fine, gh.m, gh2.m, complete)
@@ -210,14 +338,11 @@ def fd_eigenvector(
     u = sqrt(mu) psi; undoing the weight and normalizing against the
     quadrature sum mu psi^2 = 1 recovers the physical wave function.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     gh = build_grid_hamiltonian(spec, pert, lam, m)
-    _, vec = eigh_tridiagonal(
-        gh.diag, gh.offdiag, select="i", select_range=(index, index),
-        lapack_driver="stebz",
-    )
-    psi = vec[:, 0] / np.sqrt(gh.weights)
+    if not 0 <= index < gh.m:
+        raise ValueError(f"index must lie in [0, {gh.m}) for this grid")
+    energy = _lowest_eigenvalues(gh.diag, gh.offdiag, index + 1)[index]
+    psi = _inverse_iteration(gh.diag, gh.offdiag, float(energy)) / np.sqrt(gh.weights)
     psi /= np.sqrt(np.sum(gh.weights * psi**2))
     return gh.x, psi
 

@@ -357,13 +357,29 @@ def _matching_block(spec, energies, tol, series_m):
     return matrices, degenerate, overflow, source
 
 
+def _non_finite_error(energy, overflow) -> NonFiniteDeterminantError:
+    """The error for an energy whose boundary values overflow, naming the
+    first overflowing interval of its ``overflow`` mask row."""
+    return NonFiniteDeterminantError(
+        f"secular determinant is not finite at E = {float(energy)!r}: "
+        f"the boundary values on interval {int(np.argmax(overflow))} "
+        "overflow (barrier too tall or too wide for double precision)"
+    )
+
+
 def _matching_matrix_at(spec, energy, tol, series_m):
     """The kernel at one energy: the row-normalized matrix and what its
     boundary values came from.  DegenerateEnergyError at an energy
-    degenerate with an interval height."""
-    matrices, degenerate, _, source = _matching_block(spec, np.array([float(energy)]), tol, series_m)
+    degenerate with an interval height, NonFiniteDeterminantError where
+    the boundary values overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices, degenerate, overflow, source = _matching_block(
+            spec, np.array([float(energy)]), tol, series_m
+        )
     if degenerate[0].any():
         raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
+    if overflow[0].any():
+        raise _non_finite_error(energy, overflow[0])
     return matrices[0], source[0]
 
 
@@ -421,11 +437,7 @@ def secular_determinant(
         bad &= ~degenerate[block].any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
-            raise NonFiniteDeterminantError(
-                f"secular determinant is not finite at E = {float(energies[lo + i])!r}: "
-                f"the boundary values on interval {int(np.argmax(overflow[i]))} "
-                "overflow (barrier too tall or too wide for double precision)"
-            )
+            raise _non_finite_error(energies[lo + i], overflow[i])
     if e.ndim == 0:
         if degenerate[0].any():
             raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
@@ -10,11 +12,19 @@ from stepwell import (
     PotentialSpec,
     exact_perturbed_energy,
     fd_eigenvalues,
+    fd_eigenvector,
     find_eigenvalues,
     match_coefficients,
     rs_first_order,
 )
-from stepwell.oracle import _cell_average, _interval_cells, build_grid_hamiltonian
+from stepwell import oracle
+from stepwell.oracle import (
+    _cell_average,
+    _interval_cells,
+    _lowest_eigenvalues,
+    _negative_count,
+    build_grid_hamiltonian,
+)
 from stepwell.potential import potential_value
 
 PI = math.pi
@@ -167,6 +177,116 @@ class TestFdEigenvalues:
         fd = fd_eigenvalues(box_spec, m=5, count=50)
         assert not fd.complete
         assert len(fd.values) <= 5
+
+
+# validate's three fixtures (the cli_cold geometries) and an N = 3 well
+FD_WELLS = {
+    "box": PotentialSpec((0.0, PI), (0.0,)),
+    "step": PotentialSpec((0.0, 1.0, 2.0), (0.0, 5.0)),
+    "double_well": PotentialSpec((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)),
+    "n3": PotentialSpec((0.0, 0.7, 1.5, 2.1, 3.0), (0.0, 12.0, 3.0, 20.0)),
+}
+EPS = np.finfo(float).eps
+
+
+def _stebz_tolerance(gh):
+    """dstebz's absolute tolerance: eps times the larger Gershgorin end."""
+    radius = np.abs(np.r_[gh.offdiag, 0.0]) + np.abs(np.r_[0.0, gh.offdiag])
+    return EPS * max(abs(np.min(gh.diag - radius)), abs(np.max(gh.diag + radius)))
+
+
+# small integers make equal entries, exact cancellations and zero pivots likely
+_ENTRIES = st.floats(-100.0, 100.0) | st.integers(-3, 3).map(float)
+
+
+@st.composite
+def _tridiagonal_and_shifts(draw):
+    n = draw(st.integers(1, 40))
+    diag = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    off = draw(st.lists(_ENTRIES | st.just(0.0), min_size=n - 1, max_size=n - 1))
+    # a shift at or a few ulps off a diagonal entry makes a pivot (nearly) vanish
+    near = st.tuples(st.sampled_from(diag), st.integers(-50, 50)).map(lambda p: p[0] * (1 + p[1] * EPS))
+    shifts = draw(st.lists(near | st.floats(-300.0, 300.0), min_size=1, max_size=8))
+    return np.array(diag), np.array(off), np.array(shifts)
+
+
+class TestSturmCount:
+    """The numpy Sturm count and bisection against independent references:
+    dense eigvalsh, and scipy's LAPACK tridiagonal solvers (dstebz, dstein)."""
+
+    @settings(max_examples=100)
+    @given(_tridiagonal_and_shifts())
+    def test_count_equals_dense_eigvalsh(self, case):
+        diag, off, shifts = case
+        levels = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        count = _negative_count(diag, off * off, shifts)
+        # exact unless an eigenvalue lies within rounding of the shift, as a
+        # diagonal entry cut off by zero off-diagonals does
+        slack = 1e-10 * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0) + np.abs(shifts))
+        below = np.searchsorted(levels, shifts - slack)
+        up_to = np.searchsorted(levels, shifts + slack, side="right")
+        assert np.all((below <= count) & (count <= up_to)), (count, below, up_to)
+
+    @pytest.mark.parametrize("name", ["box", "step", "double_well"])
+    def test_count_never_falls_near_a_level(self, name):
+        # unlike the row-by-row recurrence, odd-even elimination is not
+        # monotone in the shift by construction
+        gh = build_grid_hamiltonian(FD_WELLS[name], m=3000)
+        levels = _lowest_eigenvalues(gh.diag, gh.offdiag, 6)
+        for j in (0, 5):
+            shifts = levels[j] + np.linspace(-1e-6, 1e-6, 10_001)
+            counts = np.concatenate(
+                [_negative_count(gh.diag, gh.offdiag**2, part) for part in np.array_split(shifts, 40)]
+            )
+            assert np.all(np.diff(counts) >= 0)
+            assert (counts[0], counts[-1]) == (j, j + 1)
+
+    @pytest.mark.parametrize("name", FD_WELLS)
+    def test_fd_eigenvalues_match_stebz(self, name):
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        fd = fd_eigenvalues(FD_WELLS[name], m=3000, count=6)
+        for values, refine in ((fd.coarse, 1), (fd.fine, 2)):
+            gh = build_grid_hamiltonian(FD_WELLS[name], m=3000, refine=refine)
+            stebz = eigvalsh_tridiagonal(
+                gh.diag, gh.offdiag, select="i", select_range=(0, 5), lapack_driver="stebz"
+            )
+            # both are midpoints of intervals narrower than the tolerance;
+            # their counts may step a few ulps apart
+            assert np.all(np.abs(values - stebz) <= _stebz_tolerance(gh) + 4.0 * EPS * np.abs(stebz))
+
+    @pytest.mark.parametrize("name", FD_WELLS)
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_fd_eigenvector_matches_stein(self, name, index):
+        from scipy.linalg import eigh_tridiagonal
+
+        x, psi = fd_eigenvector(FD_WELLS[name], m=20000, index=index)
+        gh = build_grid_hamiltonian(FD_WELLS[name], m=20000)
+        vec = eigh_tridiagonal(
+            gh.diag, gh.offdiag, select="i", select_range=(index, index), lapack_driver="stebz"
+        )[1][:, 0]
+        ref = vec / np.sqrt(gh.weights)
+        ref /= np.sqrt(np.sum(gh.weights * ref**2))
+        assert np.array_equal(x, gh.x)
+        assert min(np.max(np.abs(psi - ref)), np.max(np.abs(psi + ref))) < 1e-8 * np.max(np.abs(ref))
+
+    def test_fd_eigenvector_index_within_the_grid(self, box_spec):
+        with pytest.raises(ValueError, match="index"):
+            fd_eigenvector(box_spec, m=10, index=10)
+
+    @pytest.mark.parametrize("name", FD_WELLS)
+    def test_row_by_row_only_inside_the_bulk(self, name, monkeypatch):
+        # the growth guard sends a shift to the slow row-by-row count; on the
+        # way to the low end only the first two trial points of each grid (the
+        # middle and the quarter of the Gershgorin interval) may go there
+        counted = []
+        row_count = oracle._row_count
+        monkeypatch.setattr(
+            oracle, "_row_count", lambda *args: counted.append(args[2]) or row_count(*args)
+        )
+        fd = fd_eigenvalues(FD_WELLS[name], m=3000, count=6)
+        assert len(counted) <= 4
+        assert all(shift > 1e3 * fd.fine[-1] for shift in counted)
 
 
 class TestFirstOrderIntegral:

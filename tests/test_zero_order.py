@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -371,6 +372,18 @@ class TestBatchedDeterminant:
             find_eigenvalues(spec, 0.05, 40.0)
         with pytest.raises(NonFiniteDeterminantError, match="E = 5.0"):
             secular_determinant(spec, 5.0)
+
+    @pytest.mark.parametrize("energy", [9.8204, 9.85])
+    def test_match_on_overflow_is_not_a_degeneracy(self, energy):
+        # the null vector's rows normalize by an infinite norm here; the
+        # SVD used to call that a DegeneracyParadoxError, with overflow warnings
+        spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, 1.6e5, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDeterminantError, match=f"E = {energy}: .* interval 1"):
+                match_coefficients(spec, energy)
+            with pytest.raises(NonFiniteDeterminantError, match=f"E = {energy}: .* interval 1"):
+                matching_matrix(spec, energy)
 
 
 def _random_wells(seed: int, count: int) -> list[PotentialSpec]:
