@@ -28,9 +28,9 @@ DEFAULT_TOL = Tolerances()
 class ScanConfig:
     """Grid of the eigenvalue scan.
 
-    find_eigenvalues evaluates the Sturm count and the secular determinant
-    at ``points`` energies uniform in k = sqrt(E - min V).  The count says
-    how many eigenvalues each grid cell holds, so the grid sets where
+    find_eigenvalues evaluates the Pruefer angle sum of the Sturm count at
+    ``points`` energies uniform in k = sqrt(E - min V).  The count says
+    which grid cell brackets each eigenvalue, so the grid sets where
     refinement starts, not which eigenvalues are found.
     """
 

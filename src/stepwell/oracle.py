@@ -383,11 +383,8 @@ def exact_perturbed_energy(
     The perturbation is folded into the zero order as interval polynomials
     and solved by the power-series backend (truncation 60).  The window
     guess +- 0.05 max(1, |guess|) doubles until find_eigenvalues, on a
-    three-point grid, finds a level in it; it isolates the window's levels
-    by the Sturm count and refines them to 1e-14.  The grid's middle point,
-    uniform in k, lies off guess: a bisection point on the level itself,
-    where the determinant's sign is rounding, would be bisected down to the
-    last digits.
+    three-point grid, finds a level in it; it brackets the window's levels
+    by the Sturm count and refines them to 1e-14.
     """
     polys = tuple(tuple(lam * c for c in poly) for poly in pert.interval_polys)
     pspec = PotentialSpec(spec.breakpoints, spec.heights, polys)

@@ -463,9 +463,13 @@ def reference_floor(spec: PotentialSpec) -> float:
 
 def _shots(spec: PotentialSpec) -> tuple[list, list]:
     """Paths from the left and the right wall to the matching point, the
-    middle of the tallest interval, as (interval, x_from, x_to) in order."""
+    middle of the lowest interval, as (interval, x_from, x_to) in order.
+    Every level below the second-lowest height lives there, and the angle
+    sum is smooth at it; a state that decays toward the matching point
+    through a barrier kappa w makes the sum step by pi over a range of
+    order exp(-2 kappa w), which refinement can only bisect."""
     bp = spec.breakpoints
-    c = int(np.argmax(spec.heights))
+    c = int(np.argmin(spec.heights))
     mid = 0.5 * (bp[c] + bp[c + 1])
     left = [(i, bp[i], bp[i + 1]) for i in range(c)] + [(c, bp[c], mid)]
     right = [(i, bp[i + 1], bp[i]) for i in range(spec.n_intervals - 1, c, -1)]
@@ -515,29 +519,43 @@ def _series_angle(spec, energies, path, m) -> np.ndarray:
     at steps of length h with h sqrt(A) <= 2, A the largest |E - V| on the
     interval.  That is shorter than pi / sqrt(max(E - V)), so by Sturm
     comparison no step holds two zeros of psi, and each sign change between
-    samples is exactly one zero.  psi' is taken along the path.
+    samples is exactly one zero.  psi' is taken along the path.  Each energy
+    is stepped on its own, so that a grid and a refinement step read the
+    same float at it.
     """
-    psi, slope = np.zeros(len(energies)), np.ones(len(energies))
-    sign, zeros = np.ones(len(energies)), np.zeros(len(energies))
     n = np.arange(m + 1)
-    for i, x0, x1 in path:
-        v_lo, v_hi = _potential_range(spec, i)
-        bound = max(np.max(energies, initial=v_lo) - v_lo, v_hi - np.min(energies, initial=v_hi))
-        steps = max(1, math.ceil(abs(x1 - x0) * math.sqrt(bound) / 2))
-        powers = np.linspace(0.0, x1 - x0, steps + 1)[None, 1:] ** n[:, None]
-        weights = n[1:] * (x1 - x0) ** n[:-1]
-        c, s = _local_series(spec, i, x0, energies, m)
-        direction = math.copysign(1.0, x1 - x0)
-        psi0, dpsi0 = psi[:, None], direction * slope[:, None]  # where the path enters
-        values = psi0 * (c @ powers) + dpsi0 * (s @ powers)
-        signs = np.where(values < 0, -1.0, 1.0)
-        zeros += np.sum(signs * np.column_stack([sign, signs[:, :-1]]) < 0, axis=1)
-        sign = signs[:, -1]
-        psi = values[:, -1]
-        slope = direction * (psi0[:, 0] * (c[:, 1:] @ weights) + dpsi0[:, 0] * (s[:, 1:] @ weights))
-        norm = np.hypot(psi, slope)
-        psi, slope = psi / norm, slope / norm
-    return zeros * np.pi + np.arctan2(sign * psi, sign * slope)
+    legs = [
+        (x1 - x0, _potential_range(spec, i), *_local_series(spec, i, x0, energies, m))
+        for i, x0, x1 in path
+    ]
+    angles = []
+    for k, e in enumerate(energies.tolist()):
+        psi, slope, sign, zeros = 0.0, 1.0, 1.0, 0
+        for width, (v_lo, v_hi), c, s in legs:
+            steps = max(1, math.ceil(abs(width) * math.sqrt(max(e - v_lo, v_hi - e)) / 2))
+            powers = np.linspace(0.0, width, steps + 1)[1:, None] ** n
+            weights = n[1:] * width ** n[:-1]
+            direction = math.copysign(1.0, width)
+            psi0, dpsi0 = psi, direction * slope  # where the path enters
+            values = psi0 * (powers @ c[k]) + dpsi0 * (powers @ s[k])
+            signs = np.where(values < 0, -1.0, 1.0)
+            zeros += int(np.sum(signs * np.append(sign, signs[:-1]) < 0))
+            sign, psi = signs[-1], values[-1]
+            slope = direction * (psi0 * (c[k, 1:] @ weights) + dpsi0 * (s[k, 1:] @ weights))
+            norm = math.hypot(psi, slope)
+            psi, slope = psi / norm, slope / norm
+        angles.append(zeros * math.pi + math.atan2(sign * psi, sign * slope))
+    return np.array(angles)
+
+
+def _half_turns(spec, energies, tol, series_m) -> np.ndarray:
+    """(theta_L + theta_R) / pi at a 1-D array of energies, the angle sum
+    that sturm_count floors and find_eigenvalues refines."""
+    if spec.zero_order_polys is None:
+        theta = sum(_trig_angle(spec, energies, path, tol) for path in _shots(spec))
+    else:
+        theta = sum(_series_angle(spec, energies, path, series_m or 80) for path in _shots(spec))
+    return theta / np.pi
 
 
 def sturm_count(
@@ -549,26 +567,22 @@ def sturm_count(
 ) -> int | np.ndarray:
     """Number of eigenvalues below each energy, by the oscillation theorem.
 
-    Pruefer angles are shot from both walls to the middle of the tallest
-    interval (theta_R in the mirrored problem); the eigenvalues are the
-    energies where theta_L + theta_R crosses a positive multiple of pi, so
-    N(E) = floor((theta_L + theta_R) / pi).  This is SLEDGE's count for
-    piecewise-constant problems (Pruess & Fulton, ACM TOMS 19 (1993) 360).
-    Any matching point gives the same count in exact arithmetic; in floats
-    it decides how a pair split below double precision rounds.  Matched in
-    the tallest interval, such a pair steps by two at one energy (matched in
-    a well, by one twice, rounding apart).  ``energies`` is a scalar or a
-    1-D array; the result is an int or an int array.
+    Pruefer angles are shot from both walls to the middle of the lowest
+    interval (theta_R in the mirrored problem).  Their sum passes
+    (n + 1) pi exactly once, upward, at level n, so N(E) =
+    floor((theta_L + theta_R) / pi); between multiples of pi it need not be
+    monotone.  This is SLEDGE's count for piecewise-constant problems
+    (Pruess & Fulton, ACM TOMS 19 (1993) 360); find_eigenvalues refines the
+    crossings of the same angle sum.  Any matching point gives the same
+    count in exact arithmetic; the lowest interval keeps the sum smooth at
+    the levels that live there (see _shots).  A pair split below double
+    precision steps by one twice, rounding apart.  ``energies`` is a scalar
+    or a 1-D array; the result is an int or an int array.
     """
     e = np.asarray(energies, dtype=float)
     if e.ndim > 1:
         raise ValueError("energies must be a scalar or a one-dimensional array")
-    es = np.atleast_1d(e)
-    if spec.zero_order_polys is None:
-        theta = sum(_trig_angle(spec, es, path, tol) for path in _shots(spec))
-    else:
-        theta = sum(_series_angle(spec, es, path, series_m or 80) for path in _shots(spec))
-    counts = np.floor(theta / np.pi).astype(int)
+    counts = np.floor(_half_turns(spec, np.atleast_1d(e), tol, series_m)).astype(int)
     return int(counts[0]) if e.ndim == 0 else counts
 
 
@@ -576,15 +590,18 @@ def sturm_count(
 class EigenvalueScan:
     """Result of find_eigenvalues.
 
-    ``energies`` are the eigenvalues in the window, certified by the Sturm
-    count.  ``spurious`` lists determinant zeros across which the count does
-    not rise: when E coincides with a Dirichlet eigenvalue of an overlap
-    interval, value matching at two points no longer pins the solution there
-    and the determinant vanishes without an eigenfunction behind it.
-    ``near_degenerate`` lists entries of ``energies`` that stand for a pair
-    split below double-precision resolution (the count rises by two within
-    the refinement tolerance); coefficient extraction there reports the
-    degeneracy paradox instead of inventing a null vector.
+    ``energies`` are the eigenvalues in the window, each where the angle
+    sum of sturm_count crosses its multiple of pi.  ``spurious`` lists the
+    overlap resonances in the window, the Dirichlet levels of each interval
+    (L_j, L_{j+1}) that two domains share: there value matching at two
+    points no longer pins the solution, and the secular determinant
+    vanishes without an eigenfunction behind it.  A resonance that a level
+    was refined onto is that level and is not listed.  ``near_degenerate``
+    lists entries of ``energies`` that stand for two crossings refined to
+    the same energy (a pair split below double-precision resolution);
+    coefficient extraction there reports the degeneracy paradox instead of
+    inventing a null vector.  ``skipped`` is always empty, since the angle
+    is defined at every energy, an interval height included.
     """
 
     energies: tuple[float, ...]
@@ -599,22 +616,24 @@ _RTOL_MIN = 4 * math.ulp(1.0)
 _BRENT_MAXITER = 100
 
 
-def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN):
-    """Root of f in [a, b] by the Brent-Dekker method (Brent 1973, ch. 4).
+def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0):
+    """Root of f(x) = target in [a, b] by the Brent-Dekker method (Brent
+    1973, ch. 4).
 
-    The iteration of scipy.optimize.brentq, step for step: inverse
-    quadratic (or secant) interpolation when it falls well inside the
-    bracket, bisection otherwise, and at least delta = (xtol + rtol |x|) / 2
-    per step; the bracket half-width below delta ends it.  Same inputs give
-    the same float.  Raises ValueError when f(a) and f(b) share a sign or f
-    returns NaN, RootNotConvergedError after 100 steps.
+    The iteration of scipy.optimize.brentq on f - target, step for step:
+    inverse quadratic (or secant) interpolation when it falls well inside
+    the bracket, bisection otherwise, and at least delta = (xtol + rtol |x|)
+    / 2 per step; the bracket half-width below delta ends it.  Same inputs
+    give the same float, and with target 0 the float scipy gives.  Raises
+    ValueError when f - target has one sign at a and b or f returns NaN,
+    RootNotConvergedError after 100 steps.
 
     ``a`` and ``b`` are scalars, or 1-D arrays of brackets refined in
     lock-step: f is called with the array of every unfinished bracket's
     trial point, once per step, and each bracket takes the same steps, and
-    returns the same float, as it would alone.  A NaN in that array is
-    evaluated again as a scalar, so that f raises there what its scalar form
-    raises.
+    returns the same float, as it would alone.  ``target`` is then a scalar
+    or one value per bracket.  A NaN in that array is evaluated again as a
+    scalar, so that f raises there what its scalar form raises.
     """
     if xtol <= 0 or rtol < _RTOL_MIN:
         raise ValueError(f"tolerances too small: xtol={xtol!r}, rtol={rtol!r}")
@@ -623,6 +642,7 @@ def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN):
     hi = np.atleast_1d(np.asarray(b, dtype=float))
     if lo.ndim > 1 or lo.shape != hi.shape:
         raise ValueError("brackets must be two scalars or two 1-D arrays of one length")
+    goal = np.broadcast_to(np.asarray(target, dtype=float), lo.shape).tolist()
     lanes = [_brent(x, y, xtol, rtol) for x, y in zip(lo.tolist(), hi.tolist())]
     trials = {i: next(lane) for i, lane in enumerate(lanes)}
     roots = [0.0] * len(lanes)
@@ -637,7 +657,7 @@ def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN):
             if math.isnan(fx):
                 raise ValueError(f"f({x!r}) is NaN; the root cannot be refined")
             try:
-                pending[i] = lanes[i].send(fx)
+                pending[i] = lanes[i].send(fx - goal[i])
             except StopIteration as done:
                 roots[i] = done.value
         trials = pending
@@ -693,18 +713,52 @@ def _brent(xpre: float, xcur: float, xtol: float, rtol: float):
     )
 
 
-# A determinant zero is an eigenvalue when the count steps within this
-# relative distance of it.  The count and the determinant locate a level
-# apart by their rounding (up to 1e-13 relative for the power-series backend
-# near E = 40); a spurious zero closer than this to a level passes for it,
-# an error below this bound.
-_STEP_RTOL = 1e-9
+# brentq's relative tolerance for a level
+_REFINE_RTOL = 8.9e-16
 
 
-def _is_spurious_root(count_below: int, count_above: int) -> bool:
-    """A determinant zero is spurious when the Sturm count does not step
-    across it: no eigenvalue sits there."""
-    return bool(count_below == count_above)
+def _refined_crossings(spec, grid, tol, series_m) -> np.ndarray:
+    """Every level n in (grid[0], grid[-1]], ascending: where the angle sum
+    crosses n + 1 (in units of pi).  The first cell whose upper end counts
+    past n brackets level n, because the count can only rise; one brentq
+    call refines every bracket in lock-step, with per-lane targets n + 1."""
+    counts = np.floor(_half_turns(spec, grid, tol, series_m)).astype(int)
+    n = np.arange(counts[0], counts[-1])
+    hi = np.searchsorted(np.maximum.accumulate(counts), n, side="right")
+    roots = brentq(
+        lambda energies: _half_turns(spec, energies, tol, series_m),
+        grid[hi - 1],
+        grid[hi],
+        xtol=tol.refine_xtol,
+        rtol=_REFINE_RTOL,
+        target=n + 1.0,
+    )
+    return np.sort(roots)
+
+
+def _overlap_resonances(spec, grid, tol, series_m) -> list[float]:
+    """The Dirichlet levels in (grid[0], grid[-1]] of each interval
+    (L_j, L_{j+1}), j = 1..N-1, that domains j and j + 1 share: H_j +
+    (m pi / w_j)^2 for closed-form specs, the levels of the one-interval
+    problem on (L_j, L_{j+1}) for the power-series backend."""
+    bp, out = spec.breakpoints, []
+    for j in range(1, spec.n_interior):
+        if spec.zero_order_polys is not None:
+            interval = PotentialSpec(bp[j : j + 2], (spec.heights[j],), (spec.zero_order_polys[j],))
+            out += _refined_crossings(interval, grid, tol, series_m).tolist()
+            continue
+        h, width = spec.heights[j], bp[j + 1] - bp[j]
+        m = np.arange(1, width * math.sqrt(max(grid[-1] - h, 0.0)) / math.pi + 1)
+        e = h + (m * math.pi / width) ** 2
+        out += e[(e > grid[0]) & (e <= grid[-1])].tolist()
+    return out
+
+
+def _is_spurious_root(resonance: float, levels: np.ndarray, tol: Tolerances) -> bool:
+    """An overlap resonance is a spurious determinant zero unless a level
+    was refined onto it: within brentq's last bracket width of it."""
+    resolution = tol.refine_xtol + _REFINE_RTOL * abs(resonance)
+    return bool(np.all(np.abs(levels - resonance) > resolution))
 
 
 def find_eigenvalues(
@@ -717,21 +771,17 @@ def find_eigenvalues(
     tol: Tolerances = DEFAULT_TOL,
     series_m: int | None = None,
 ) -> EigenvalueScan:
-    """Eigenvalues in (e_lo, e_hi), ascending, from the count and the determinant.
+    """Eigenvalues in (e_lo, e_hi), ascending, from the Pruefer angle alone.
 
-    sturm_count and secular_determinant are evaluated on scan.points
-    energies uniform in k = sqrt(E - floor), which spreads out low-lying
-    roots.  A cell where the determinant changes sign and the count rises by
-    at most one has its zero refined by brentq to |dE| ~ 1e-13 (all such
-    cells of a round in lock-step, one determinant call per step): a level
-    if the count steps across it, spurious (listed, not returned) if not.  Any
-    other cell where the count rises (by two, or past no usable sign change)
-    is bisected, in one array call of both functions per round, until that
-    rule applies or the cell is down to the refinement tolerance: then its
-    midpoint is a level, listed as near-degenerate (a pair split below
-    double precision, returned once) if the count rose by two or more.
-    Points degenerate with an interval height are skipped and reported.  If
-    fewer than ``count`` levels exist in the window, complete=False.
+    The angle sum of sturm_count is evaluated on scan.points energies
+    uniform in k = sqrt(E - floor), which spreads out low-lying levels, and
+    each of its crossings of a multiple of pi in the window is refined by
+    brentq to |dE| ~ 1e-13 (all in lock-step, one angle evaluation a step).
+    Two crossings refined to the same energy within that tolerance are one
+    entry, listed as near-degenerate: a pair split below double precision.
+    The secular determinant is not evaluated; its other zeros, the overlap
+    resonances, are listed as spurious.  If fewer than ``count`` levels
+    exist in the window, complete=False.
     """
     if not e_lo < e_hi:
         raise ValueError("energy window must satisfy e_lo < e_hi")
@@ -742,82 +792,28 @@ def find_eigenvalues(
     k_hi = np.sqrt(max(e_hi - floor, 0.0))
     if not k_hi > k_lo:
         return EigenvalueScan((), count is None)
-    k_lo = max(k_lo, 1e-9 * (k_hi - k_lo) + 1e-300)
-
-    skipped: list[float] = []
-    levels: list[float] = []
-    spurious: list[float] = []
-    near_degenerate: list[float] = []
-
-    def sample(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dets = secular_determinant(spec, energies, tol=tol, series_m=series_m)
-        skipped.extend(energies[np.isnan(dets)])
-        return dets, sturm_count(spec, energies, tol=tol, series_m=series_m)
-
-    def settle(cell: tuple) -> None:
-        """A cell holding a level that no sign change isolates: bisect it,
-        or take its midpoint once it is down to the refinement tolerance."""
-        ea, eb, na, nb, _, _ = cell
-        if eb - ea > tol.refine_xtol + 8.9e-16 * abs(eb):
-            split.append(cell)
-            return
-        levels.append(float(ea + eb) / 2)
-        if nb - na > 1:
-            near_degenerate.append(levels[-1])
 
     ks = np.linspace(k_lo, k_hi, scan.points)
     grid = floor + ks * ks
-    dets, counts = sample(grid)
-    live = np.flatnonzero((counts[1:] != counts[:-1]) | (dets[:-1] * dets[1:] < 0))
-    cells = [(grid[i], grid[i + 1], counts[i], counts[i + 1], dets[i], dets[i + 1]) for i in live]
-    while cells:
-        split: list[tuple] = []
-        bracketed = []
-        for cell in cells:
-            ea, eb, na, nb, da, db = cell
-            if da * db < 0 and nb - na <= 1:
-                bracketed.append(cell)
-            elif nb > na:
-                settle(cell)
-        if bracketed:
-            # every bracket of the round in lock-step, one determinant call a step
-            roots = brentq(
-                lambda energies: secular_determinant(spec, energies, tol=tol, series_m=series_m),
-                np.array([cell[0] for cell in bracketed]),
-                np.array([cell[1] for cell in bracketed]),
-                xtol=tol.refine_xtol,
-                rtol=8.9e-16,
-            )
-            zeros = list(zip(roots.tolist(), bracketed))
-            # the count either side of each zero, inside its cell
-            lo = [max(cell[0], r - _STEP_RTOL * max(1.0, abs(r))) for r, cell in zeros]
-            hi = [min(cell[1], r + _STEP_RTOL * max(1.0, abs(r))) for r, cell in zeros]
-            steps = sturm_count(spec, np.array(lo + hi), tol=tol, series_m=series_m)
-            for (root, cell), below, above in zip(zeros, steps[: len(zeros)], steps[len(zeros) :]):
-                if not _is_spurious_root(below, above):
-                    levels.append(root)
-                elif cell[3] > cell[2]:
-                    settle(cell)
-                else:
-                    spurious.append(root)
-        if not split:
-            break
-        mids = np.array([(ea + eb) / 2 for ea, eb, *_ in split])
-        d_mid, n_mid = sample(mids)
-        cells = []
-        for (ea, eb, na, nb, da, db), em, nm, dm in zip(split, mids, n_mid, d_mid):
-            cells += [(ea, em, na, nm, da, dm), (em, eb, nm, nb, dm, db)]
-
-    levels.sort()
+    roots = _refined_crossings(spec, grid, tol, series_m)
+    levels: list[float] = []
+    merged = set()
+    for root in roots.tolist():
+        # two crossings at one energy end up to two last brackets apart
+        if levels and root - levels[-1] <= 2 * (tol.refine_xtol + _REFINE_RTOL * abs(root)):
+            merged.add(levels[-1])
+        else:
+            levels.append(root)
+    resonances = _overlap_resonances(spec, grid, tol, series_m)
+    spurious = sorted({e for e in resonances if _is_spurious_root(e, roots, tol)})
     complete = count is None or len(levels) >= count
     if count is not None:
         levels = levels[:count]
     return EigenvalueScan(
         tuple(levels),
         complete,
-        tuple(skipped),
-        tuple(sorted(spurious)),
-        tuple(e for e in sorted(near_degenerate) if e in levels),
+        spurious=tuple(spurious),
+        near_degenerate=tuple(e for e in levels if e in merged),
     )
 
 

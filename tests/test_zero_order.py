@@ -28,7 +28,7 @@ from stepwell import (
     sturm_count,
 )
 from stepwell import zero_order
-from stepwell.config import DEFAULT_TOL
+from stepwell.config import DEFAULT_TOL, ScanConfig
 
 import golden_formulas as golden
 
@@ -365,11 +365,11 @@ class TestBatchedDeterminant:
     @pytest.mark.parametrize("barrier", [1.6e5, 1e6])
     def test_overflow_raises_instead_of_silence(self, barrier):
         # cosh(kappa w) overflows the row norm (kappa w = 400) or the value
-        # itself (kappa w = 1000); neither may come back as an empty result
-        # or a zero determinant at every grid point
+        # itself (kappa w = 1000); the determinant may not come back as a
+        # zero there.  The scan evaluates no determinant and returns the
+        # decoupled wells' levels (test_tall_barrier_gives_the_decoupled_pairs)
         spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, barrier, 0.0))
-        with pytest.raises(NonFiniteDeterminantError, match="interval 1"):
-            find_eigenvalues(spec, 0.05, 40.0)
+        assert find_eigenvalues(spec, 0.05, 40.0).energies
         with pytest.raises(NonFiniteDeterminantError, match="E = 5.0"):
             secular_determinant(spec, 5.0)
 
@@ -560,6 +560,22 @@ class TestLockStepBrentq:
         with pytest.raises(RootNotConvergedError):
             zero_order.brentq(step, np.array([0.0, -1e300]), np.array([1.0, 1e300]), xtol=1e-300)
 
+    def test_per_lane_targets(self):
+        # lanes sharing one bracket refine different crossings, as a doublet
+        # inside one grid cell does
+        def g(x):
+            return math.sin(x) + x
+
+        lo, hi = np.array([0.0, 0.0, 1.0]), np.array([3.0, 3.0, 2.0])
+        targets = np.array([1.0, 2.5, 2.0])
+        roots = zero_order.brentq(_per_lane(g), lo, hi, xtol=1e-14, target=targets)
+        assert roots.tolist() == [
+            zero_order.brentq(lambda x, t=t: g(x) - t, a, b, xtol=1e-14)
+            for a, b, t in zip(lo, hi, targets)
+        ]
+        assert np.allclose([g(r) for r in roots], targets, rtol=0, atol=1e-13)
+        assert zero_order.brentq(g, 0.0, 3.0, xtol=1e-14, target=1.0) == roots[0]
+
     def test_find_eigenvalues_refines_through_brentq(self, double_well_spec, monkeypatch):
         # perfbench times refinement by wrapping zero_order.brentq; a rename
         # or a direct call would zero those metrics without a failure
@@ -573,9 +589,9 @@ class TestLockStepBrentq:
 
         monkeypatch.setattr(zero_order, "brentq", counted)
         scan = find_eigenvalues(double_well_spec, 0.05, 40.0)
-        # the 600-point grid isolates every level: one round, one call
+        # one lock-step call refines every level; spurious entries are closed-form
         assert len(calls) == 1
-        assert set(scan.energies) | set(scan.spurious) == set(calls[0])
+        assert set(scan.energies) <= set(calls[0])
         assert len(scan.energies) >= 5
 
 
@@ -911,3 +927,100 @@ class TestSturmCount:
         floor = min(heights)
         scan = find_eigenvalues(spec, floor, floor + 40.0)
         _fd_levels_match(spec, floor, floor + 40.0, scan)
+
+
+def _series_twin(spec):
+    """The same potential through the power-series backend."""
+    return PotentialSpec(spec.breakpoints, spec.heights, ((0.0,),) * spec.n_intervals)
+
+
+class TestLevelsFromTheAngle:
+    """find_eigenvalues refines the crossings of the Pruefer angle sum alone."""
+
+    # N = 3: two overlap intervals, resonances 12 + (pi / 0.8)^2 and 3 + (pi / 0.6)^2
+    N3_WELL = PotentialSpec((0.0, 0.7, 1.5, 2.1, 3.0), (0.0, 12.0, 3.0, 20.0))
+    TILTED = PotentialSpec((0.0, 1.5, PI), (0.0, 0.0), zero_order_polys=((0.0, 2.0), (0.0, 2.0)))
+
+    def test_scan_evaluates_no_determinant(self, box_spec, n1_step_spec, double_well_spec, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the scan evaluated a matching matrix")
+
+        monkeypatch.setattr(zero_order, "secular_determinant", forbidden)
+        monkeypatch.setattr(zero_order, "_matching_block", forbidden)
+        for spec in (box_spec, n1_step_spec, double_well_spec, self.N3_WELL, self.TILTED):
+            assert len(find_eigenvalues(spec, 0.05, 40.0, series_m=60).energies) >= 3
+
+    @pytest.mark.parametrize("name", ["double_well", "n3"])
+    def test_series_twin_has_the_same_levels_and_resonances(self, name, double_well_spec):
+        spec = double_well_spec if name == "double_well" else self.N3_WELL
+        closed = find_eigenvalues(spec, 0.05, 40.0)
+        series = find_eigenvalues(_series_twin(spec), 0.05, 40.0)
+        assert len(series.energies) == len(closed.energies) >= 5
+        np.testing.assert_allclose(series.energies, closed.energies, rtol=1e-12, atol=0)
+        assert len(series.spurious) == len(closed.spurious) == spec.n_interior - 1
+        np.testing.assert_allclose(series.spurious, closed.spurious, rtol=1e-12, atol=0)
+
+    def test_a_resonance_a_level_was_refined_onto_is_not_spurious(self):
+        # the box (0, pi) cut in thirds: the middle third's Dirichlet levels
+        # 9 m^2 are levels of the box too; lifting the last third splits them off
+        bp = (0.0, PI / 3, 2 * PI / 3, PI)
+        box = find_eigenvalues(PotentialSpec(bp, (0.0, 0.0, 0.0)), 0.5, 40.0)
+        np.testing.assert_allclose(box.energies, [1, 4, 9, 16, 25, 36], rtol=1e-14)
+        assert box.spurious == ()
+        lifted = find_eigenvalues(PotentialSpec(bp, (0.0, 0.0, 1e-3)), 0.5, 40.0)
+        np.testing.assert_allclose(lifted.spurious, [9, 36], rtol=1e-15)
+
+    @pytest.mark.parametrize("barrier", [1.6e5, 1e6, 1e8])
+    def test_tall_barrier_gives_the_decoupled_pairs(self, barrier):
+        # kappa w >= 200 on either side of the matching point: each pair is
+        # split far below double precision, and the determinant overflows
+        spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, barrier, 0.0))
+        scan = find_eigenvalues(spec, 0.05, 40.0)
+        levels = sorted(list(scan.energies) + list(scan.near_degenerate))
+        assert len(levels) == 4
+        for n, pair in enumerate((levels[:2], levels[2:])):
+            # a well of width 1 between a hard wall and the barrier's decaying
+            # tail: its level n has k in ((n + 1/2) pi, (n + 1) pi)
+            root = zero_order.brentq(
+                lambda e: golden.half_open_step(e, 1.0, barrier),
+                ((n + 0.5) * PI) ** 2,
+                ((n + 1) * PI) ** 2,
+                xtol=1e-15,
+            )
+            assert all(abs(e - root) <= 1e-13 * root for e in pair), (pair, root)
+
+    def test_levels_of_the_lowest_interval_refine_in_few_steps(self, monkeypatch):
+        # every level below 30 lives in the left well, where the angle sum is
+        # matched and smooth; matched in the barrier it would step at each
+        # level, and Brent would bisect (23 angle evaluations here)
+        spec = PotentialSpec((0.0, 3.0, 4.0, 5.0), (0.0, 200.0, 30.0))
+        evaluations = []
+        original = zero_order.brentq
+
+        def counted(f, a, b, **kwargs):
+            return original(lambda es: evaluations.append(len(es)) or f(es), a, b, **kwargs)
+
+        monkeypatch.setattr(zero_order, "brentq", counted)
+        assert len(find_eigenvalues(spec, 0.05, 30.0).energies) == 5
+        assert len(evaluations) <= 8
+
+    def test_angle_is_a_function_of_the_energy(self, double_well_spec):
+        # a grid call and a refinement step must read the same float at an energy
+        energies = np.linspace(0.3, 45.0, 37)
+        for spec, m in ((double_well_spec, None), (self.TILTED, 60)):
+            together = zero_order._half_turns(spec, energies, DEFAULT_TOL, m)
+            alone = [zero_order._half_turns(spec, energies[i : i + 1], DEFAULT_TOL, m)[0] for i in range(37)]
+            assert together.tolist() == alone
+
+    def test_three_point_window_around_each_series_level(self):
+        # the window of oracle.exact_perturbed_energy: the middle grid point
+        # sits on the level, where the count must agree with the refinement
+        tol = replace(DEFAULT_TOL, refine_xtol=1e-14)
+        levels = find_eigenvalues(self.TILTED, 0.5, 60.0, tol=tol, series_m=60).energies
+        assert len(levels) == 7
+        for e in levels:
+            window = find_eigenvalues(
+                self.TILTED, e - 1e-6, e + 1e-6, scan=ScanConfig(points=3), tol=tol, series_m=60
+            )
+            assert len(window.energies) == 1
+            assert abs(window.energies[0] - e) < 1e-11 * e
