@@ -24,7 +24,8 @@ class NonFiniteDeterminantError(SolverError):
 
     Happens when a boundary value overflows, e.g. cosh(kappa w) for
     kappa w above about 710 behind a tall, wide barrier; the message names
-    the energy and the interval.
+    the energy and the interval.  Also raised when an order-k particular
+    solution of the perturbation series overflows at a domain end.
     """
 
 

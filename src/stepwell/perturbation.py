@@ -11,15 +11,18 @@ where C^(k)/S^(k) solve the order-k inhomogeneous equation with cosine and
 sine-like initial data at the anchor, omega_j solves H omega = psi_0 with
 zero initial data (order-independent, built once), eps is the energy
 correction, and the psi_0 admixtures xi_j enforce the per-domain rescaling
-c_k(j) + d_k(j) = 1.  Matching values at the breakpoints plus the two wall
-conditions close a real 2N-dimensional linear system in
-(X_1..X_N, Z_2..Z_N, eps) with Z_{j+1} = xi_{j+1} - xi_j; the first offset
-is gauge (xi_1 = 0).
+c_k(j) + d_k(j) = 1.  Both C^(k) and S^(k) carry the same particular
+solution P_k, the one with zero initial data at the anchor, so they are
+represented as P_k + C_0 and P_k + S_0 with the zero-order pair: only P_k
+is built per order, and C^(k) - S^(k) = C_0 - S_0.  Matching values at the
+breakpoints plus the two wall conditions close a real 2N-dimensional
+linear system in (X_1..X_N, Z_2..Z_N, eps) with Z_{j+1} = xi_{j+1} - xi_j;
+the first offset is gauge (xi_1 = 0).  Its matrix holds zero-order values
+only and does not depend on k.
 
-A plain box (no interior breakpoint) is handled by splitting it at a
-fictitious interior point, which changes nothing physically; the anchor is
-retried at a few positions if the matched state happens to have
-c + d = 0 there.
+A plain box (no interior breakpoint) is handled by splitting it at its
+midpoint, which changes nothing physically; there the matched state has
+|c + d| = 1 at every level.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .config import DEFAULT_SCAN, DEFAULT_TOL, ScanConfig, Tolerances
 from .errors import (
     DegeneracyParadoxError,
-    NormalizationObstructionError,
+    NonFiniteDeterminantError,
     PipelineError,
     SchemaError,
     SequencingError,
@@ -72,25 +75,42 @@ __all__ = [
 _SIDES = ("left", "right")
 
 
-def _with_initial_data(
-    anchor: float,
-    freq: complex,
-    particular: TrigPoly | None,
-    value: float,
-    slope: float,
-) -> TrigPoly:
-    """particular + homogeneous combination hitting (value, slope) at the anchor."""
-    if particular is None:
-        particular = TrigPoly.zero(anchor, freq)
+def _with_initial_data(particular: TrigPoly) -> TrigPoly:
+    """particular minus the homogeneous combination of its value and slope
+    at its anchor, so that both vanish there."""
     p = particular.cos_coeffs
     q = particular.sin_coeffs
     u0 = p[0]
-    u1 = (p[1] if len(p) > 1 else 0.0) + freq * q[0]
+    u1 = (p[1] if len(p) > 1 else 0.0) + particular.freq * q[0]
     new_p = p.copy()
     new_q = q.copy()
-    new_p[0] += value - u0
-    new_q[0] += (slope - u1) / freq
-    return TrigPoly(anchor, freq, new_p, new_q)
+    new_p[0] -= u0
+    new_q[0] -= u1 / particular.freq
+    return TrigPoly(particular.anchor, particular.freq, new_p, new_q)
+
+
+def _zero_data_solutions(state: MatchedState, rhs_pairs, tol: Tolerances):
+    """Per-domain (left, right) solutions of H u = rhs with zero value and
+    slope at the anchor, and their values at the domain ends L_{j -/+ 1}.
+
+    Raises NonFiniteDeterminantError when an end value overflows.
+    """
+    pieces = []
+    at_lo = np.empty(state.n_domains)
+    at_hi = np.empty(state.n_domains)
+    for j, (basis, rhs_pair) in enumerate(zip(state.bases, rhs_pairs)):
+        pair = tuple(
+            _with_initial_data(particular_solution(rhs, tol=tol)) for rhs in rhs_pair
+        )
+        pieces.append(pair)
+        at_lo[j] = pair[0].eval(basis.x_lo, tol=tol)
+        at_hi[j] = pair[1].eval(basis.x_hi, tol=tol)
+        if not (math.isfinite(at_lo[j]) and math.isfinite(at_hi[j])):
+            raise NonFiniteDeterminantError(
+                f"particular solution on domain {j + 1} is not finite at its "
+                f"ends ({at_lo[j]}, {at_hi[j]}) at E = {state.energy!r}"
+            )
+    return tuple(pieces), at_lo, at_hi
 
 
 @dataclass(frozen=True)
@@ -116,21 +136,18 @@ class TauSet:
 
 @dataclass(frozen=True)
 class OrderBasis:
-    """Order-k local solutions with cosine/sine initial data at each anchor.
+    """Order-k particular solutions P_k of H P = tau with zero initial data.
 
-    Both members carry the full particular solution of the order-k
-    right-hand side, so any combination with coefficient sum 1 solves the
-    inhomogeneous equation on the domain.
+    One (left, right) piece pair per domain, with value and slope zero at
+    the anchor; C^(k) = P_k + C_0 and S^(k) = P_k + S_0 with the state's
+    zero-order pair.  Boundary values at L_{j -/+ 1} are cached for the
+    matching system, as in OmegaSet.
     """
 
     k: int
-    tau: TauSet
-    c_pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
-    s_pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
-    c_at_lo: np.ndarray
-    c_at_hi: np.ndarray
-    s_at_lo: np.ndarray
-    s_at_hi: np.ndarray
+    pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
+    at_lo: np.ndarray
+    at_hi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,20 +175,7 @@ class OrderResult:
 
 def build_omega(state: MatchedState, *, tol: Tolerances = DEFAULT_TOL) -> OmegaSet:
     """Solve H omega_j = psi_0 on every domain with zero initial data."""
-    pieces = []
-    at_lo = np.empty(state.n_domains)
-    at_hi = np.empty(state.n_domains)
-    for j in range(1, state.n_domains + 1):
-        basis = state.bases[j - 1]
-        pair = []
-        for side in _SIDES:
-            rhs = state.domain_piece(j, side)
-            part = particular_solution(rhs, tol=tol)
-            pair.append(_with_initial_data(basis.anchor, rhs.freq, part, 0.0, 0.0))
-        pieces.append(tuple(pair))
-        at_lo[j - 1] = pair[0].eval(basis.x_lo, tol=tol)
-        at_hi[j - 1] = pair[1].eval(basis.x_hi, tol=tol)
-    return OmegaSet(tuple(pieces), at_lo, at_hi)
+    return OmegaSet(*_zero_data_solutions(state, state.domain_pieces(), tol))
 
 
 def build_tau(
@@ -215,33 +219,9 @@ def build_tau(
 def build_order_basis(
     state: MatchedState, tau: TauSet, *, tol: Tolerances = DEFAULT_TOL
 ) -> OrderBasis:
-    """Order-k cosine/sine-like solutions of H phi = tau on every domain."""
-    n = state.n_domains
-    c_pieces = []
-    s_pieces = []
-    c_at_lo = np.empty(n)
-    c_at_hi = np.empty(n)
-    s_at_lo = np.empty(n)
-    s_at_hi = np.empty(n)
-    for j in range(1, n + 1):
-        basis = state.bases[j - 1]
-        c_pair = []
-        s_pair = []
-        for s, side in enumerate(_SIDES):
-            rhs = tau.pieces[j - 1][s]
-            part = None if rhs.is_zero() else particular_solution(rhs, tol=tol)
-            freq = rhs.freq
-            c_pair.append(_with_initial_data(basis.anchor, freq, part, 1.0, 0.0))
-            s_pair.append(_with_initial_data(basis.anchor, freq, part, 0.0, 1.0))
-        c_pieces.append(tuple(c_pair))
-        s_pieces.append(tuple(s_pair))
-        c_at_lo[j - 1] = c_pair[0].eval(basis.x_lo, tol=tol)
-        c_at_hi[j - 1] = c_pair[1].eval(basis.x_hi, tol=tol)
-        s_at_lo[j - 1] = s_pair[0].eval(basis.x_lo, tol=tol)
-        s_at_hi[j - 1] = s_pair[1].eval(basis.x_hi, tol=tol)
-    return OrderBasis(
-        tau.k, tau, tuple(c_pieces), tuple(s_pieces), c_at_lo, c_at_hi, s_at_lo, s_at_hi
-    )
+    """Order-k particular solutions of H P = tau with zero initial data on
+    every domain."""
+    return OrderBasis(tau.k, *_zero_data_solutions(state, tau.pieces, tol))
 
 
 def solve_order(
@@ -253,15 +233,19 @@ def solve_order(
 ) -> OrderResult:
     """Assemble and solve the 2N matching-plus-boundary system of one order.
 
+    With C = C_0 and S = S_0 the state's zero-order pair and P = P_k:
     Row (j, left), the condition at L_{j-1}:
-        X_j (C - S) + eps omega_j(L_{j-1}) - X_{j-1} + Z_j c0(j-1) = -S
+        X_j (C - S) + eps omega_j(L_{j-1}) - X_{j-1} + Z_j c0(j-1) = -(P + S)
     Row (j, right), the condition at L_{j+1}:
-        X_j (C - S) + eps omega_j(L_{j+1}) - X_{j+1} - Z_{j+1} c0(j+1) = -S
+        X_j (C - S) + eps omega_j(L_{j+1}) - X_{j+1} - Z_{j+1} c0(j+1) = -(P + S)
     with boundary terms dropping out at the walls (c0(0) = c0(N+1) = 0,
     X_0 = X_{N+1} = 0).  Unknown ordering (X_1..X_N, Z_2..Z_N, eps); for a
     single domain this is exactly the two-by-two boundary system in
-    (X, eps).  A condition number beyond the configured limit is flagged as
-    the degeneracy paradox rather than silently regularized.
+    (X, eps).  Only the right-hand side depends on k, so the condition
+    number is the same at every order; beyond the configured limit it is
+    flagged as the degeneracy paradox rather than silently regularized.
+    The correction on domain j is
+        psi_k = P + (X_j + xi_j c(j)) C + (1 - X_j + xi_j d(j)) S + eps omega_j.
     """
     n = state.n_domains
     size = 2 * n
@@ -274,20 +258,21 @@ def solve_order(
         return n + jj - 2
 
     for j in range(1, n + 1):
+        zero = state.bases[j - 1]
         row = 2 * (j - 1)
-        a[row, j - 1] = basis.c_at_lo[j - 1] - basis.s_at_lo[j - 1]
+        a[row, j - 1] = zero.c_at_lo - zero.s_at_lo
         a[row, eps_col] = omega.at_lo[j - 1]
         if j >= 2:
             a[row, j - 2] = -1.0
             a[row, z_col(j)] = state.c_value(j - 1)
-        b[row] = -basis.s_at_lo[j - 1]
+        b[row] = -(basis.at_lo[j - 1] + zero.s_at_lo)
 
-        a[row + 1, j - 1] = basis.c_at_hi[j - 1] - basis.s_at_hi[j - 1]
+        a[row + 1, j - 1] = zero.c_at_hi - zero.s_at_hi
         a[row + 1, eps_col] = omega.at_hi[j - 1]
         if j <= n - 1:
             a[row + 1, j] = -1.0
             a[row + 1, z_col(j + 1)] = -state.c_value(j + 1)
-        b[row + 1] = -basis.s_at_hi[j - 1]
+        b[row + 1] = -(basis.at_hi[j - 1] + zero.s_at_hi)
 
     condition = float(np.linalg.cond(a))
     if not np.isfinite(condition) or condition > tol.condition_limit:
@@ -304,19 +289,18 @@ def solve_order(
     for j in range(1, n):
         xi[j] = xi[j - 1] + z[j - 1]
 
-    psi0 = state.domain_pieces()
     domain_pieces = []
     for j in range(1, n + 1):
-        pair = []
-        for s in range(2):
-            piece = (
-                x[j - 1] * basis.c_pieces[j - 1][s]
-                + (1.0 - x[j - 1]) * basis.s_pieces[j - 1][s]
-                + eps * omega.pieces[j - 1][s]
-                + xi[j - 1] * psi0[j - 1][s]
-            )
-            pair.append(piece)
-        domain_pieces.append(tuple(pair))
+        zero = state.bases[j - 1]
+        c, d = state.coeffs[j - 1]
+        x_j, xi_j = x[j - 1], xi[j - 1]
+        domain_pieces.append(tuple(
+            basis.pieces[j - 1][s]
+            + (x_j + xi_j * c) * zero.piece("c", side)
+            + (1.0 - x_j + xi_j * d) * zero.piece("s", side)
+            + eps * omega.pieces[j - 1][s]
+            for s, side in enumerate(_SIDES)
+        ))
     global_pieces = [domain_pieces[0][0]]
     for j in range(1, n + 1):
         global_pieces.append(domain_pieces[j - 1][1])
@@ -425,11 +409,6 @@ class SeriesResult:
     embedded_spec: PotentialSpec | None = None
 
 
-# anchor fractions tried when splitting a plain box; retried when the
-# matched state has c + d = 0 at the fictitious breakpoint
-_EMBED_FRACTIONS = (0.5, 0.381966011250105, 0.618033988749895, 0.707106781186548)
-
-
 def quad(pa: TrigPoly, pb: TrigPoly, a: float, b: float) -> float:
     """Integral of pa * pb over [a, b] by one Gauss-Legendre rule.
 
@@ -500,11 +479,12 @@ def run_series(
 
     Stages: local bases and the eigenvalue scan (S1, S2), the
     order-independent omega functions (S3), then per order the right-hand
-    side and its cosine/sine solutions (S4), the 2N linear solve (S5),
+    side and its particular solutions (S4), the 2N linear solve (S5),
     iterated in k (S6).  Any stage failure is re-raised as PipelineError
     with the stage label.  order_max = 0 reduces to the zero-order
-    pipeline.  A plain box is split at a fictitious interior anchor first;
-    the anchor is retried if the state's c + d vanishes there.
+    pipeline.  A plain box is split at a fictitious breakpoint at its
+    midpoint, where a constant box's matched (c, d) is proportional to
+    (sin(n pi/2), k cos(n pi/2)), so c + d never vanishes.
     """
     if order_max < 0:
         raise ValueError("order_max must be >= 0")
@@ -524,28 +504,13 @@ def run_series(
     except SolverError as exc:
         raise PipelineError("S2:scan", exc) from exc
 
-    needs_embedding = spec.n_interior == 0
-    states = []
-    embedded_used: PotentialSpec | None = None
-    for e0 in scan_result.energies:
-        if not needs_embedding:
-            states.append(_series_for_state(spec, pert, e0, order_max, tol))
-            continue
-        last_exc: Exception | None = None
-        for frac in _EMBED_FRACTIONS:
-            anchor = spec.x_min + frac * (spec.x_max - spec.x_min)
-            espec = spec.with_fictitious_breakpoint(anchor)
-            epert = pert.split_interval(0) if pert is not None else None
-            try:
-                states.append(_series_for_state(espec, epert, e0, order_max, tol))
-                embedded_used = espec
-                last_exc = None
-                break
-            except PipelineError as exc:
-                if isinstance(exc.cause, NormalizationObstructionError):
-                    last_exc = exc
-                    continue
-                raise
-        if last_exc is not None:
-            raise last_exc
-    return SeriesResult(tuple(states), scan_result, embedded_used)
+    embedded: PotentialSpec | None = None
+    if spec.n_interior == 0:
+        midpoint = spec.x_min + 0.5 * (spec.x_max - spec.x_min)
+        embedded = spec.with_fictitious_breakpoint(midpoint)
+        pert = pert.split_interval(0) if pert is not None else None
+    states = tuple(
+        _series_for_state(embedded or spec, pert, e0, order_max, tol)
+        for e0 in scan_result.energies
+    )
+    return SeriesResult(states, scan_result, embedded)

@@ -6,6 +6,7 @@ import pytest
 
 from stepwell import (
     DegeneracyParadoxError,
+    NonFiniteDeterminantError,
     PerturbationSpec,
     PipelineError,
     PotentialSpec,
@@ -122,20 +123,21 @@ class TestOrderBasis:
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         tau = build_tau(1, state, [], pert)
         basis = build_order_basis(state, tau)
-        anchor = state.bases[0].anchor
-        assert basis.c_pieces[0][0].eval(anchor) == pytest.approx(1.0)
-        assert basis.c_pieces[0][0].eval_deriv(anchor) == pytest.approx(0.0, abs=1e-13)
-        assert basis.s_pieces[0][1].eval(anchor) == pytest.approx(0.0, abs=1e-13)
-        assert basis.s_pieces[0][1].eval_deriv(anchor) == pytest.approx(1.0)
-        for s, side in ((0, "left"), (1, "right")):
-            for family in (basis.c_pieces, basis.s_pieces):
-                piece = family[0][s]
+        for j, (left, right) in enumerate(basis.pieces, start=1):
+            zero = state.bases[j - 1]
+            for s, piece in enumerate((left, right)):
+                assert piece.eval(zero.anchor) == pytest.approx(0.0, abs=1e-14)
+                assert piece.eval_deriv(zero.anchor) == pytest.approx(0.0, abs=1e-14)
+                # H P = tau on each side, checked pointwise
                 out = apply_hamiltonian(piece, -piece.freq * piece.freq)
-                rhs = tau.pieces[0][s]
-                xs = np.linspace(0.1, 0.9, 25) if side == "left" else np.linspace(1.1, 1.9, 25)
+                lo, hi = (zero.x_lo, zero.anchor) if s == 0 else (zero.anchor, zero.x_hi)
+                xs = np.linspace(lo, hi, 25)
+                rhs = tau.pieces[j - 1][s]
                 assert np.max(np.abs(out.value(xs) - rhs.value(xs))) < 1e-10
+            assert basis.at_lo[j - 1] == left.eval(zero.x_lo)
+            assert basis.at_hi[j - 1] == right.eval(zero.x_hi)
 
-    def test_zero_tau_degenerates_to_homogeneous_basis(self):
+    def test_zero_tau_gives_zero_pieces(self):
         state = box_state()
         from stepwell.perturbation import TauSet
         from stepwell.trigbasis import TrigPoly
@@ -146,17 +148,24 @@ class TestOrderBasis:
             1, (((TrigPoly.zero(anchor, freq)), (TrigPoly.zero(anchor, freq))),)
         )
         basis = build_order_basis(state, tau)
-        xs = np.linspace(0.1, 3.0, 15)
-        np.testing.assert_allclose(
-            basis.c_pieces[0][0].value(xs),
-            state.bases[0].c_left.value(xs),
-            atol=1e-14,
-        )
-        np.testing.assert_allclose(
-            basis.s_pieces[0][1].value(xs),
-            state.bases[0].s_right.value(xs),
-            atol=1e-14,
-        )
+        for left, right in basis.pieces:
+            assert left.is_zero() and right.is_zero()
+        assert basis.at_lo[0] == 0.0 and basis.at_hi[0] == 0.0
+
+    def test_overflowing_piece_is_a_numerical_error(self):
+        # an inf coefficient in tau overflows P's end values: a numerical
+        # failure, neither a degenerate level nor a NaN energy
+        from stepwell.perturbation import TauSet
+        from stepwell.trigbasis import TrigPoly
+
+        state = box_state()
+        anchor = state.bases[0].anchor
+        freq = state.bases[0].c_left.freq
+        bad = TrigPoly(anchor, freq, [0.0, math.inf], [0.0, 0.0])
+        omega = build_omega(state)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteDeterminantError):
+            basis = build_order_basis(state, TauSet(1, ((bad, bad),)))
+            solve_order(state, omega, basis)
 
 
 class TestSolveOrder:
@@ -171,20 +180,23 @@ class TestSolveOrder:
 
     def test_single_domain_system_is_the_two_by_two(self):
         # the solved (X, eps) must satisfy the explicit boundary pair
-        #   X C(L) + (1 - X) S(L) + eps omega(L) = 0   at both walls
+        #   P(L) + X C0(L) + (1 - X) S0(L) + eps omega(L) = 0   at both walls
         state = box_state(0.37)
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         omega = build_omega(state)
         tau = build_tau(1, state, [], pert)
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
+        zero = state.bases[0]
         a = np.array(
             [
-                [basis.c_at_lo[0] - basis.s_at_lo[0], omega.at_lo[0]],
-                [basis.c_at_hi[0] - basis.s_at_hi[0], omega.at_hi[0]],
+                [zero.c_at_lo - zero.s_at_lo, omega.at_lo[0]],
+                [zero.c_at_hi - zero.s_at_hi, omega.at_hi[0]],
             ]
         )
-        b = np.array([-basis.s_at_lo[0], -basis.s_at_hi[0]])
+        b = np.array(
+            [-(basis.at_lo[0] + zero.s_at_lo), -(basis.at_hi[0] + zero.s_at_hi)]
+        )
         x, eps = np.linalg.solve(a, b)
         assert result.x_coeffs[0] == pytest.approx(x, rel=1e-12)
         assert result.energy == pytest.approx(eps, rel=1e-12)
@@ -197,6 +209,22 @@ class TestSolveOrder:
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
         assert result.energy == pytest.approx(PI / 2, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "breakpoints, heights",
+        [
+            ((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)),
+            ((0.0, 0.7, 1.5, 2.1, 3.0), (0.0, 12.0, 3.0, 20.0)),
+        ],
+    )
+    def test_condition_is_the_same_at_every_order(self, breakpoints, heights):
+        # the matrix holds zero-order values only; no order rebuilds a
+        # column by cancellation
+        spec = PotentialSpec(breakpoints, heights)
+        pert = PerturbationSpec(tuple((0.0, 1.0) for _ in heights))
+        series = run_series(spec, pert, (0.05, 10.0), 12, max_states=1).states[0]
+        assert len(series.orders) == 12
+        assert len({order.condition for order in series.orders}) == 1
 
     def test_condition_limit_triggers_paradox_flag(self):
         state = box_state()
@@ -305,8 +333,7 @@ class TestRunSeries:
             run_series(spec, pert, (0.5, 10.0), 1)
 
     def test_stage_labels_on_failure(self, box_spec):
-        # an obstructed anchor at every retry position is impossible, but a
-        # window with no roots must surface the scan stage cleanly
+        # a window with no roots gives no states, not a stage failure
         pert = PerturbationSpec(((0.3,),))
         result = run_series(box_spec, pert, (30.0, 35.0), 1)
         assert result.states == ()
@@ -317,6 +344,20 @@ class TestRunSeries:
         with pytest.raises(PipelineError) as info:
             run_series(n1_step_spec, pert, (0.05, 10.0), 1, max_states=1, tol=strict)
         assert info.value.stage.startswith("S5")
+
+
+@pytest.mark.parametrize(
+    "x_min, width, height", [(0.0, PI, 0.0), (-1.3, 0.7, 25.0), (2.0, 4.5, -3.0)]
+)
+def test_midpoint_split_of_a_box_has_unit_c_plus_d(x_min, width, height):
+    # psi = sin(k (x - x_min)) gives (c, d) proportional to
+    # (sin(n pi/2), k cos(n pi/2)) at the midpoint: one of them vanishes
+    spec = PotentialSpec((x_min, x_min + width), (height,))
+    split = spec.with_fictitious_breakpoint(x_min + 0.5 * width)
+    for n in range(1, 13):
+        state = match_coefficients(split, height + (n * PI / width) ** 2)
+        c, d = state.coeffs[0]
+        assert abs(c + d) >= 0.99
 
 
 class TestStress:
@@ -330,6 +371,17 @@ class TestStress:
                 double_well_spec, pert, lam, series.energy_at(lam)
             )
             assert abs(series.energy_at(lam) - exact) < tol
+
+    def test_ill_conditioned_well_through_order_five(self):
+        # matching condition about 2.5e4 at the ground state; keeps out
+        # forms that lose accuracy there (free per-domain (a_j, b_j) with a
+        # bordered gauge row gave 7.8e-12)
+        spec = PotentialSpec((0.0, 0.38, 1.33, 3.2), (22.6, 40.0, 5.19))
+        pert = PerturbationSpec(tuple((0.0, 0.35) for _ in spec.heights))
+        series = run_series(spec, pert, (5.2, 60.0), 5, max_states=1).states[0]
+        lam = 0.05
+        exact = exact_perturbed_energy(spec, pert, lam, series.energy_at(lam))
+        assert abs(exact - series.energy_at(lam)) < 1e-12
 
     def test_distinct_interval_polynomials(self, double_well_spec):
         pert = PerturbationSpec(((1.0, 0.5), (0.0, 0.0, 0.3), (2.0,)))
