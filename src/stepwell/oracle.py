@@ -171,6 +171,8 @@ _FUDGE = 2.1
 # Largest |b^2 / pivot| an elimination may form, relative to a bound on
 # ||T||, before that shift is counted again row by row.
 _GROWTH = 16.0
+# Points of the halving chain that _lowest_eigenvalues counts in one call.
+_CHAIN_BLOCK = 8
 
 
 def _pivmin(off2: np.ndarray) -> float:
@@ -241,6 +243,13 @@ def _lowest_eigenvalues(diag: np.ndarray, offdiag: np.ndarray, count: int) -> np
     widened Gershgorin interval down to dstebz's own tolerance: until the
     interval is narrower than eps max(|Gershgorin end|) (at least pivmin)
     or 2 eps times its ends.  Returns the midpoints.
+
+    Every eigenvalue halves the top down along one chain while its points
+    count all ``count`` levels below.  The chain is made first and counted
+    from its bottom up, _CHAIN_BLOCK points a call, so that its points in
+    the bulk, where the count runs row by row, are never evaluated;
+    bisection from its lowest point that counts all levels visits the same
+    midpoints as from the Gershgorin top.
     """
     off2 = offdiag * offdiag
     radius = np.abs(np.concatenate([offdiag, [0.0]])) + np.abs(np.concatenate([[0.0], offdiag]))
@@ -248,9 +257,20 @@ def _lowest_eigenvalues(diag: np.ndarray, offdiag: np.ndarray, count: int) -> np
     tnorm = max(abs(gl), abs(gu))
     pivmin = _pivmin(off2)
     pad = _FUDGE * (tnorm * _EPS * len(diag) + pivmin)
-    lo = np.full(count, gl - pad - _FUDGE * pivmin)
-    hi = np.full(count, gu + pad)
+    bottom = gl - pad - _FUDGE * pivmin
     atol = max(_EPS * tnorm, pivmin)
+    chain = [gu + pad]
+    while chain[-1] - bottom >= max(atol, 2.0 * _EPS * max(abs(bottom), abs(chain[-1]))):
+        chain.append(0.5 * (bottom + chain[-1]))
+    top = chain[0]
+    for end in range(len(chain), 1, -_CHAIN_BLOCK):
+        block = chain[max(1, end - _CHAIN_BLOCK) : end]
+        full = np.flatnonzero(_negative_count(diag, off2, block) >= count)
+        if len(full):
+            top = block[full[-1]]
+            break
+    lo = np.full(count, bottom)
+    hi = np.full(count, top)
     index = np.arange(count)
     while True:
         width = np.maximum(atol, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))

@@ -16,7 +16,8 @@ sine-like solution from the left wall vanishing at the right wall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,20 +168,25 @@ def build_domain_basis(
     )
 
 
-def _local_series(spec, interval, anchor, energy, m) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients h_0..h_m about ``anchor`` of the cosine-like and
-    sine-like solutions on ``interval`` ((value, slope) = (1, 0) and (0, 1)
+def _reanchored(spec, interval, anchor) -> list[float]:
+    """The zero-order polynomial of ``interval`` in powers of x - anchor."""
+    polys = spec.zero_order_polys or ((0.0,),) * spec.n_intervals
+    return reanchor_poly(polys[interval], anchor).tolist()
+
+
+def _local_series(v, height, energy, m) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients h_0..h_m about an anchor of the cosine-like and
+    sine-like solutions on an interval ((value, slope) = (1, 0) and (0, 1)
     there): (n+2)(n+1) h_{n+2} = sum_l v_l h_{n-l} for -psi'' + v(t) psi = 0,
-    with v = V - E in powers of t = x - anchor.
+    with v = V - E in powers of t = x - anchor.  ``v`` is the interval's
+    polynomial in those powers (_reanchored) and ``height`` its height.
 
     ``energy`` is a scalar, giving two arrays of shape (m + 1,), or a 1-D
     array of M energies, giving shape (M, m + 1).
     """
-    polys = spec.zero_order_polys or ((0.0,),) * spec.n_intervals
-    v = reanchor_poly(polys[interval], anchor).tolist()
     pairs = []
     for e in np.atleast_1d(energy).tolist():
-        ve = [v[0] + (spec.heights[interval] - e)] + v[1:]
+        ve = [v[0] + (height - e)] + v[1:]
         pair = ([1.0, 0.0], [0.0, 1.0])
         for n in range(m - 1):
             for h in pair:
@@ -231,7 +237,8 @@ def series_local_basis(
     pieces = {}
     values = {}
     for side, interval, endpoint in (("left", j - 1, x_lo), ("right", j, x_hi)):
-        for kind, coeffs in zip("cs", _local_series(spec, interval, anchor, energy, m + 10)):
+        v = _reanchored(spec, interval, anchor)
+        for kind, coeffs in zip("cs", _local_series(v, spec.heights[interval], energy, m + 10)):
             piece = TaylorPiece(anchor, coeffs)
             t = endpoint - anchor
             powers = t ** np.arange(m + 11)
@@ -279,15 +286,17 @@ def _stacked_matrices(c_lo, s_lo, c_hi, s_hi) -> np.ndarray:
     row (j, right) the mirror image at L_{j+1}, with c(0) = c(N+1) = 0.
     """
     m, n = np.shape(c_lo)
-    a = np.zeros((m, 2 * n, 2 * n))
-    j = 2 * np.arange(n)
-    a[:, j, j] = c_lo
-    a[:, j, j + 1] = s_lo
-    a[:, j + 1, j] = c_hi
-    a[:, j + 1, j + 1] = s_hi
-    a[:, j[1:], j[1:] - 2] = -1.0
-    a[:, j[:-1] + 1, j[:-1] + 2] = -1.0
-    return a
+    # in the flattened matrix each entry kind is a strided slice: entry
+    # (2j + r, 2j + c) sits at 2j (2N + 1) + 2N r + c
+    a = np.zeros((m, 4 * n * n))
+    step = 4 * n + 2
+    a[:, 0::step] = c_lo
+    a[:, 1::step] = s_lo
+    a[:, 2 * n :: step] = c_hi
+    a[:, 2 * n + 1 :: step] = s_hi
+    a[:, 4 * n :: step] = -1.0  # (2j, 2j - 2), j = 1..N-1
+    a[:, 2 * n + 2 :: step] = -1.0  # (2j + 1, 2j + 2), j = 0..N-2
+    return a.reshape(m, 2 * n, 2 * n)
 
 
 def _row_normalized(a: np.ndarray) -> np.ndarray:
@@ -313,7 +322,8 @@ def matching_matrix(
 def _box_sine_value(spec, energy, series_m=None) -> float:
     """Power-series sine-like solution from the left wall, evaluated at the
     right wall (N = 0)."""
-    coeffs = _local_series(spec, 0, spec.x_min, energy, (series_m or 80) + 10)[1]
+    v = _reanchored(spec, 0, spec.x_min)
+    coeffs = _local_series(v, spec.heights[0], energy, (series_m or 80) + 10)[1]
     return TaylorPiece(spec.x_min, coeffs).eval(spec.x_max)
 
 
@@ -511,9 +521,10 @@ def _trig_angle(spec, energies, path, tol) -> np.ndarray:
     return theta
 
 
-def _series_angle(spec, energies, path, m) -> np.ndarray:
-    """Pruefer angle tan(theta) = psi / psi' at the end of ``path`` for the
-    power-series backend, shot from a wall.
+def _series_angle(energies, legs, m) -> np.ndarray:
+    """Pruefer angle tan(theta) = psi / psi' at the end of a path for the
+    power-series backend, shot from a wall.  ``legs`` holds _angle_sum's
+    (width, potential range, _reanchored polynomial, height) of each leg.
 
     One series per interval, expanded where the path enters it, is sampled
     at steps of length h with h sqrt(A) <= 2, A the largest |E - V| on the
@@ -524,14 +535,11 @@ def _series_angle(spec, energies, path, m) -> np.ndarray:
     same float at it.
     """
     n = np.arange(m + 1)
-    legs = [
-        (x1 - x0, _potential_range(spec, i), *_local_series(spec, i, x0, energies, m))
-        for i, x0, x1 in path
-    ]
+    series = [_local_series(v, height, energies, m) for _, _, v, height in legs]
     angles = []
     for k, e in enumerate(energies.tolist()):
         psi, slope, sign, zeros = 0.0, 1.0, 1.0, 0
-        for width, (v_lo, v_hi), c, s in legs:
+        for (width, (v_lo, v_hi), _, _), (c, s) in zip(legs, series):
             steps = max(1, math.ceil(abs(width) * math.sqrt(max(e - v_lo, v_hi - e)) / 2))
             powers = np.linspace(0.0, width, steps + 1)[1:, None] ** n
             weights = n[1:] * width ** n[:-1]
@@ -548,14 +556,22 @@ def _series_angle(spec, energies, path, m) -> np.ndarray:
     return np.array(angles)
 
 
-def _half_turns(spec, energies, tol, series_m) -> np.ndarray:
-    """(theta_L + theta_R) / pi at a 1-D array of energies, the angle sum
-    that sturm_count floors and find_eigenvalues refines."""
+def _angle_sum(spec, tol, series_m):
+    """The function that gives (theta_L + theta_R) / pi at a 1-D array of
+    energies, the angle sum that sturm_count floors and find_eigenvalues
+    refines.  The paths, and for the power-series backend each leg's width,
+    potential range and re-expanded polynomial, do not depend on the energy
+    and are built here, once for every energy the function is given."""
+    paths = _shots(spec)
     if spec.zero_order_polys is None:
-        theta = sum(_trig_angle(spec, energies, path, tol) for path in _shots(spec))
-    else:
-        theta = sum(_series_angle(spec, energies, path, series_m or 80) for path in _shots(spec))
-    return theta / np.pi
+        return lambda energies: sum(_trig_angle(spec, energies, path, tol) for path in paths) / np.pi
+    legs = [
+        [(x1 - x0, _potential_range(spec, i), _reanchored(spec, i, x0), spec.heights[i])
+         for i, x0, x1 in path]
+        for path in paths
+    ]
+    m = series_m or 80
+    return lambda energies: sum(_series_angle(energies, path, m) for path in legs) / np.pi
 
 
 def sturm_count(
@@ -582,7 +598,7 @@ def sturm_count(
     e = np.asarray(energies, dtype=float)
     if e.ndim > 1:
         raise ValueError("energies must be a scalar or a one-dimensional array")
-    counts = np.floor(_half_turns(spec, np.atleast_1d(e), tol, series_m)).astype(int)
+    counts = np.floor(_angle_sum(spec, tol, series_m)(np.atleast_1d(e))).astype(int)
     return int(counts[0]) if e.ndim == 0 else counts
 
 
@@ -722,11 +738,12 @@ def _refined_crossings(spec, grid, tol, series_m) -> np.ndarray:
     crosses n + 1 (in units of pi).  The first cell whose upper end counts
     past n brackets level n, because the count can only rise; one brentq
     call refines every bracket in lock-step, with per-lane targets n + 1."""
-    counts = np.floor(_half_turns(spec, grid, tol, series_m)).astype(int)
+    half_turns = _angle_sum(spec, tol, series_m)
+    counts = np.floor(half_turns(grid)).astype(int)
     n = np.arange(counts[0], counts[-1])
     hi = np.searchsorted(np.maximum.accumulate(counts), n, side="right")
     roots = brentq(
-        lambda energies: _half_turns(spec, energies, tol, series_m),
+        half_turns,
         grid[hi - 1],
         grid[hi],
         xtol=tol.refine_xtol,
@@ -818,18 +835,26 @@ def find_eigenvalues(
 
 
 class _LazyBases:
-    """A matched state's domain bases 1..N, built on first access with the
-    match's tolerances and truncation: only the perturbation series, the
-    Wronskian check and MatchedState.domain_piece read the pieces."""
+    """A closed-form matched state's domain bases 1..N, built on first
+    access with the match's tolerances: only the perturbation series, the
+    Wronskian check and MatchedState.domain_piece read the pieces.  It
+    also keeps the kernel's local frequencies at the state's energy, from
+    which MatchedState.overlap_gap is evaluated without building a piece."""
 
-    def __init__(self, spec, energy, tol, series_m) -> None:
-        self._args = (spec, energy, tol, series_m)
+    def __init__(self, spec, energy, tol, beta) -> None:
+        self._args = (spec, energy, tol)
+        self._beta = beta
         self._bases = None
 
     def _built(self) -> tuple[DomainBasis, ...]:
         if self._bases is None:
             self._bases = tuple(_domain_bases(*self._args))
         return self._bases
+
+    def on_overlaps(self, coeffs):
+        """overlap_gap's ``values`` for the state with these coefficients."""
+        spec, _, tol = self._args
+        return _trig_on_overlaps(spec, self._beta, coeffs, tol)
 
     def __len__(self) -> int:
         return self._args[0].n_interior
@@ -848,14 +873,11 @@ class MatchedState:
     coeffs[j - 1] = (c(j), d(j)) for domains j = 1..N, normalized to a unit
     Euclidean null vector with the first nonzero component positive.
     c(0) = c(N+1) = 0 are implicit.  residual is the largest row residual
-    of the row-normalized matching system; overlap_gap is the worst
-    disagreement of adjacent domain representations on their shared
-    interval (machine-small for genuine eigenvalues, order one for the
-    spurious sub-interval-resonance zeros).  The null vector comes from the
+    of the row-normalized matching system.  The null vector comes from the
     matching kernel's boundary values; ``bases`` is a sequence of the
     domains' DomainBasis, which match_coefficients builds on first access
-    for closed-form specs (with its tol and series_m) and passes on from
-    the kernel for the power-series backend.
+    for closed-form specs (with its tol) and passes on from the kernel for
+    the power-series backend (built with its series_m).
     """
 
     spec: PotentialSpec
@@ -863,7 +885,20 @@ class MatchedState:
     coeffs: np.ndarray
     bases: tuple[DomainBasis, ...] | _LazyBases
     residual: float
-    overlap_gap: float = 0.0
+
+    @cached_property
+    def overlap_gap(self) -> float:
+        """Worst disagreement of adjacent domain representations on their
+        shared interval (the module's overlap_gap): machine-small for genuine
+        eigenvalues, order one for the spurious sub-interval-resonance
+        zeros.  Computed on first read; a closed-form match evaluates it
+        from the kernel's local frequencies with its own tol, other bases
+        from their pieces (TaylorPiece.eval takes no tolerance)."""
+        if isinstance(self.bases, _LazyBases):
+            values = self.bases.on_overlaps(self.coeffs)
+        else:
+            values = pieces_on_overlaps(self.domain_pieces())
+        return overlap_gap(self.spec, values)
 
     @property
     def n_domains(self) -> int:
@@ -1005,8 +1040,9 @@ def match_coefficients(
     NotARootError when the energy is not a root to within root_tol,
     DegeneracyParadoxError when the null space is not simple, and
     NormalizationObstructionError when some c(j) + d(j) vanishes, which
-    would block the order-k rescaling downstream.  The overlap_gap
-    diagnostic records whether adjacent representations actually agree.
+    would block the order-k rescaling downstream.  The state's overlap_gap
+    diagnostic, whether adjacent representations actually agree, is
+    computed on its first read, not here.
     """
     if spec.n_interior == 0:
         raise SchemaError(
@@ -1021,10 +1057,5 @@ def match_coefficients(
                 "rescaling is impossible for this state"
             )
     closed_form = spec.zero_order_polys is None
-    bases = _LazyBases(spec, float(energy), tol, series_m) if closed_form else tuple(source)
-    state = MatchedState(spec, float(energy), coeffs, bases, residual)
-    if closed_form:
-        values = _trig_on_overlaps(spec, source, coeffs, tol)
-    else:
-        values = pieces_on_overlaps(state.domain_pieces(), tol=tol)
-    return replace(state, overlap_gap=overlap_gap(spec, values))
+    bases = _LazyBases(spec, float(energy), tol, source) if closed_form else tuple(source)
+    return MatchedState(spec, float(energy), coeffs, bases, residual)

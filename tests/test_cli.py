@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -315,3 +316,45 @@ class TestValidate:
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+# sha256 of each command's output on the fixtures, tilted by V1 = x.  A
+# change that moves these bytes on purpose updates the hash here and says
+# so in CHANGES.md.  Another libm or LAPACK build may move the last digits.
+GOLDEN_FIXTURES = {
+    "box": {"breakpoints": [0, PI], "heights": [0]},
+    "step": {"breakpoints": [0, 1, 2], "heights": [0, 5]},
+    "double_well": {"breakpoints": [0, 1, 2, PI], "heights": [0, 10, 0]},
+}
+GOLDEN_COMMANDS = {
+    "scan": ["--k-lo", "0.5", "--k-hi", "3.5"],
+    "spectrum": [],
+    "perturb": ["--orders", "4"],
+    "validate": [],
+}
+GOLDEN_SHA256 = {
+    "box_scan": "a6c2f954ea1f144621f700b5e319bdfa53501e7b8fcc736cf36d630c51beb2d8",
+    "box_spectrum": "49298a30c96eb59aea85d0dc07a21bd5a92f7804b37bbe78d57e2e7655b6e011",
+    "box_perturb": "5a6d09ef987a2882d1c9da235cf3d771abc626314203fc233bdecb3eaa551f55",
+    "box_validate": "9e6cde3234e823b3b21e5a8db28ba228ea4b66e03f39154fa4669b5636e0d0a4",
+    "step_scan": "ce782efd078d10ca1e8639bd068e943daa3852b62c55bb9f01fc8b8a8ee7533e",
+    "step_spectrum": "cca9e22c3d2ea4609254605085967ee696084f7d38881c6296d9db8d859e66a7",
+    "step_perturb": "4c57320fdadc8bf6bf52435480631a5af832a438d793cbb1878e11636948df9f",
+    "step_validate": "ffad77f6dd3bc022ddc18ed3d216f885594acbc6e2ef3e65b678b346d5a91653",
+    "double_well_scan": "2fe9d1882a0be2b0f2a860307c9c3fdbc6672c9a75e1a5772e1acddebbf3197a",
+    "double_well_spectrum": "3f62b64436b5c56c40e8a5f0ca47e126e94e601a43256e6e23de12df27743c37",
+    "double_well_perturb": "15438f815b02a4443734e9a1eed1e2d495083b24bfe343df85d44e26d1d0d8f4",
+    "double_well_validate": "e036de187a7f8595e7442b60b50a67e7f47800a6ae425f105db85310c318ed85",
+}
+
+
+def test_output_bytes_on_the_fixtures(tmp_path):
+    moved = []
+    for geometry, obj in GOLDEN_FIXTURES.items():
+        spec = write_spec(tmp_path, {**obj, "perturbation": {"global_poly": [0, 1]}}, f"{geometry}.json")
+        for command, extra in GOLDEN_COMMANDS.items():
+            out = tmp_path / f"{geometry}_{command}.out"
+            assert main([command, "--spec", spec, *extra, "--out", str(out)]) == 0, out.name
+            if hashlib.sha256(out.read_bytes()).hexdigest() != GOLDEN_SHA256[out.stem]:
+                moved.append(out.name)
+    assert not moved, f"output bytes moved: {moved}"

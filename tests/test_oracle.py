@@ -195,6 +195,31 @@ def _stebz_tolerance(gh):
     return EPS * max(abs(np.min(gh.diag - radius)), abs(np.max(gh.diag + radius)))
 
 
+def _plain_bisection(diag, offdiag, count):
+    """_lowest_eigenvalues as plain bisection: every eigenvalue in lock-step
+    from dstebz's widened Gershgorin interval, the top included."""
+    off2 = offdiag * offdiag
+    radius = np.abs(np.concatenate([offdiag, [0.0]])) + np.abs(np.concatenate([[0.0], offdiag]))
+    gl, gu = float(np.min(diag - radius)), float(np.max(diag + radius))
+    tnorm = max(abs(gl), abs(gu))
+    pivmin = oracle._pivmin(off2)
+    pad = oracle._FUDGE * (tnorm * EPS * len(diag) + pivmin)
+    lo = np.full(count, gl - pad - oracle._FUDGE * pivmin)
+    hi = np.full(count, gu + pad)
+    atol = max(EPS * tnorm, pivmin)
+    index = np.arange(count)
+    while True:
+        width = np.maximum(atol, 2.0 * EPS * np.maximum(np.abs(lo), np.abs(hi)))
+        active = np.flatnonzero(hi - lo >= width)
+        if not len(active):
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[active] + hi[active])
+        shifts, lane = np.unique(mid, return_inverse=True)
+        above = _negative_count(diag, off2, shifts)[lane] > index[active]
+        hi[active[above]] = mid[above]
+        lo[active[~above]] = mid[~above]
+
+
 # small integers make equal entries, exact cancellations and zero pivots likely
 _ENTRIES = st.floats(-100.0, 100.0) | st.integers(-3, 3).map(float)
 
@@ -276,17 +301,34 @@ class TestSturmCount:
 
     @pytest.mark.parametrize("name", FD_WELLS)
     def test_row_by_row_only_inside_the_bulk(self, name, monkeypatch):
-        # the growth guard sends a shift to the slow row-by-row count; on the
-        # way to the low end only the first two trial points of each grid (the
-        # middle and the quarter of the Gershgorin interval) may go there
+        # the growth guard sends a shift to the slow row-by-row count; the
+        # halving chain is counted from its bottom up, so no trial point on
+        # the way to the low end goes there
         counted = []
         row_count = oracle._row_count
         monkeypatch.setattr(
             oracle, "_row_count", lambda *args: counted.append(args[2]) or row_count(*args)
         )
-        fd = fd_eigenvalues(FD_WELLS[name], m=3000, count=6)
-        assert len(counted) <= 4
-        assert all(shift > 1e3 * fd.fine[-1] for shift in counted)
+        fd_eigenvalues(FD_WELLS[name], m=3000, count=6)
+        assert not counted
+
+    BISECTION_WELLS = [*FD_WELLS.values()] + [
+        PotentialSpec(
+            tuple(np.cumsum(np.r_[0.0, rng.uniform(0.2, 1.5, n)])), tuple(rng.uniform(0.0, 30.0, n))
+        )
+        for rng, n in ((np.random.default_rng(41), 3), (np.random.default_rng(42), 5))
+    ]
+
+    @pytest.mark.parametrize("spec", BISECTION_WELLS)
+    def test_lowest_eigenvalues_equal_plain_bisection(self, spec):
+        # starting at the bottom of the halving chain visits the midpoints
+        # that bisection from the Gershgorin top visits
+        pert = PerturbationSpec(tuple((0.0, 0.8) for _ in spec.heights))
+        for lam, refine, count in ((0.0, 1, 6), (0.3, 2, 4), (0.0, 2, 1)):
+            gh = build_grid_hamiltonian(spec, pert, lam, m=3000, refine=refine)
+            got = _lowest_eigenvalues(gh.diag, gh.offdiag, count)
+            want = _plain_bisection(gh.diag, gh.offdiag, count)
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
 
 
 class TestFirstOrderIntegral:

@@ -25,7 +25,7 @@ from stepwell import (
     solve_order,
 )
 from stepwell.perturbation import equation_residual
-from stepwell.zero_order import MatchedState
+from stepwell.zero_order import MatchedState, overlap_gap, pieces_on_overlaps
 
 PI = math.pi
 
@@ -288,6 +288,29 @@ class TestRunSeries:
             assert diag["max_matching_residual"] < 1e-9
             assert diag["max_boundary_residual"] < 1e-9
             assert diag["max_overlap_gap"] < 1e-8
+
+    @pytest.mark.parametrize(
+        "spec, gaps",
+        [
+            (
+                PotentialSpec((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)),
+                ["0x1.8p-51", "0x1.d8p-51", "0x1.8p-53"],
+            ),
+            (
+                PotentialSpec((0.0, 0.7, 1.5, 2.1, 3.0), (0.0, 12.0, 3.0, 20.0)),
+                ["0x1.2p-51", "0x1.5p-52", "0x1.ep-53"],
+            ),
+        ],
+    )
+    def test_zero_order_overlap_gap_is_the_matched_states(self, spec, gaps):
+        # the values the match filled in eagerly, before the gap was lazy
+        pert = PerturbationSpec(tuple((0.0, 1.0) for _ in spec.heights))
+        result = run_series(spec, pert, (0.05, 40.0), 2, max_states=3)
+        diagnostics = [series.diagnostics()["zero_order_overlap_gap"] for series in result.states]
+        assert diagnostics == [float.fromhex(g) for g in gaps]
+        for series, gap in zip(result.states, diagnostics):
+            state = match_coefficients(spec, series.matched.energy)
+            assert gap == overlap_gap(spec, pieces_on_overlaps(state.domain_pieces()))
 
     def test_sign_convention_invariance(self, n1_step_spec):
         from stepwell import find_eigenvalues

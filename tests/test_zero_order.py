@@ -732,6 +732,46 @@ class TestOneMatchingKernel:
         list(state.bases)
         assert sorted(args[2] for args, _ in builds) == [1, 2, 3]
 
+    POLY_WELL = PotentialSpec(
+        (0.0, 0.8, 1.5, 2.2, PI), (0.0, 0.0, 1.0, 0.0), zero_order_polys=((0.0, 2.0),) * 4
+    )
+
+    @pytest.mark.parametrize("spec", WELLS + [POLY_WELL])
+    def test_overlap_gap_is_evaluated_on_first_read_only(self, spec, monkeypatch):
+        energies = self.levels(spec)
+        gaps = _counting(monkeypatch, zero_order, "overlap_gap")
+        states = [match_coefficients(spec, energy) for energy in energies]
+        assert not gaps
+        for i, state in enumerate(states, start=1):
+            assert state.overlap_gap == state.overlap_gap
+            assert len(gaps) == i
+
+    @pytest.mark.parametrize("spec", WELLS)
+    def test_lazy_overlap_gap_keeps_the_tolerances(self, spec, monkeypatch):
+        tol = replace(DEFAULT_TOL, reality_rtol=1e-9, beta_min=1e-7)
+        for energy in self.levels(spec, tol=tol):
+            state = match_coefficients(spec, energy, tol=tol)
+            trig = _counting(monkeypatch, zero_order, "trig_values")
+            gap = state.overlap_gap
+            assert [kwargs["tol"] for _, kwargs in trig] == [tol]
+            monkeypatch.undo()
+            pieces = zero_order.pieces_on_overlaps(state.domain_pieces(), tol=tol)
+            assert gap == zero_order.overlap_gap(spec, pieces)
+
+    def test_lazy_series_overlap_gap_keeps_the_truncation(self, monkeypatch):
+        spec = self.POLY_WELL
+        for energy in self.levels(spec, series_m=60):
+            state = match_coefficients(spec, energy, series_m=60)
+            read = _counting(monkeypatch, zero_order, "pieces_on_overlaps")
+            gap = state.overlap_gap
+            assert all(len(piece.coeffs) == 71 for pair in read[0][0][0] for piece in pair)
+            monkeypatch.undo()
+            pieces = []
+            for j, (c, d) in enumerate(state.coeffs, start=1):
+                basis = build_domain_basis(spec, energy, j, series_m=60)
+                pieces.append((c * basis.c_left + d * basis.s_left, c * basis.c_right + d * basis.s_right))
+            assert gap == zero_order.overlap_gap(spec, zero_order.pieces_on_overlaps(pieces))
+
     @pytest.mark.parametrize("spec", WELLS[:2])
     def test_match_near_a_height_is_degenerate(self, spec):
         for energy in (spec.heights[1], spec.heights[1] + 0.5 * DEFAULT_TOL.beta_min**2):
@@ -1004,12 +1044,27 @@ class TestLevelsFromTheAngle:
         assert len(find_eigenvalues(spec, 0.05, 30.0).energies) == 5
         assert len(evaluations) <= 8
 
+    def test_paths_are_built_once_per_call(self, double_well_spec, monkeypatch):
+        # not once per angle evaluation: the refinement takes many steps
+        shots = _counting(monkeypatch, zero_order, "_shots")
+        reanchored = _counting(monkeypatch, zero_order, "_reanchored")
+        steps = _counting(monkeypatch, zero_order, "_series_angle")
+        assert len(find_eigenvalues(double_well_spec, 0.05, 40.0).energies) >= 5
+        sturm_count(double_well_spec, np.linspace(1.0, 40.0, 5))
+        assert len(shots) == 2
+        assert len(find_eigenvalues(self.TILTED, 0.5, 60.0, series_m=60).energies) == 7
+        assert len(shots) == 3
+        # one re-expansion per leg: (0, mid) from the left, (pi, 1.5) and (1.5, mid) from the right
+        assert len(reanchored) == 3
+        assert len(steps) > 10
+
     def test_angle_is_a_function_of_the_energy(self, double_well_spec):
         # a grid call and a refinement step must read the same float at an energy
         energies = np.linspace(0.3, 45.0, 37)
         for spec, m in ((double_well_spec, None), (self.TILTED, 60)):
-            together = zero_order._half_turns(spec, energies, DEFAULT_TOL, m)
-            alone = [zero_order._half_turns(spec, energies[i : i + 1], DEFAULT_TOL, m)[0] for i in range(37)]
+            half_turns = zero_order._angle_sum(spec, DEFAULT_TOL, m)
+            together = half_turns(energies)
+            alone = [half_turns(energies[i : i + 1])[0] for i in range(37)]
             assert together.tolist() == alone
 
     def test_three_point_window_around_each_series_level(self):
