@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -471,23 +471,43 @@ def reference_floor(spec: PotentialSpec) -> float:
     return min(_potential_range(spec, i)[0] for i in range(spec.n_intervals))
 
 
-def _shots(spec: PotentialSpec) -> tuple[list, list]:
+def _shots(spec: PotentialSpec, c: int) -> tuple[list, list]:
     """Paths from the left and the right wall to the matching point, the
-    middle of the lowest interval, as (interval, x_from, x_to) in order.
-    Every level below the second-lowest height lives there, and the angle
-    sum is smooth at it; a state that decays toward the matching point
-    through a barrier kappa w makes the sum step by pi over a range of
-    order exp(-2 kappa w), which refinement can only bisect."""
+    middle of interval c, as (interval, x_from, x_to) in order.  The angle
+    sum is smooth at a level where its state is large at the matching
+    point; a state that decays toward it through a barrier kappa w makes
+    the sum step by pi over a range of order exp(-2 kappa w), which
+    refinement can only bisect.  The lowest interval is the default, and
+    find_eigenvalues moves a level whose sum steps to another interval."""
     bp = spec.breakpoints
-    c = int(np.argmin(spec.heights))
     mid = 0.5 * (bp[c] + bp[c + 1])
     left = [(i, bp[i], bp[i + 1]) for i in range(c)] + [(c, bp[c], mid)]
     right = [(i, bp[i + 1], bp[i]) for i in range(spec.n_intervals - 1, c, -1)]
     return left, right + [(c, bp[c + 1], mid)]
 
 
-def _trig_angle(spec, energies, path, tol) -> np.ndarray:
-    """Modified Pruefer angle at the end of ``path``, shot from a wall.
+# height of a zero-width leg that pads the shorter shot in front: below any
+# energy, so the leg is oscillatory and keeps theta = 0 exactly
+_PAD_HEIGHT = -1e300
+
+
+def _trig_legs(spec, c) -> tuple[np.ndarray, np.ndarray]:
+    """_trig_angle's heights and widths of both shots to matching point c,
+    each of shape (legs, 2, 1), the shorter shot padded in front."""
+    paths = _shots(spec, c)
+    n = max(len(path) for path in paths)
+    heights = np.full((n, 2, 1), _PAD_HEIGHT)
+    widths = np.zeros((n, 2, 1))
+    for row, path in enumerate(paths):
+        for j, (i, x0, x1) in enumerate(path, start=n - len(path)):
+            heights[j, row], widths[j, row] = spec.heights[i], abs(x1 - x0)
+    return heights, widths
+
+
+def _trig_angle(energies, legs, tol) -> np.ndarray:
+    """Modified Pruefer angles at the matching point, one row per shot of
+    ``legs`` (_trig_legs: row 0 from the left wall, row 1 from the right),
+    the shots swept together leg by leg.
 
     tan(theta) = S psi / psi', psi' taken along the path, with the scale
     S = sqrt|E - H_i| on interval i (1 where E is within beta_min^2 of
@@ -497,25 +517,31 @@ def _trig_angle(spec, energies, path, tol) -> np.ndarray:
     evanescent one shrinks tan(theta - pi/4) (mod pi) by exp(-2 kappa w)
     toward the growing solution, and a flat one adds w to tan(theta).
     """
-    theta = np.zeros(len(energies))
+    theta = np.zeros((legs[0].shape[1], len(energies)))
     s_old = None
-    for i, x0, x1 in path:
-        q = energies - spec.heights[i]
-        flat = np.abs(q) <= tol.beta_min**2
-        s = np.where(flat, 1.0, np.sqrt(np.abs(q)))
+    for height, w in zip(*legs):
+        q = energies - height
+        size = np.abs(q)
+        flat = size <= tol.beta_min**2
+        some_flat = flat.any()
+        s = np.where(flat, 1.0, np.sqrt(size)) if some_flat else np.sqrt(size)
         if s_old is not None:
             # a change of scale keeps every multiple of pi / 2 in place
             k = np.floor(theta / np.pi) * np.pi
-            theta = k + np.arctan2(s * np.sin(theta - k), s_old * np.cos(theta - k))
-        w = abs(x1 - x0)
-        advanced = theta + s * w
-        if (q < 0).any():
-            k = np.floor(theta / np.pi + 0.25) * np.pi + np.pi / 4
-            decayed = np.arctan2(np.sin(theta - k) * np.exp(-2 * s * w), np.cos(theta - k))
-            advanced = np.where(q < 0, k + decayed, advanced)
-        if flat.any():
+            r = theta - k
+            theta = k + np.arctan2(s * np.sin(r), s_old * np.cos(r))
+        sw = s * w
+        advanced = theta + sw
+        below = q < 0
+        if below.any():
+            t = theta[below]
+            k = np.floor(t / np.pi + 0.25) * np.pi + np.pi / 4
+            r = t - k
+            advanced[below] = k + np.arctan2(np.sin(r) * np.exp(-2 * sw[below]), np.cos(r))
+        if some_flat:
             k = np.floor(theta / np.pi + 0.5) * np.pi
-            linear = k + np.arctan2(np.sin(theta - k) + w * np.cos(theta - k), np.cos(theta - k))
+            r = theta - k
+            linear = k + np.arctan2(np.sin(r) + w * np.cos(r), np.cos(r))
             advanced = np.where(flat, linear, advanced)
         theta, s_old = advanced, s
     return theta
@@ -557,21 +583,33 @@ def _series_angle(energies, legs, m) -> np.ndarray:
 
 
 def _angle_sum(spec, tol, series_m):
-    """The function that gives (theta_L + theta_R) / pi at a 1-D array of
-    energies, the angle sum that sturm_count floors and find_eigenvalues
-    refines.  The paths, and for the power-series backend each leg's width,
-    potential range and re-expanded polynomial, do not depend on the energy
-    and are built here, once for every energy the function is given."""
-    paths = _shots(spec)
+    """The function half_turns(energies, c) that gives (theta_L + theta_R)
+    / pi at a 1-D array of energies, matched in the middle of interval c
+    (by default the lowest): the angle sum that sturm_count floors and
+    find_eigenvalues refines.  Nothing but the angles depends on the
+    energy: each matching point's legs are built on its first use, and for
+    the power-series backend each interval's potential range and
+    re-expanded polynomials once, shared by every matching point."""
     if spec.zero_order_polys is None:
-        return lambda energies: sum(_trig_angle(spec, energies, path, tol) for path in paths) / np.pi
-    legs = [
-        [(x1 - x0, _potential_range(spec, i), _reanchored(spec, i, x0), spec.heights[i])
-         for i, x0, x1 in path]
-        for path in paths
-    ]
-    m = series_m or 80
-    return lambda energies: sum(_series_angle(energies, path, m) for path in legs) / np.pi
+        legs = cache(lambda c: _trig_legs(spec, c))
+
+        def angles(energies, c):
+            theta = _trig_angle(energies, legs(c), tol)
+            return theta[0] + theta[1]
+    else:
+        ranges = cache(lambda i: _potential_range(spec, i))
+        reanchored = cache(lambda i, x0: _reanchored(spec, i, x0))
+        legs = cache(lambda c: [
+            [(x1 - x0, ranges(i), reanchored(i, x0), spec.heights[i]) for i, x0, x1 in path]
+            for path in _shots(spec, c)
+        ])
+        m = series_m or 80
+
+        def angles(energies, c):
+            return sum(_series_angle(energies, path, m) for path in legs(c))
+
+    lowest = int(np.argmin(spec.heights))
+    return lambda energies, c=lowest: angles(energies, c) / np.pi
 
 
 def sturm_count(
@@ -589,11 +627,12 @@ def sturm_count(
     floor((theta_L + theta_R) / pi); between multiples of pi it need not be
     monotone.  This is SLEDGE's count for piecewise-constant problems
     (Pruess & Fulton, ACM TOMS 19 (1993) 360); find_eigenvalues refines the
-    crossings of the same angle sum.  Any matching point gives the same
-    count in exact arithmetic; the lowest interval keeps the sum smooth at
-    the levels that live there (see _shots).  A pair split below double
-    precision steps by one twice, rounding apart.  ``energies`` is a scalar
-    or a 1-D array; the result is an int or an int array.
+    crossings of the same angle sum, each at a matching point of its own.
+    Any matching point gives the same count in exact arithmetic, and every
+    one crosses (n + 1) pi at level n itself (see _shots).  A pair split
+    below double precision steps by one twice, rounding apart.
+    ``energies`` is a scalar or a 1-D array; the result is an int or an int
+    array.
     """
     e = np.asarray(energies, dtype=float)
     if e.ndim > 1:
@@ -618,6 +657,9 @@ class EigenvalueScan:
     coefficient extraction there reports the degeneracy paradox instead of
     inventing a null vector.  ``skipped`` is always empty, since the angle
     is defined at every energy, an interval height included.
+    ``angle_evaluations`` counts the levels' calls of the angle sum, each
+    at an array of energies: the grid, the other matching points at the
+    ends of steep cells, and the brentq steps.
     """
 
     energies: tuple[float, ...]
@@ -625,6 +667,7 @@ class EigenvalueScan:
     skipped: tuple[float, ...] = ()
     spurious: tuple[float, ...] = ()
     near_degenerate: tuple[float, ...] = ()
+    angle_evaluations: int = 0
 
 
 # smallest relative tolerance brentq accepts: four ulps
@@ -632,7 +675,7 @@ _RTOL_MIN = 4 * math.ulp(1.0)
 _BRENT_MAXITER = 100
 
 
-def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0):
+def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0, f_ends=None):
     """Root of f(x) = target in [a, b] by the Brent-Dekker method (Brent
     1973, ch. 4).
 
@@ -650,6 +693,11 @@ def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0):
     returns the same float, as it would alone.  ``target`` is then a scalar
     or one value per bracket.  A NaN in that array is evaluated again as a
     scalar, so that f raises there what its scalar form raises.
+
+    ``f_ends = (f(a), f(b))``, values already known (of f, not f - target,
+    shaped like ``a`` and ``b``), take the place of the first two calls;
+    the steps and the root are those that evaluating them would give.
+    Otherwise f is evaluated at the ends first, then once a step.
     """
     if xtol <= 0 or rtol < _RTOL_MIN:
         raise ValueError(f"tolerances too small: xtol={xtol!r}, rtol={rtol!r}")
@@ -659,12 +707,19 @@ def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0):
     if lo.ndim > 1 or lo.shape != hi.shape:
         raise ValueError("brackets must be two scalars or two 1-D arrays of one length")
     goal = np.broadcast_to(np.asarray(target, dtype=float), lo.shape).tolist()
+    ends = () if f_ends is None else f_ends
+    known = [np.broadcast_to(np.asarray(v, dtype=float), lo.shape).tolist() for v in ends]
     lanes = [_brent(x, y, xtol, rtol) for x, y in zip(lo.tolist(), hi.tolist())]
     trials = {i: next(lane) for i, lane in enumerate(lanes)}
     roots = [0.0] * len(lanes)
     while trials:
         xs = list(trials.values())
-        fxs = [f(xs[0])] if scalar else np.asarray(f(np.array(xs)), dtype=float).tolist()
+        if known:
+            # every lane asks for f(a), then f(b), before its first step
+            fxs = [known[0][i] for i in trials]
+            del known[0]
+        else:
+            fxs = [f(xs[0])] if scalar else np.asarray(f(np.array(xs)), dtype=float).tolist()
         pending = {}
         for (i, x), fx in zip(trials.items(), fxs):
             fx = float(fx)
@@ -733,24 +788,67 @@ def _brent(xpre: float, xcur: float, xtol: float, rtol: float):
 _REFINE_RTOL = 8.9e-16
 
 
-def _refined_crossings(spec, grid, tol, series_m) -> np.ndarray:
+# a level whose angle sum rises by more than this across its grid cell is
+# matched elsewhere if another interval's sum rises by under a quarter of it
+_STEEP_RISE = 0.5
+
+
+def _refined_crossings(spec, grid, tol, series_m) -> tuple[np.ndarray, int]:
     """Every level n in (grid[0], grid[-1]], ascending: where the angle sum
-    crosses n + 1 (in units of pi).  The first cell whose upper end counts
-    past n brackets level n, because the count can only rise; one brentq
-    call refines every bracket in lock-step, with per-lane targets n + 1."""
+    crosses n + 1 (in units of pi), and the number of angle evaluations.
+
+    The first cell whose upper end counts past n brackets level n, because
+    the count can only rise.  Any matching point crosses n + 1 at the level
+    itself, so a level whose sum rises steeply across its cell, a state
+    small at the lowest interval, takes the interval where the sum rises
+    least, if that is under a quarter of the default's rise and brackets
+    n + 1 too; each other interval below the top of some such cell is
+    evaluated at both ends of every such cell in one call.  One brentq call
+    per matching interval refines its brackets in lock-step from the values
+    at their ends, with per-lane targets n + 1."""
     half_turns = _angle_sum(spec, tol, series_m)
-    counts = np.floor(half_turns(grid)).astype(int)
+    sums = half_turns(grid)
+    evaluations = 1
+    counts = np.floor(sums).astype(int)
     n = np.arange(counts[0], counts[-1])
+    target = n + 1.0
     hi = np.searchsorted(np.maximum.accumulate(counts), n, side="right")
-    roots = brentq(
-        half_turns,
-        grid[hi - 1],
-        grid[hi],
-        xtol=tol.refine_xtol,
-        rtol=_REFINE_RTOL,
-        target=n + 1.0,
-    )
-    return np.sort(roots)
+    e_lo, e_hi, f_lo, f_hi = grid[hi - 1], grid[hi], sums[hi - 1], sums[hi]
+    lowest = int(np.argmin(spec.heights))
+    match = np.full(len(n), lowest)
+    steep = np.flatnonzero(f_hi - f_lo > _STEEP_RISE)
+    if len(steep):
+        least = 0.25 * (f_hi - f_lo)[steep]
+        ends, crossed = np.concatenate([e_lo[steep], e_hi[steep]]), target[steep]
+        for c in range(spec.n_intervals):
+            # a state is large where it oscillates, not inside a barrier
+            if c == lowest or spec.heights[c] >= e_hi[steep].max():
+                continue
+            a, b = np.split(half_turns(ends, c), 2)
+            evaluations += 1
+            better = (b - a < least) & (a < crossed) & (b > crossed)
+            least = np.where(better, b - a, least)
+            moved = steep[better]
+            match[moved], f_lo[moved], f_hi[moved] = c, a[better], b[better]
+    roots = np.empty(len(n))
+    for c in sorted(set(match.tolist())):
+        lanes = match == c
+
+        def f(energies, c=c):
+            nonlocal evaluations
+            evaluations += 1
+            return half_turns(energies, c)
+
+        roots[lanes] = brentq(
+            f,
+            e_lo[lanes],
+            e_hi[lanes],
+            xtol=tol.refine_xtol,
+            rtol=_REFINE_RTOL,
+            target=target[lanes],
+            f_ends=(f_lo[lanes], f_hi[lanes]),
+        )
+    return np.sort(roots), evaluations
 
 
 def _overlap_resonances(spec, grid, tol, series_m) -> list[float]:
@@ -762,7 +860,7 @@ def _overlap_resonances(spec, grid, tol, series_m) -> list[float]:
     for j in range(1, spec.n_interior):
         if spec.zero_order_polys is not None:
             interval = PotentialSpec(bp[j : j + 2], (spec.heights[j],), (spec.zero_order_polys[j],))
-            out += _refined_crossings(interval, grid, tol, series_m).tolist()
+            out += _refined_crossings(interval, grid, tol, series_m)[0].tolist()
             continue
         h, width = spec.heights[j], bp[j + 1] - bp[j]
         m = np.arange(1, width * math.sqrt(max(grid[-1] - h, 0.0)) / math.pi + 1)
@@ -793,7 +891,10 @@ def find_eigenvalues(
     The angle sum of sturm_count is evaluated on scan.points energies
     uniform in k = sqrt(E - floor), which spreads out low-lying levels, and
     each of its crossings of a multiple of pi in the window is refined by
-    brentq to |dE| ~ 1e-13 (all in lock-step, one angle evaluation a step).
+    brentq to |dE| ~ 1e-13, from the grid's values at the ends of its cell.
+    A level whose sum steps across its cell is matched in the interval
+    where the sum is smoothest (see _refined_crossings); the levels of each
+    matching point are refined in lock-step, one angle evaluation a step.
     Two crossings refined to the same energy within that tolerance are one
     entry, listed as near-degenerate: a pair split below double precision.
     The secular determinant is not evaluated; its other zeros, the overlap
@@ -812,7 +913,7 @@ def find_eigenvalues(
 
     ks = np.linspace(k_lo, k_hi, scan.points)
     grid = floor + ks * ks
-    roots = _refined_crossings(spec, grid, tol, series_m)
+    roots, evaluations = _refined_crossings(spec, grid, tol, series_m)
     levels: list[float] = []
     merged = set()
     for root in roots.tolist():
@@ -831,6 +932,7 @@ def find_eigenvalues(
         complete,
         spurious=tuple(spurious),
         near_degenerate=tuple(e for e in levels if e in merged),
+        angle_evaluations=evaluations,
     )
 
 
@@ -866,7 +968,7 @@ class _LazyBases:
         return iter(self._built())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchedState:
     """Matched zero-order state: energy, per-domain coefficients, domain bases.
 
@@ -877,7 +979,8 @@ class MatchedState:
     matching kernel's boundary values; ``bases`` is a sequence of the
     domains' DomainBasis, which match_coefficients builds on first access
     for closed-form specs (with its tol) and passes on from the kernel for
-    the power-series backend (built with its series_m).
+    the power-series backend (built with its series_m).  Two states are
+    equal, and hash alike, only if they are the same object.
     """
 
     spec: PotentialSpec
@@ -942,7 +1045,7 @@ def eval_pieces(spec: PotentialSpec, pieces, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     index = spec.interval_index(xs)
     out = np.empty_like(xs)
-    for i in np.unique(index).tolist():
+    for i in sorted(set(index.tolist())):
         at = index == i
         out[at] = pieces[i].eval(xs[at])
     return out if np.ndim(x) else float(out[0])

@@ -344,7 +344,7 @@ GOLDEN_SHA256 = {
     "double_well_scan": "2fe9d1882a0be2b0f2a860307c9c3fdbc6672c9a75e1a5772e1acddebbf3197a",
     "double_well_spectrum": "3f62b64436b5c56c40e8a5f0ca47e126e94e601a43256e6e23de12df27743c37",
     "double_well_perturb": "15438f815b02a4443734e9a1eed1e2d495083b24bfe343df85d44e26d1d0d8f4",
-    "double_well_validate": "e036de187a7f8595e7442b60b50a67e7f47800a6ae425f105db85310c318ed85",
+    "double_well_validate": "931aea16c2af91d6e71c8ec781084e271888af9dab8113aff4f1341586d38faf",
 }
 
 

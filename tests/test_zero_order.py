@@ -560,6 +560,38 @@ class TestLockStepBrentq:
         with pytest.raises(RootNotConvergedError):
             zero_order.brentq(step, np.array([0.0, -1e300]), np.array([1.0, 1e300]), xtol=1e-300)
 
+    @pytest.mark.parametrize("xtol", [1e-13, 1e-15])
+    def test_known_end_values_save_two_evaluations(self, xtol):
+        # the scan passes the grid's values at each cell's ends
+        for spec in self.SPECS:
+            calls = []
+
+            def det(energies):
+                calls.append(np.size(energies))
+                return secular_determinant(spec, energies)
+
+            a, b = _scan_brackets(spec)
+            plain = zero_order.brentq(det, a, b, xtol=xtol, rtol=8.9e-16)
+            evaluated = len(calls)
+            ends = (secular_determinant(spec, a), secular_determinant(spec, b))
+            calls.clear()
+            known = zero_order.brentq(det, a, b, xtol=xtol, rtol=8.9e-16, f_ends=ends)
+            assert known.tolist() == plain.tolist()
+            assert len(calls) == evaluated - 2
+            for ea, eb, root in zip(a, b, plain.tolist()):
+                ends = (secular_determinant(spec, ea), secular_determinant(spec, eb))
+                assert zero_order.brentq(det, ea, eb, xtol=xtol, rtol=8.9e-16, f_ends=ends) == root
+
+    def test_known_end_values_are_of_f_not_f_minus_target(self):
+        def g(x):
+            return math.sin(x) + x
+
+        lo, hi = np.array([0.0, 1.0]), np.array([3.0, 2.0])
+        targets = np.array([2.5, 2.0])
+        ends = ([g(x) for x in lo], [g(x) for x in hi])
+        roots = zero_order.brentq(_per_lane(g), lo, hi, xtol=1e-14, target=targets, f_ends=ends)
+        assert roots.tolist() == zero_order.brentq(_per_lane(g), lo, hi, xtol=1e-14, target=targets).tolist()
+
     def test_per_lane_targets(self):
         # lanes sharing one bracket refine different crossings, as a doublet
         # inside one grid cell does
@@ -1079,3 +1111,140 @@ class TestLevelsFromTheAngle:
             )
             assert len(window.energies) == 1
             assert abs(window.energies[0] - e) < 1e-11 * e
+
+
+def _fixed_point_crossings(spec, grid, tol, series_m):
+    """The refinement matched in the lowest interval alone, brentq evaluating
+    the bracket ends itself: the reference for find_eigenvalues' matching
+    point per level.  Returns the roots and the angle evaluations."""
+    half_turns = zero_order._angle_sum(spec, tol, series_m)
+    calls = []
+
+    def f(energies):
+        calls.append(len(energies))
+        return half_turns(energies)
+
+    counts = np.floor(f(grid)).astype(int)
+    n = np.arange(counts[0], counts[-1])
+    hi = np.searchsorted(np.maximum.accumulate(counts), n, side="right")
+    roots = zero_order.brentq(
+        f, grid[hi - 1], grid[hi], xtol=tol.refine_xtol, rtol=zero_order._REFINE_RTOL, target=n + 1.0
+    )
+    return np.sort(roots), len(calls)
+
+
+def _fixed_point_scan(spec, e_lo, e_hi, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zero_order, "_refined_crossings", _fixed_point_crossings)
+        return find_eigenvalues(spec, e_lo, e_hi, **kwargs)
+
+
+def _barrier_wells(seed: int, count: int) -> list[PotentialSpec]:
+    """N = 1-4, heights 0-50, widths 0.3-2: levels behind barriers."""
+    rng = np.random.default_rng(seed)
+    wells = []
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        bp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 2.0, n + 1))])
+        wells.append(PotentialSpec(tuple(bp), tuple(rng.uniform(0.0, 50.0, n + 1))))
+    return wells
+
+
+class TestMatchingPointPerLevel:
+    """A level whose angle sum steps across its grid cell is refined at
+    another matching point, against the lowest interval alone."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PotentialSpec((0.0, PI), (0.0,)),
+            PotentialSpec((0.0, 1.0, 2.0), (0.0, 5.0)),
+            PotentialSpec((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)),
+            PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, 1.6e5, 0.0)),
+        ],
+        ids=["box", "step", "double_well", "barrier_1.6e5"],
+    )
+    def test_fixture_levels_are_bit_identical(self, spec):
+        scan, ref = find_eigenvalues(spec, 0.05, 40.0), _fixed_point_scan(spec, 0.05, 40.0)
+        assert len(scan.energies) >= 2
+        assert (scan.energies, scan.spurious, scan.near_degenerate) == (
+            ref.energies, ref.spurious, ref.near_degenerate
+        )
+        assert scan.angle_evaluations <= ref.angle_evaluations
+
+    def test_random_wells_agree_with_the_lowest_interval(self):
+        moved = saved = 0
+        for spec in _barrier_wells(seed=12, count=40):
+            floor = min(spec.heights)
+            scan = find_eigenvalues(spec, floor, floor + 40.0)
+            ref = _fixed_point_scan(spec, floor, floor + 40.0)
+            assert len(scan.energies) == len(ref.energies)
+            assert scan.spurious == ref.spurious
+            assert len(scan.near_degenerate) == len(ref.near_degenerate)
+            for ours, theirs in ((scan.energies, ref.energies), (scan.near_degenerate, ref.near_degenerate)):
+                np.testing.assert_allclose(ours, theirs, rtol=1e-14, atol=0)
+            moved += sum(a != b for a, b in zip(scan.energies, ref.energies))
+            saved += ref.angle_evaluations - scan.angle_evaluations
+        # the wells do exercise other matching points, and save evaluations
+        assert moved >= 5
+        assert saved > 80
+
+    def test_angle_evaluations_of_a_barrier_well(self):
+        # N = 4 with barriers 22-47: matched in the lowest interval, Brent
+        # bisects the levels of the last well and the ones behind barriers
+        spec = PotentialSpec(
+            (0.0, 0.4548, 2.7205, 4.4634, 6.4099, 8.9611), (6.146, 22.458, 36.366, 47.372, 12.319)
+        )
+        scan, ref = find_eigenvalues(spec, 6.146, 46.146), _fixed_point_scan(spec, 6.146, 46.146)
+        assert len(scan.energies) == len(ref.energies) == 11
+        np.testing.assert_allclose(scan.energies, ref.energies, rtol=1e-14, atol=0)
+        assert (scan.angle_evaluations, ref.angle_evaluations) == (14, 55)
+
+    @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
+    def test_one_sweep_equals_each_shot_alone(self, c):
+        # the shorter shot's zero-width padding keeps theta = 0 exactly
+        spec = PotentialSpec(
+            (0.0, 0.4548, 2.7205, 4.4634, 6.4099, 8.9611), (6.146, 22.458, 36.366, 47.372, 12.319)
+        )
+        energies = np.concatenate([np.linspace(-5.0, 60.0, 97), spec.heights])
+        heights, widths = zero_order._trig_legs(spec, c)
+        both = zero_order._trig_angle(energies, (heights, widths), DEFAULT_TOL)
+        for row, path in enumerate(zero_order._shots(spec, c)):
+            legs = (heights[-len(path):, row:row + 1], widths[-len(path):, row:row + 1])
+            alone = zero_order._trig_angle(energies, legs, DEFAULT_TOL)
+            assert np.array_equal(both[row], alone[0])
+
+    def test_series_backend_shares_the_expansions(self, monkeypatch):
+        # the three-point window of oracle.exact_perturbed_energy around the
+        # ground state of the wider right well, matched in the left one by
+        # default; each interval's range and re-expansions are built once
+        spec = _series_twin(PotentialSpec((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)))
+        tol = replace(DEFAULT_TOL, refine_xtol=1e-14)
+        levels = find_eigenvalues(spec, 0.05, 40.0, tol=tol, series_m=60).energies
+        ranges = _counting(monkeypatch, zero_order, "_potential_range")
+        reanchored = _counting(monkeypatch, zero_order, "_reanchored")
+        shots = _counting(monkeypatch, zero_order, "_shots")
+        window = find_eigenvalues(
+            spec, levels[0] - 0.2, levels[0] + 0.2, scan=ScanConfig(points=3), tol=tol, series_m=60
+        )
+        assert len(window.energies) == 1
+        assert abs(window.energies[0] - levels[0]) < 1e-12 * levels[0]
+        # the overlap resonances' own one-interval problem aside: the two
+        # wells as matching points (the barrier is no candidate), one range
+        # per interval (the floor's own three besides) and at most two
+        # anchors per interval, one from each side
+        def of_spec(calls):
+            return [args[1:] for args, _ in calls if args[0] is spec]
+
+        assert sorted(of_spec(shots)) == [(0,), (2,)]
+        assert sorted(of_spec(ranges)) == [(0,), (0,), (1,), (1,), (2,), (2,)]
+        assert len(set(of_spec(reanchored))) == len(of_spec(reanchored)) <= 2 * 3
+
+
+def test_matched_states_compare_by_identity(double_well_spec):
+    # generated == compared the coeffs arrays through a tuple and raised
+    e0 = find_eigenvalues(double_well_spec, 0.05, 40.0).energies[0]
+    a, b = match_coefficients(double_well_spec, e0), match_coefficients(double_well_spec, e0)
+    assert np.array_equal(a.coeffs, b.coeffs)
+    assert (a == b) is False and (a == a) is True and (a != b) is True
+    assert len({a, b, a}) == 2
