@@ -15,7 +15,6 @@ class Tolerances:
     root_tol: float = 1e-9          # |normalized determinant| accepted as a root
     refine_xtol: float = 1e-13      # root refinement tolerance on E
     matching_residual: float = 1e-10
-    coeff_sum_floor: float = 1e-9   # |c + d| below this is a normalization obstruction
     condition_limit: float = 1e12   # order-k system condition number triggering the paradox flag
     series_boundary_rtol: float = 1e-10
     series_m_max: int = 600

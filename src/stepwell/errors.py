@@ -54,7 +54,8 @@ class DegeneracyParadoxError(SolverError):
 
 
 class NormalizationObstructionError(SolverError):
-    """c(j) + d(j) vanishes for some domain; the order-k rescaling is impossible."""
+    """Never raised since the series stopped rescaling each domain to
+    c(j) + d(j) = 1; kept because the benchmark harness imports it."""
 
 
 class TruncationError(SolverError):

@@ -35,6 +35,7 @@ __all__ = [
     "fd_eigenvalues",
     "fd_eigenvector",
     "rs_first_order",
+    "fd_rs_series",
     "exact_perturbed_energy",
 ]
 
@@ -393,6 +394,44 @@ def rs_first_order(state, pert: PerturbationSpec) -> float:
         num += float(np.dot(psi2, npoly.polyval(xs, poly)))
         den += float(np.sum(psi2))
     return num / den
+
+
+def fd_rs_series(
+    spec: PotentialSpec, pert: PerturbationSpec, orders: int, index: int = 0, m: int = 300
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rayleigh-Schroedinger corrections E_0..E_orders of level ``index`` on
+    the finite-difference grid: an independent reference for the matching
+    series (Dalgarno-Lewis recursion, dense eigendecomposition).
+
+    On each grid psi_k = R (sum_i E_i psi_(k-i) - V_1 psi_(k-1)), with R the
+    reduced resolvent of H_0 and V_1 its exact cell averages, so that psi_k
+    is orthogonal to psi_0 and E_k = <psi_0|V_1|psi_(k-1)>.  Grids of m, 2m
+    and 4m nominal cells (every interval refined by 1, 2 and 4) are
+    combined by two Richardson steps, which remove the h^2 and h^4 terms.
+    Returns the values and, as their error estimate, their distance from
+    the one-step extrapolation of the two finer grids.  The zero order is
+    assumed piecewise constant.  Dense: 4m = 1200 takes about 0.3 s; at
+    m = 700 rounding makes the double well's E_28 10x worse than at 300.
+    """
+    flat = PotentialSpec(spec.breakpoints, (0.0,) * spec.n_intervals)
+    grids = []
+    for refine in (1, 2, 4):
+        gh = build_grid_hamiltonian(spec, None, 0.0, m, refine)
+        mid = 0.5 * (np.concatenate([[spec.x_min], gh.x]) + np.concatenate([gh.x, [spec.x_max]]))
+        v1 = _cell_average(flat, pert, 1.0, mid[:-1], mid[1:])
+        h0 = np.diag(gh.diag) + np.diag(gh.offdiag, 1) + np.diag(gh.offdiag, -1)
+        levels, vectors = np.linalg.eigh(h0)
+        gaps = levels - levels[index]
+        gaps[index] = np.inf
+        psi, energies = [vectors[:, index]], [levels[index]]
+        for k in range(1, orders + 1):
+            energies.append(psi[0] @ (v1 * psi[k - 1]))
+            rhs = sum(energies[i] * psi[k - i] for i in range(1, k)) - v1 * psi[k - 1]
+            psi.append(vectors @ ((vectors.T @ rhs) / gaps))
+        grids.append(np.array(energies))
+    once = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(grids, grids[1:])]
+    values = (16.0 * once[1] - once[0]) / 15.0
+    return values, np.abs(values - once[1])
 
 
 def exact_perturbed_energy(

@@ -2,33 +2,27 @@
 
 For a polynomial perturbation of a piecewise-constant potential every
 order-k right-hand side is a trigonometric polynomial on each domain, so
-the order-k corrections come out in closed form.  Per domain j the ansatz
-is
+the order-k corrections come out in closed form.  Per domain j
 
-    psi_k = X_j C_j^(k) + (1 - X_j) S_j^(k) + eps omega_j + xi_j psi_0,
+    psi_k = P_k + a_j C_0 + b_j S_0 + eps omega_j,
 
-where C^(k)/S^(k) solve the order-k inhomogeneous equation with cosine and
-sine-like initial data at the anchor, omega_j solves H omega = psi_0 with
-zero initial data (order-independent, built once), eps is the energy
-correction, and the psi_0 admixtures xi_j enforce the per-domain rescaling
-c_k(j) + d_k(j) = 1.  Both C^(k) and S^(k) carry the same particular
-solution P_k, the one with zero initial data at the anchor, so they are
-represented as P_k + C_0 and P_k + S_0 with the zero-order pair: only P_k
-is built per order, and C^(k) - S^(k) = C_0 - S_0.  Matching values at the
-breakpoints plus the two wall conditions close a real 2N-dimensional
-linear system in (X_1..X_N, Z_2..Z_N, eps) with Z_{j+1} = xi_{j+1} - xi_j;
-the first offset is gauge (xi_1 = 0).  Its matrix holds zero-order values
-only and does not depend on k.
+where P_k solves the order-k equation with zero value and slope at the
+anchor, C_0/S_0 is the zero-order pair, omega_j solves H omega = psi_0 with
+zero initial data (built once per state) and eps is the energy correction.
+Matching values at the breakpoints gives the zero-order matching matrix in
+(a, b), bordered by the omega column and one gauge row; it holds zero-order
+values only and does not depend on k.  The psi_0 share of each solution is
+then projected out, so every correction is orthogonal to psi_0.
 
-A plain box (no interior breakpoint) is handled by splitting it at its
-midpoint, which changes nothing physically; there the matched state has
-|c + d| = 1 at every level.
+A plain box (no interior breakpoint) is split at its midpoint, because
+matching needs a breakpoint; any split point would do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -52,6 +46,9 @@ from .trigbasis import (
 from .zero_order import (
     EigenvalueScan,
     MatchedState,
+    _boundary_values,
+    _stacked_matrices,
+    cover,
     find_eigenvalues,
     match_coefficients,
     overlap_gap,
@@ -117,13 +114,16 @@ def _zero_data_solutions(state: MatchedState, rhs_pairs, tol: Tolerances):
 class OmegaSet:
     """Per-domain solutions of H omega = psi_0 with zero initial data at the anchor.
 
-    Order-independent: built once per state and reused by every order.
-    Boundary values at L_{j -/+ 1} are cached for the matching system.
+    Order-independent: built once per state and reused by every order, with
+    their boundary values at L_{j -/+ 1}, psi_0's domain pieces and
+    <psi_0|psi_0>, which the matching system and the projection read.
     """
 
     pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
     at_lo: np.ndarray
     at_hi: np.ndarray
+    psi0: tuple[tuple[TrigPoly, TrigPoly], ...]
+    psi0_norm2: float
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,8 @@ class OrderBasis:
     """Order-k particular solutions P_k of H P = tau with zero initial data.
 
     One (left, right) piece pair per domain, with value and slope zero at
-    the anchor; C^(k) = P_k + C_0 and S^(k) = P_k + S_0 with the state's
-    zero-order pair.  Boundary values at L_{j -/+ 1} are cached for the
-    matching system, as in OmegaSet.
+    the anchor.  Boundary values at L_{j -/+ 1} are cached for the matching
+    system, as in OmegaSet.
     """
 
     k: int
@@ -152,19 +151,15 @@ class OrderBasis:
 
 @dataclass(frozen=True)
 class OrderResult:
-    """One perturbation order: energy correction, coefficients, wave pieces.
+    """One perturbation order: energy correction and wave pieces.
 
-    x_coeffs[j-1] = c_k(j) with d_k(j) = 1 - c_k(j); z_offsets are the
-    determined differences Z_2..Z_N, and xi the accumulated offsets with
-    the gauge xi_1 = 0.  domain_pieces holds the per-domain (left, right)
-    representations; global_pieces the non-overlapping cover of the box.
+    domain_pieces holds the per-domain (left, right) representations of
+    psi_k, orthogonal to psi_0; global_pieces the non-overlapping cover of
+    the box.
     """
 
     k: int
     energy: float
-    x_coeffs: np.ndarray
-    z_offsets: np.ndarray
-    xi: np.ndarray
     domain_pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
     global_pieces: tuple[TrigPoly, ...]
     condition: float
@@ -175,7 +170,9 @@ class OrderResult:
 
 def build_omega(state: MatchedState, *, tol: Tolerances = DEFAULT_TOL) -> OmegaSet:
     """Solve H omega_j = psi_0 on every domain with zero initial data."""
-    return OmegaSet(*_zero_data_solutions(state, state.domain_pieces(), tol))
+    psi0 = tuple(state.domain_pieces())
+    norm2 = _piecewise_overlap(state.spec, cover(psi0), cover(psi0))
+    return OmegaSet(*_zero_data_solutions(state, psi0, tol), psi0, norm2)
 
 
 def build_tau(
@@ -231,49 +228,27 @@ def solve_order(
     *,
     tol: Tolerances = DEFAULT_TOL,
 ) -> OrderResult:
-    """Assemble and solve the 2N matching-plus-boundary system of one order.
+    """Solve one order on the zero-order matching matrix, bordered.
 
-    With C = C_0 and S = S_0 the state's zero-order pair and P = P_k:
-    Row (j, left), the condition at L_{j-1}:
-        X_j (C - S) + eps omega_j(L_{j-1}) - X_{j-1} + Z_j c0(j-1) = -(P + S)
-    Row (j, right), the condition at L_{j+1}:
-        X_j (C - S) + eps omega_j(L_{j+1}) - X_{j+1} - Z_{j+1} c0(j+1) = -(P + S)
-    with boundary terms dropping out at the walls (c0(0) = c0(N+1) = 0,
-    X_0 = X_{N+1} = 0).  Unknown ordering (X_1..X_N, Z_2..Z_N, eps); for a
-    single domain this is exactly the two-by-two boundary system in
-    (X, eps).  Only the right-hand side depends on k, so the condition
-    number is the same at every order; beyond the configured limit it is
-    flagged as the degeneracy paradox rather than silently regularized.
-    The correction on domain j is
-        psi_k = P + (X_j + xi_j c(j)) C + (1 - X_j + xi_j d(j)) S + eps omega_j.
+    psi_k = P + a_j C_0 + b_j S_0 + eps omega_j on domain j has the value
+    a_j at its anchor L_j, and its values at L_{j-1} and L_{j+1} must be
+    a_{j-1} and a_{j+1} (zero at the walls): the zero-order matching rows
+    in (a, b), plus eps omega_j, with right-hand side -P.  Those rows are
+    singular along the state's null vector (c, d), which the gauge row
+    (a, b).(c, d) = 0 removes.  Unknowns (a_1, b_1, ..., a_N, b_N, eps).  A
+    condition number beyond the configured limit is flagged as the
+    degeneracy paradox rather than silently regularized.  Finally alpha
+    psi_0, alpha = <psi_0|psi_k> / <psi_0|psi_0>, is subtracted.
     """
     n = state.n_domains
-    size = 2 * n
-    a = np.zeros((size, size))
-    b = np.zeros(size)
-    eps_col = size - 1
-
-    def z_col(jj: int) -> int:
-        # columns N..2N-2 hold Z_2..Z_N
-        return n + jj - 2
-
-    for j in range(1, n + 1):
-        zero = state.bases[j - 1]
-        row = 2 * (j - 1)
-        a[row, j - 1] = zero.c_at_lo - zero.s_at_lo
-        a[row, eps_col] = omega.at_lo[j - 1]
-        if j >= 2:
-            a[row, j - 2] = -1.0
-            a[row, z_col(j)] = state.c_value(j - 1)
-        b[row] = -(basis.at_lo[j - 1] + zero.s_at_lo)
-
-        a[row + 1, j - 1] = zero.c_at_hi - zero.s_at_hi
-        a[row + 1, eps_col] = omega.at_hi[j - 1]
-        if j <= n - 1:
-            a[row + 1, j] = -1.0
-            a[row + 1, z_col(j + 1)] = -state.c_value(j + 1)
-        b[row + 1] = -(basis.at_hi[j - 1] + zero.s_at_hi)
-
+    a = np.zeros((2 * n + 1, 2 * n + 1))
+    a[:-1, :-1] = _stacked_matrices(*_boundary_values([state.bases]))[0]
+    a[:-1:2, -1] = omega.at_lo
+    a[1:-1:2, -1] = omega.at_hi
+    a[-1, :-1] = state.coeffs.ravel()
+    b = np.zeros(2 * n + 1)
+    b[:-1:2] = -basis.at_lo
+    b[1:-1:2] = -basis.at_hi
     condition = float(np.linalg.cond(a))
     if not np.isfinite(condition) or condition > tol.condition_limit:
         raise DegeneracyParadoxError(
@@ -282,51 +257,44 @@ def solve_order(
             "degenerate unperturbed level"
         )
     u = np.linalg.solve(a, b)
-    x = u[:n]
-    z = u[n : size - 1]
-    eps = float(u[eps_col])
-    xi = np.zeros(n)
-    for j in range(1, n):
-        xi[j] = xi[j - 1] + z[j - 1]
-
-    domain_pieces = []
-    for j in range(1, n + 1):
-        zero = state.bases[j - 1]
-        c, d = state.coeffs[j - 1]
-        x_j, xi_j = x[j - 1], xi[j - 1]
-        domain_pieces.append(tuple(
-            basis.pieces[j - 1][s]
-            + (x_j + xi_j * c) * zero.piece("c", side)
-            + (1.0 - x_j + xi_j * d) * zero.piece("s", side)
-            + eps * omega.pieces[j - 1][s]
-            for s, side in enumerate(_SIDES)
-        ))
-    global_pieces = [domain_pieces[0][0]]
-    for j in range(1, n + 1):
-        global_pieces.append(domain_pieces[j - 1][1])
+    eps = float(u[-1])
+    ab = u[:-1].reshape(n, 2)
 
     spec = state.spec
+    solved = [
+        tuple(
+            basis.pieces[j][s]
+            + ab[j, 0] * state.bases[j].piece("c", side)
+            + ab[j, 1] * state.bases[j].piece("s", side)
+            + eps * omega.pieces[j][s]
+            for s, side in enumerate(_SIDES)
+        )
+        for j in range(n)
+    ]
+    alpha = _piecewise_overlap(spec, cover(omega.psi0), cover(solved)) / omega.psi0_norm2
+    domain_pieces = tuple(
+        tuple(p - alpha * p0 for p, p0 in zip(pair, pair0))
+        for pair, pair0 in zip(solved, omega.psi0)
+    )
+    global_pieces = cover(domain_pieces)
+
     boundary_residual = max(
         abs(global_pieces[0].eval(spec.x_min, tol=tol)),
         abs(global_pieces[-1].eval(spec.x_max, tol=tol)),
     )
-    matching_residual = 0.0
-    for j in range(1, n + 1):
-        expected = x[j - 1] + xi[j - 1] * state.c_value(j)
-        left_val = global_pieces[j - 1].eval(spec.breakpoints[j], tol=tol)
-        right_val = global_pieces[j].eval(spec.breakpoints[j], tol=tol)
-        matching_residual = max(
-            matching_residual, abs(left_val - expected), abs(right_val - expected)
-        )
+    # psi_k(L_j) is a_j, on interval j - 1 and on interval j alike
+    at_anchors = ab[:, 0] - alpha * state.coeffs[:, 0]
+    matching_residual = max(
+        abs(global_pieces[j + side].eval(x, tol=tol) - value)
+        for j, (x, value) in enumerate(zip(spec.breakpoints[1:-1], at_anchors))
+        for side in (0, 1)
+    )
 
     return OrderResult(
         basis.k,
         eps,
-        x,
-        z,
-        xi,
-        tuple(domain_pieces),
-        tuple(global_pieces),
+        domain_pieces,
+        global_pieces,
         condition,
         boundary_residual,
         matching_residual,
@@ -348,15 +316,13 @@ def equation_residual(
     so anything beyond rounding indicates a bookkeeping bug.
     """
     spec = state.spec
-    psi0 = state.domain_pieces()
     worst = 0.0
-    cover = [(1, 0)] + [(j, 1) for j in range(1, state.n_domains + 1)]
-    for i, (j, s) in enumerate(cover):
-        piece = result.global_pieces[i]
+    pieces = zip(result.global_pieces, cover(tau.pieces), state.global_pieces())
+    for i, (piece, rhs, psi0) in enumerate(pieces):
         res_poly = (
             apply_hamiltonian(piece, -piece.freq * piece.freq, tol=tol)
-            - tau.pieces[j - 1][s]
-            - result.energy * psi0[j - 1][s]
+            - rhs
+            - result.energy * psi0
         )
         xs = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], samples)
         worst = max(worst, float(np.max(np.abs(res_poly.value(xs)))))
@@ -409,6 +375,11 @@ class SeriesResult:
     embedded_spec: PotentialSpec | None = None
 
 
+# quad's node counts repeat across pieces and orders; the rule is built once
+# per count.  Callers must not write to the cached arrays.
+_leggauss = cache(np.polynomial.legendre.leggauss)
+
+
 def quad(pa: TrigPoly, pb: TrigPoly, a: float, b: float) -> float:
     """Integral of pa * pb over [a, b] by one Gauss-Legendre rule.
 
@@ -419,7 +390,7 @@ def quad(pa: TrigPoly, pb: TrigPoly, a: float, b: float) -> float:
     """
     freq = max(abs(pa.freq), abs(pb.freq))
     n = (pa.degree + pb.degree) // 2 + 1 + math.ceil(2 * freq * (b - a)) + 16
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _leggauss(n)
     xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
     return 0.5 * (b - a) * float(np.dot(weights, pa.eval(xs) * pb.eval(xs)))
 
@@ -459,8 +430,7 @@ def _series_for_state(spec, pert, e0, order_max, tol) -> StateSeries:
         for res, tau in zip(history, taus)
     )
     overlaps = tuple(
-        _piecewise_overlap(spec, state.global_pieces(), res.global_pieces)
-        for res in history
+        _piecewise_overlap(spec, cover(omega.psi0), res.global_pieces) for res in history
     )
     return StateSeries(state, tuple(history), residuals, overlaps)
 
@@ -479,12 +449,11 @@ def run_series(
 
     Stages: local bases and the eigenvalue scan (S1, S2), the
     order-independent omega functions (S3), then per order the right-hand
-    side and its particular solutions (S4), the 2N linear solve (S5),
+    side and its particular solutions (S4), the bordered linear solve (S5),
     iterated in k (S6).  Any stage failure is re-raised as PipelineError
     with the stage label.  order_max = 0 reduces to the zero-order
     pipeline.  A plain box is split at a fictitious breakpoint at its
-    midpoint, where a constant box's matched (c, d) is proportional to
-    (sin(n pi/2), k cos(n pi/2)), so c + d never vanishes.
+    midpoint.
     """
     if order_max < 0:
         raise ValueError("order_max must be >= 0")

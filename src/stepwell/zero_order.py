@@ -25,7 +25,6 @@ from .config import DEFAULT_SCAN, DEFAULT_TOL, ScanConfig, Tolerances
 from .errors import (
     DegeneracyParadoxError,
     NonFiniteDeterminantError,
-    NormalizationObstructionError,
     NotARootError,
     RootNotConvergedError,
     SchemaError,
@@ -276,6 +275,12 @@ def _domain_bases(spec, energy, tol, series_m=None) -> list[DomainBasis]:
     ]
 
 
+def _boundary_values(bases_per_energy) -> np.ndarray:
+    """_stacked_matrices' (c_lo, s_lo, c_hi, s_hi) from M lists of N bases."""
+    values = [[(b.c_at_lo, b.s_at_lo, b.c_at_hi, b.s_at_hi) for b in bases] for bases in bases_per_energy]
+    return np.moveaxis(np.array(values), -1, 0)
+
+
 def _stacked_matrices(c_lo, s_lo, c_hi, s_hi) -> np.ndarray:
     """Assemble 2N x 2N matching matrices from boundary values of shape (M, N).
 
@@ -347,8 +352,7 @@ def _matching_block(spec, energies, tol, series_m):
     if spec.zero_order_polys is not None:
         degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
         source = [_domain_bases(spec, e, tol, series_m) for e in energies]
-        values = [[(b.c_at_lo, b.s_at_lo, b.c_at_hi, b.s_at_hi) for b in bases] for bases in source]
-        c_lo, s_lo, c_hi, s_hi = np.moveaxis(np.array(values), -1, 0)
+        c_lo, s_lo, c_hi, s_hi = _boundary_values(source)
     else:
         source, degenerate = local_frequencies(spec, energies, tol=tol)
         bp = np.asarray(spec.breakpoints)
@@ -1007,12 +1011,6 @@ class MatchedState:
     def n_domains(self) -> int:
         return len(self.coeffs)
 
-    def c_value(self, j: int) -> float:
-        """psi(L_j) = c(j), zero at the walls."""
-        if j <= 0 or j >= self.n_domains + 1:
-            return 0.0
-        return float(self.coeffs[j - 1, 0])
-
     def domain_piece(self, j: int, side: str):
         """The state's representation c(j) C_j + d(j) S_j on one side of domain j."""
         basis = self.bases[j - 1]
@@ -1025,15 +1023,17 @@ class MatchedState:
                 for j in range(1, self.n_domains + 1)]
 
     def global_pieces(self) -> tuple:
-        """Non-overlapping cover: interval i gets domain 1's left piece for
-        i = 0 and domain i's right piece for i >= 1."""
-        pieces = [self.domain_piece(1, "left")]
-        for j in range(1, self.n_domains + 1):
-            pieces.append(self.domain_piece(j, "right"))
-        return tuple(pieces)
+        """The non-overlapping cover of domain_pieces."""
+        return cover(self.domain_pieces())
 
     def eval(self, x) -> np.ndarray:
         return eval_pieces(self.spec, self.global_pieces(), x)
+
+
+def cover(domain_pieces) -> tuple:
+    """Non-overlapping cover from per-domain (left, right) pieces: interval
+    0 gets domain 1's left piece, interval i >= 1 domain i's right piece."""
+    return (domain_pieces[0][0],) + tuple(pair[1] for pair in domain_pieces)
 
 
 def eval_pieces(spec: PotentialSpec, pieces, x):
@@ -1140,12 +1140,10 @@ def match_coefficients(
 
     The null vector of the (row-normalized) matching system, with the
     Sturm-Liouville guarantee that it is one-dimensional.  Raises
-    NotARootError when the energy is not a root to within root_tol,
-    DegeneracyParadoxError when the null space is not simple, and
-    NormalizationObstructionError when some c(j) + d(j) vanishes, which
-    would block the order-k rescaling downstream.  The state's overlap_gap
-    diagnostic, whether adjacent representations actually agree, is
-    computed on its first read, not here.
+    NotARootError when the energy is not a root to within root_tol and
+    DegeneracyParadoxError when the null space is not simple.  The state's
+    overlap_gap diagnostic, whether adjacent representations actually
+    agree, is computed on its first read, not here.
     """
     if spec.n_interior == 0:
         raise SchemaError(
@@ -1153,12 +1151,6 @@ def match_coefficients(
             "breakpoint (see PotentialSpec.with_fictitious_breakpoint)"
         )
     coeffs, residual, source = _extract_null_vector(spec, energy, tol, series_m)
-    for jj, (c, d) in enumerate(coeffs, start=1):
-        if abs(c + d) <= tol.coeff_sum_floor:
-            raise NormalizationObstructionError(
-                f"c({jj}) + d({jj}) = {c + d:.3e} vanishes; the order-k "
-                "rescaling is impossible for this state"
-            )
     closed_form = spec.zero_order_polys is None
     bases = _LazyBases(spec, float(energy), tol, source) if closed_form else tuple(source)
     return MatchedState(spec, float(energy), coeffs, bases, residual)

@@ -146,6 +146,31 @@ class TestSpectrum:
         got = [s["energy"] for s in doc["eigenvalues"]]
         np.testing.assert_allclose(got, [PI**2, 4 * PI**2, 9 * PI**2], atol=1e-9)
 
+    def test_long_well_levels_all_have_coefficients(self, tmp_path):
+        # N = 16: states tiny in some domain have c(j) + d(j) = 0 there,
+        # which no longer stops their match
+        spec = write_spec(
+            tmp_path,
+            {
+                "breakpoints": [
+                    0.0, 0.53, 2.27, 3.87, 4.6, 5.74, 6.8, 8.21, 9.85, 10.31,
+                    10.66, 12.38, 13.42, 15.02, 15.32, 16.38, 17.91, 18.6,
+                ],
+                "heights": [
+                    47.3, 45.1, 1.5, 1.3, 27.1, 47.0, 19.1, 10.8, 21.1, 1.5,
+                    11.1, 21.9, 24.8, 11.7, 11.5, 10.9, 23.0,
+                ],
+            },
+        )
+        out = tmp_path / "long.json"
+        assert main(["spectrum", "--spec", spec, "--count", "8", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["eigenvalues"]) == 8
+        assert "warnings" not in doc
+        for level in doc["eigenvalues"]:
+            assert len(level["coefficients"]) == 16
+            assert level["residual"] < 1e-10
+
     def test_doublet_splitting_grows_with_barrier(self, tmp_path):
         # the asymmetric geometry pushes the two well levels apart as the
         # barrier decouples them, so the splitting grows toward its limit
@@ -335,16 +360,16 @@ GOLDEN_COMMANDS = {
 GOLDEN_SHA256 = {
     "box_scan": "a6c2f954ea1f144621f700b5e319bdfa53501e7b8fcc736cf36d630c51beb2d8",
     "box_spectrum": "49298a30c96eb59aea85d0dc07a21bd5a92f7804b37bbe78d57e2e7655b6e011",
-    "box_perturb": "5a6d09ef987a2882d1c9da235cf3d771abc626314203fc233bdecb3eaa551f55",
-    "box_validate": "9e6cde3234e823b3b21e5a8db28ba228ea4b66e03f39154fa4669b5636e0d0a4",
+    "box_perturb": "7b8c339728e6b29e965e8f7193bc75ef2ddfdef8861c0681e7af840e212e9f8a",
+    "box_validate": "e376de270b857b644f6bf4fd6a3120c43dae6895c5a17301ab2ccf261bc852f5",
     "step_scan": "ce782efd078d10ca1e8639bd068e943daa3852b62c55bb9f01fc8b8a8ee7533e",
     "step_spectrum": "cca9e22c3d2ea4609254605085967ee696084f7d38881c6296d9db8d859e66a7",
-    "step_perturb": "4c57320fdadc8bf6bf52435480631a5af832a438d793cbb1878e11636948df9f",
-    "step_validate": "ffad77f6dd3bc022ddc18ed3d216f885594acbc6e2ef3e65b678b346d5a91653",
+    "step_perturb": "a8ef8474cdc24d3fbac544cf33b71ee1e62ec060f5f4c0fa84893f62f62d9498",
+    "step_validate": "8a0c388160cdd6f36054c1b39d152f1de5a717cea79ccf94e1642815d7b6bfb7",
     "double_well_scan": "2fe9d1882a0be2b0f2a860307c9c3fdbc6672c9a75e1a5772e1acddebbf3197a",
     "double_well_spectrum": "3f62b64436b5c56c40e8a5f0ca47e126e94e601a43256e6e23de12df27743c37",
-    "double_well_perturb": "15438f815b02a4443734e9a1eed1e2d495083b24bfe343df85d44e26d1d0d8f4",
-    "double_well_validate": "931aea16c2af91d6e71c8ec781084e271888af9dab8113aff4f1341586d38faf",
+    "double_well_perturb": "7a727ca06b36e94e2042f191f06ec97ec57d8e5229e9e168d847629ebfd6eda9",
+    "double_well_validate": "e76278dbf6ade8ae5d0a2681964161dbc0e04ad0ce6e9639345cce8564d7460e",
 }
 
 

@@ -346,6 +346,29 @@ class TestFirstOrderIntegral:
         assert rs_first_order(state, pert) == pytest.approx(PI / 2, abs=1e-10)
 
 
+class TestFdRsSeries:
+    def test_box_linear_tilt(self, box_spec):
+        # E1 = <x> = pi / 2; x - pi/2 is odd about the middle, so every odd
+        # order from the third on vanishes
+        pert = PerturbationSpec(((0.0, 1.0),))
+        values, estimate = oracle.fd_rs_series(box_spec, pert, 6)
+        assert values[0] == pytest.approx(1.0, rel=1e-10)
+        assert values[1] == pytest.approx(PI / 2, rel=1e-12)
+        assert abs(values[3]) < 1e-12 and abs(values[5]) < 1e-12
+        nonzero = [0, 1, 2, 4, 6]
+        assert np.all(estimate[nonzero] < 1e-9 * np.abs(values[nonzero]))
+
+    def test_sums_to_the_tilted_grid_level(self, double_well_spec):
+        # the partial sum well inside the radius against bisection on the
+        # grid of V0 + lam V1, a route that shares only the grid
+        pert = PerturbationSpec(((0.0, 1.0),) * 3)
+        values, _ = oracle.fd_rs_series(double_well_spec, pert, 12, index=1)
+        for lam in (0.05, -0.1):
+            fd = fd_eigenvalues(double_well_spec, pert, lam, m=3000, count=2)
+            partial = np.polyval(values[::-1], lam)
+            assert abs(partial - fd.values[1]) < fd.estimate[1]
+
+
 class TestExactPerturbedEnergy:
     def test_resonance_in_bracket_keeps_the_level(self):
         # guess +- 5 % holds the level and the Dirichlet resonance of the

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from stepwell import (
     DegenerateEnergyError,
     NonFiniteDeterminantError,
-    NormalizationObstructionError,
     NotARootError,
+    PerturbationSpec,
     PotentialSpec,
     RootNotConvergedError,
     SchemaError,
@@ -23,6 +23,7 @@ from stepwell import (
     local_frequency,
     match_coefficients,
     matching_matrix,
+    run_series,
     secular_determinant,
     series_local_basis,
     sturm_count,
@@ -233,12 +234,19 @@ class TestGaugeAndEmbedding:
         xs = np.linspace(0.1, PI - 0.1, 15)
         np.testing.assert_allclose(state.eval(xs), np.sin(xs), atol=1e-12)
 
-    def test_normalization_obstruction_detected(self):
-        # sin x has psi + psi' = 0 at 3 pi / 4; anchoring there blocks the
-        # order-k rescaling and must raise
+    def test_anchor_with_vanishing_c_plus_d_matches(self):
+        # sin x has psi + psi' = 0 at 3 pi / 4, so c + d = 0 there; the
+        # state matches, and its series is the midpoint-split box's
         spec = PotentialSpec((0.0, 3 * PI / 4, PI), (0.0, 0.0))
-        with pytest.raises(NormalizationObstructionError):
-            match_coefficients(spec, 1.0)
+        c, d = match_coefficients(spec, 1.0).coeffs[0]
+        assert abs(c + d) < 1e-12
+        pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
+        anchored = run_series(spec, pert, (0.2, 2.0), 6, max_states=1).states[0]
+        box = run_series(
+            PotentialSpec((0.0, PI), (0.0,)), PerturbationSpec(((0.0, 1.0),)), (0.2, 2.0), 6,
+            max_states=1,
+        ).states[0]
+        np.testing.assert_allclose(anchored.energies, box.energies, rtol=1e-12, atol=1e-14)
 
 
 class TestScanBehaviour:
