@@ -397,7 +397,7 @@ def rs_first_order(state, pert: PerturbationSpec) -> float:
 
 
 def fd_rs_series(
-    spec: PotentialSpec, pert: PerturbationSpec, orders: int, index: int = 0, m: int = 300
+    spec: PotentialSpec, pert: PerturbationSpec, orders: int, index: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rayleigh-Schroedinger corrections E_0..E_orders of level ``index`` on
     the finite-difference grid: an independent reference for the matching
@@ -410,9 +410,10 @@ def fd_rs_series(
     combined by two Richardson steps, which remove the h^2 and h^4 terms.
     Returns the values and, as their error estimate, their distance from
     the one-step extrapolation of the two finer grids.  The zero order is
-    assumed piecewise constant.  Dense: 4m = 1200 takes about 0.3 s; at
-    m = 700 rounding makes the double well's E_28 10x worse than at 300.
+    assumed piecewise constant.  m = 300: dense, 4m = 1200 takes about
+    0.3 s, and at m = 700 rounding makes the double well's E_28 10x worse.
     """
+    m = 300
     flat = PotentialSpec(spec.breakpoints, (0.0,) * spec.n_intervals)
     grids = []
     for refine in (1, 2, 4):

@@ -114,16 +114,15 @@ def _zero_data_solutions(state: MatchedState, rhs_pairs, tol: Tolerances):
 class OmegaSet:
     """Per-domain solutions of H omega = psi_0 with zero initial data at the anchor.
 
-    Order-independent: built once per state and reused by every order, with
-    their boundary values at L_{j -/+ 1}, psi_0's domain pieces and
-    <psi_0|psi_0>, which the matching system and the projection read.
+    Order-independent, built once per state, with psi_0's domain pieces,
+    <psi_0|psi_0>, the bordered matching matrix and its condition number.
     """
 
     pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
-    at_lo: np.ndarray
-    at_hi: np.ndarray
     psi0: tuple[tuple[TrigPoly, TrigPoly], ...]
     psi0_norm2: float
+    matrix: np.ndarray
+    condition: float
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ class OrderBasis:
 
     One (left, right) piece pair per domain, with value and slope zero at
     the anchor.  Boundary values at L_{j -/+ 1} are cached for the matching
-    system, as in OmegaSet.
+    system's right-hand side.
     """
 
     k: int
@@ -169,15 +168,31 @@ class OrderResult:
 
 
 def build_omega(state: MatchedState, *, tol: Tolerances = DEFAULT_TOL) -> OmegaSet:
-    """Solve H omega_j = psi_0 on every domain with zero initial data."""
+    """Solve H omega_j = psi_0 on every domain with zero initial data, and
+    border the zero-order matching matrix with them.
+
+    psi_k = P + a_j C_0 + b_j S_0 + eps omega_j on domain j has the value
+    a_j at its anchor L_j, and its values at L_{j-1} and L_{j+1} must be
+    a_{j-1} and a_{j+1} (zero at the walls): the zero-order matching rows
+    in (a, b), plus eps omega_j, with right-hand side -P.  Those rows are
+    singular along the state's null vector (c, d), which the gauge row
+    (a, b).(c, d) = 0 removes.  Unknowns (a_1, b_1, ..., a_N, b_N, eps).
+    """
     psi0 = tuple(state.domain_pieces())
     norm2 = _piecewise_overlap(state.spec, cover(psi0), cover(psi0))
-    return OmegaSet(*_zero_data_solutions(state, psi0, tol), psi0, norm2)
+    pieces, at_lo, at_hi = _zero_data_solutions(state, psi0, tol)
+    n = state.n_domains
+    a = np.zeros((2 * n + 1, 2 * n + 1))
+    a[:-1, :-1] = _stacked_matrices(*_boundary_values([state.bases]))[0]
+    a[:-1:2, -1] = at_lo
+    a[1:-1:2, -1] = at_hi
+    a[-1, :-1] = state.coeffs.ravel()
+    return OmegaSet(pieces, psi0, norm2, a, float(np.linalg.cond(a)))
 
 
 def build_tau(
     k: int,
-    state: MatchedState,
+    omega: OmegaSet,
     history: list[OrderResult],
     pert: PerturbationSpec,
     *,
@@ -195,19 +210,17 @@ def build_tau(
         raise SequencingError(
             f"order {k} needs history through order {k - 1}, have {len(history)}"
         )
-    psi0 = state.domain_pieces()
     pieces = []
-    for j in range(1, state.n_domains + 1):
-        basis = state.bases[j - 1]
+    for j, pair0 in enumerate(omega.psi0):
         pair = []
-        for s, side in enumerate(_SIDES):
-            interval = j - 1 if side == "left" else j
-            local_poly = reanchor_poly(pert.interval_polys[interval], basis.anchor)
-            prev = psi0[j - 1][s] if k == 1 else history[k - 2].domain_pieces[j - 1][s]
+        for s in (0, 1):
+            # domain j + 1 spans intervals j (left) and j + 1 (right)
+            prev = pair0[s] if k == 1 else history[k - 2].domain_pieces[j][s]
+            local_poly = reanchor_poly(pert.interval_polys[j + s], prev.anchor)
             tau = -1.0 * mul_polynomial(prev, local_poly)
             for i in range(1, k):
                 # psi_(k-i) with k-i >= 1 throughout the sum
-                tau = tau + history[i - 1].energy * history[k - i - 1].domain_pieces[j - 1][s]
+                tau = tau + history[i - 1].energy * history[k - i - 1].domain_pieces[j][s]
             pair.append(tau)
         pieces.append(tuple(pair))
     return TauSet(k, tuple(pieces))
@@ -228,35 +241,24 @@ def solve_order(
     *,
     tol: Tolerances = DEFAULT_TOL,
 ) -> OrderResult:
-    """Solve one order on the zero-order matching matrix, bordered.
+    """Solve one order on the bordered matching matrix of build_omega.
 
-    psi_k = P + a_j C_0 + b_j S_0 + eps omega_j on domain j has the value
-    a_j at its anchor L_j, and its values at L_{j-1} and L_{j+1} must be
-    a_{j-1} and a_{j+1} (zero at the walls): the zero-order matching rows
-    in (a, b), plus eps omega_j, with right-hand side -P.  Those rows are
-    singular along the state's null vector (c, d), which the gauge row
-    (a, b).(c, d) = 0 removes.  Unknowns (a_1, b_1, ..., a_N, b_N, eps).  A
-    condition number beyond the configured limit is flagged as the
-    degeneracy paradox rather than silently regularized.  Finally alpha
-    psi_0, alpha = <psi_0|psi_k> / <psi_0|psi_0>, is subtracted.
+    Only the right-hand side -P changes from order to order.  A condition
+    number beyond the configured limit is flagged as the degeneracy
+    paradox rather than silently regularized.  Finally alpha psi_0,
+    alpha = <psi_0|psi_k> / <psi_0|psi_0>, is subtracted.
     """
     n = state.n_domains
-    a = np.zeros((2 * n + 1, 2 * n + 1))
-    a[:-1, :-1] = _stacked_matrices(*_boundary_values([state.bases]))[0]
-    a[:-1:2, -1] = omega.at_lo
-    a[1:-1:2, -1] = omega.at_hi
-    a[-1, :-1] = state.coeffs.ravel()
-    b = np.zeros(2 * n + 1)
-    b[:-1:2] = -basis.at_lo
-    b[1:-1:2] = -basis.at_hi
-    condition = float(np.linalg.cond(a))
+    # rows alternate the ends L_{j-1}, L_{j+1} of each domain; the gauge row last
+    b = np.append(-np.column_stack((basis.at_lo, basis.at_hi)).ravel(), 0.0)
+    condition = omega.condition
     if not np.isfinite(condition) or condition > tol.condition_limit:
         raise DegeneracyParadoxError(
             f"order-{basis.k} system condition {condition:.3e} beyond "
             f"{tol.condition_limit:.1e}; vanishing determinant would signal a "
             "degenerate unperturbed level"
         )
-    u = np.linalg.solve(a, b)
+    u = np.linalg.solve(omega.matrix, b)
     eps = float(u[-1])
     ab = u[:-1].reshape(n, 2)
 
@@ -303,7 +305,8 @@ def solve_order(
 
 
 def equation_residual(
-    state: MatchedState,
+    spec: PotentialSpec,
+    omega: OmegaSet,
     result: OrderResult,
     tau: TauSet,
     *,
@@ -315,9 +318,8 @@ def equation_residual(
     Checks H psi_k - tau - eps psi_0 = 0 pointwise; the algebra is exact,
     so anything beyond rounding indicates a bookkeeping bug.
     """
-    spec = state.spec
     worst = 0.0
-    pieces = zip(result.global_pieces, cover(tau.pieces), state.global_pieces())
+    pieces = zip(result.global_pieces, cover(tau.pieces), cover(omega.psi0))
     for i, (piece, rhs, psi0) in enumerate(pieces):
         res_poly = (
             apply_hamiltonian(piece, -piece.freq * piece.freq, tol=tol)
@@ -415,7 +417,7 @@ def _series_for_state(spec, pert, e0, order_max, tol) -> StateSeries:
     taus: list[TauSet] = []
     for k in range(1, order_max + 1):
         try:
-            tau = build_tau(k, state, history, pert, tol=tol)
+            tau = build_tau(k, omega, history, pert, tol=tol)
             basis = build_order_basis(state, tau, tol=tol)
         except SolverError as exc:
             raise PipelineError(f"S4:order-{k}", exc) from exc
@@ -426,7 +428,7 @@ def _series_for_state(spec, pert, e0, order_max, tol) -> StateSeries:
         history.append(result)
         taus.append(tau)
     residuals = tuple(
-        equation_residual(state, res, tau, tol=tol)
+        equation_residual(spec, omega, res, tau, tol=tol)
         for res, tau in zip(history, taus)
     )
     overlaps = tuple(

@@ -63,8 +63,8 @@ class TestOmega:
         # -pi/2 regardless of where the fictitious anchor sits
         for frac in (0.3, 0.5, 0.618):
             state = box_state(frac)
-            omega = build_omega(state)
-            total = omega.at_lo[0] + omega.at_hi[0]
+            left, right = build_omega(state).pieces[0]
+            total = left.eval(0.0) + right.eval(PI)
             assert total == pytest.approx(-PI / 2, abs=1e-12)
 
     def test_zero_state_gives_zero_omega(self):
@@ -85,7 +85,7 @@ class TestTau:
     def test_first_order_is_minus_v1_psi0(self):
         state = box_state()
         pert = PerturbationSpec(((1.0,), (1.0,)))  # V1 = 1
-        tau = build_tau(1, state, [], pert)
+        tau = build_tau(1, build_omega(state), [], pert)
         for j, (left, right) in enumerate(tau.pieces, start=1):
             for side, piece in (("left", left), ("right", right)):
                 rhs = state.domain_piece(j, side)
@@ -98,17 +98,17 @@ class TestTau:
         state = box_state()
         pert = PerturbationSpec(((1.0,), (1.0,)))
         with pytest.raises(SequencingError):
-            build_tau(3, state, [], pert)
+            build_tau(3, build_omega(state), [], pert)
 
     def test_second_order_tau_vanishes_for_constant_shift(self):
         # E1 = Omega and psi1 proportional to psi0 make tau(1) identically zero
         state = box_state()
         pert = PerturbationSpec(((0.4,), (0.4,)))
         omega = build_omega(state)
-        tau1 = build_tau(1, state, [], pert)
+        tau1 = build_tau(1, omega, [], pert)
         basis1 = build_order_basis(state, tau1)
         first = solve_order(state, omega, basis1)
-        tau2 = build_tau(2, state, [first], pert)
+        tau2 = build_tau(2, omega, [first], pert)
         xs = np.linspace(0.1, 3.0, 25)
         for left, right in tau2.pieces:
             assert np.max(np.abs(left.value(xs))) < 1e-13
@@ -122,7 +122,7 @@ class TestOrderBasis:
         e0 = find_eigenvalues(n1_step_spec, 0.05, 10.0, count=1).energies[0]
         state = match_coefficients(n1_step_spec, e0)
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
-        tau = build_tau(1, state, [], pert)
+        tau = build_tau(1, build_omega(state), [], pert)
         basis = build_order_basis(state, tau)
         for j, (left, right) in enumerate(basis.pieces, start=1):
             zero = state.bases[j - 1]
@@ -174,7 +174,7 @@ class TestSolveOrder:
         state = box_state()
         pert = PerturbationSpec(((0.3,), (0.3,)))
         omega = build_omega(state)
-        tau = build_tau(1, state, [], pert)
+        tau = build_tau(1, omega, [], pert)
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
         assert result.energy == pytest.approx(0.3, abs=1e-12)
@@ -187,20 +187,21 @@ class TestSolveOrder:
         state = box_state(0.37)
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         omega = build_omega(state)
-        tau = build_tau(1, state, [], pert)
+        tau = build_tau(1, omega, [], pert)
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
         zero = state.bases[0]
         c, d = state.coeffs[0]
         a = np.array(
             [
-                [zero.c_at_lo, zero.s_at_lo, omega.at_lo[0]],
-                [zero.c_at_hi, zero.s_at_hi, omega.at_hi[0]],
+                [zero.c_at_lo, zero.s_at_lo, omega.pieces[0][0].eval(zero.x_lo)],
+                [zero.c_at_hi, zero.s_at_hi, omega.pieces[0][1].eval(zero.x_hi)],
                 [c, d, 0.0],
             ]
         )
         b = np.array([-basis.at_lo[0], -basis.at_hi[0], 0.0])
         a_j, b_j, eps = np.linalg.solve(a, b)
+        np.testing.assert_array_equal(omega.matrix, a)
         assert result.energy == pytest.approx(eps, rel=1e-12)
         assert result.condition == pytest.approx(np.linalg.cond(a), rel=1e-12)
         # value and slope of the correction at the anchor are its (a, b)
@@ -213,7 +214,7 @@ class TestSolveOrder:
         state = box_state()
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         omega = build_omega(state)
-        tau = build_tau(1, state, [], pert)
+        tau = build_tau(1, omega, [], pert)
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
         assert result.energy == pytest.approx(PI / 2, abs=1e-10)
@@ -225,20 +226,30 @@ class TestSolveOrder:
             ((0.0, 0.7, 1.5, 2.1, 3.0), (0.0, 12.0, 3.0, 20.0)),
         ],
     )
-    def test_condition_is_the_same_at_every_order(self, breakpoints, heights):
-        # the matrix holds zero-order values only; no order rebuilds a
-        # column by cancellation
+    def test_condition_is_the_same_at_every_order(
+        self, breakpoints, heights, monkeypatch
+    ):
+        # the matrix holds zero-order values only; it is built once per
+        # state, and no order rebuilds a column by cancellation
+        from stepwell import perturbation
+
+        calls = []
+        stacked = perturbation._stacked_matrices
+        monkeypatch.setattr(
+            perturbation, "_stacked_matrices", lambda *a: calls.append(1) or stacked(*a)
+        )
         spec = PotentialSpec(breakpoints, heights)
         pert = PerturbationSpec(tuple((0.0, 1.0) for _ in heights))
         series = run_series(spec, pert, (0.05, 10.0), 12, max_states=1).states[0]
         assert len(series.orders) == 12
         assert len({order.condition for order in series.orders}) == 1
+        assert len(calls) == 1
 
     def test_condition_limit_triggers_paradox_flag(self):
         state = box_state()
         pert = PerturbationSpec(((0.3,), (0.3,)))
         omega = build_omega(state)
-        tau = build_tau(1, state, [], pert)
+        tau = build_tau(1, omega, [], pert)
         basis = build_order_basis(state, tau)
         strict = Tolerances(condition_limit=1.0)
         with pytest.raises(DegeneracyParadoxError):
@@ -334,7 +345,7 @@ class TestRunSeries:
             omega = build_omega(st)
             history = []
             for k in (1, 2):
-                tau = build_tau(k, st, history, pert)
+                tau = build_tau(k, omega, history, pert)
                 basis = build_order_basis(st, tau)
                 history.append(solve_order(st, omega, basis))
             energies.append([h.energy for h in history])
@@ -502,29 +513,28 @@ class TestAgainstFdRayleighSchroedinger:
 
 class TestGaussLegendreIntegrals:
     """The Gauss-Legendre norms <psik|psik> and first-order integrals
-    against scipy's adaptive quad, the rule they replaced.
+    against scipy's adaptive quad, the rule they replaced, and the
+    projected overlaps <psi0|psik> against ||psi0|| ||psik||.
 
-    With psi0 projected out a correction can be far smaller than its
-    pieces' terms, which cancel on evaluation: by 4e11 on the step at order
-    6 and by 2e16 near the height (the beta w problem of the particular
-    solutions).  Both rules then integrate the same rounding noise
-    differently, so the norms and the projected overlaps are compared at
-    the scale of that noise, the L2 norm of the sum of the terms' magnitudes
-    (TrigPoly._magnitude).  Where nothing cancels, as on the double well,
-    that scale is within a factor 10 of the correction's own norm.
+    Each case runs through the last order where both hold at 1e-12.  Past
+    it a correction is far smaller than its pieces' terms, which cancel on
+    evaluation (the beta w and degree growth of the particular solutions),
+    and both integrals read that rounding: on the step the overlap bound
+    fails from order 3 (1.4e-9 at 5), near the height from order 2 and on
+    the box at order 6 (1.03e-12).
     """
 
     CASES = {
         # the second interval is evanescent, kappa w = 0.79
-        "step": ((0.0, 1.0, 2.0), (0.0, 5.0), (0.05, 10.0)),
+        "step": ((0.0, 1.0, 2.0), (0.0, 5.0), (0.05, 10.0), 2),
         # evanescent barrier, kappa w = 2.4
-        "double_well": ((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0), (0.05, 10.0)),
+        "double_well": ((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0), (0.05, 10.0), 6),
         # every interval oscillatory, above the barrier
-        "above_barrier": ((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0), (12.0, 25.0)),
+        "above_barrier": ((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0), (12.0, 25.0), 6),
         # E0 = 4.0707, 0.1 above the step: beta w = 0.32
-        "near_height": ((0.0, 1.0, 2.0), (0.0, 3.97), (0.05, 10.0)),
+        "near_height": ((0.0, 1.0, 2.0), (0.0, 3.97), (0.05, 10.0), 1),
         # a plain box, split at a fictitious anchor
-        "box": ((0.0, PI), (0.0,), (0.2, 2.0)),
+        "box": ((0.0, PI), (0.0,), (0.2, 2.0), 5),
     }
 
     @staticmethod
@@ -542,15 +552,6 @@ class TestGaussLegendreIntegrals:
         return acc
 
     @staticmethod
-    def term_scale(spec, pieces):
-        from scipy.integrate import quad
-
-        return math.sqrt(sum(
-            quad(lambda x: piece._magnitude(x) ** 2, *spec.breakpoints[i : i + 2])[0]
-            for i, piece in enumerate(pieces)
-        ))
-
-    @staticmethod
     def quad_first_order(state, pert):
         from scipy.integrate import quad
 
@@ -565,26 +566,26 @@ class TestGaussLegendreIntegrals:
         return num / den
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_overlaps_through_order_six(self, name):
-        bp, heights, window = self.CASES[name]
+    def test_norms_and_projected_overlaps(self, name):
+        bp, heights, window, orders = self.CASES[name]
         pert = PerturbationSpec(tuple((0.0, 1.0) for _ in heights))
-        result = run_series(PotentialSpec(bp, heights), pert, window, 6, max_states=1)
+        result = run_series(PotentialSpec(bp, heights), pert, window, orders, max_states=1)
         spec = result.embedded_spec or PotentialSpec(bp, heights)
         series = result.states[0]
         psi0 = series.matched.global_pieces()
         norm0 = math.sqrt(_piecewise_overlap(spec, psi0, psi0))
+        assert len(series.orders) == orders
         for order, overlap in zip(series.orders, series.overlaps):
             pieces = order.global_pieces
-            scale = self.term_scale(spec, pieces)
             norm2 = _piecewise_overlap(spec, pieces, pieces)
-            reference = self.quad_overlap(spec, pieces, pieces, 1e-14 * scale**2)
-            assert abs(norm2 - reference) <= 1e-12 * scale**2
+            reference = self.quad_overlap(spec, pieces, pieces, 1e-14 * norm2)
+            assert norm2 == pytest.approx(reference, rel=1e-12, abs=0)
             # every correction is printed with psi0 projected out
-            assert abs(overlap) <= 1e-12 * norm0 * scale
+            assert abs(overlap) <= 1e-12 * norm0 * math.sqrt(norm2)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_first_order_integral(self, name):
-        bp, heights, window = self.CASES[name]
+        bp, heights, window, _ = self.CASES[name]
         spec = PotentialSpec(bp, heights)
         if spec.n_interior == 0:
             spec = spec.with_fictitious_breakpoint(1.0)
@@ -602,9 +603,9 @@ class TestEquationResidualHelper:
         state = box_state()
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         omega = build_omega(state)
-        tau = build_tau(1, state, [], pert)
+        tau = build_tau(1, omega, [], pert)
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
-        assert equation_residual(state, result, tau) < 1e-12
+        assert equation_residual(state.spec, omega, result, tau) < 1e-12
         broken = replace(result, energy=result.energy + 0.1)
-        assert equation_residual(state, broken, tau) > 1e-3
+        assert equation_residual(state.spec, omega, broken, tau) > 1e-3
