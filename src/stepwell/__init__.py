@@ -2,7 +2,7 @@
 matching, with closed-form Rayleigh-Schroedinger-style perturbation series for
 polynomial perturbations."""
 
-from .config import DEFAULT_SCAN, DEFAULT_TOL, ScanConfig, Tolerances
+from .config import DEFAULT_SCAN, ScanConfig
 from .errors import (
     DegenerateEnergyError,
     DegenerateFrequencyError,

@@ -325,7 +325,7 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
 
     series = run_series(spec, pert, (e_lo, e_hi), max(orders, 1), max_states=1)
     st_series = series.states[0]
-    e1_int = oracle.rs_first_order(st_series.matched, _match_pert(series, spec, pert))
+    e1_int = oracle.rs_first_order(st_series.matched, _match_pert(series, pert))
     rel = abs(st_series.energies[1] - e1_int) / max(abs(e1_int), 1e-30)
     record("first-order-integral", rel, 1e-8, "relative |E1 - <V1>|")
 
@@ -362,7 +362,7 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
     return checks
 
 
-def _match_pert(series, spec, pert):
+def _match_pert(series, pert):
     """Perturbation aligned with the (possibly embedded) working spec."""
     if series.embedded_spec is None:
         return pert

@@ -1,26 +1,18 @@
-"""Tolerance and scan configuration dataclasses."""
+"""Numerical floors of the solver and the scan configuration dataclass."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical floors and acceptance thresholds used throughout the solver."""
-
-    beta_min: float = 1e-8          # degeneracy floor on |beta|
-    reality_rtol: float = 1e-8      # imaginary residue allowed, relative to local magnitude
-    freq_match_rtol: float = 1e-10  # agreement of V - E with -beta^2 in the operator
-    root_tol: float = 1e-9          # |normalized determinant| accepted as a root
-    refine_xtol: float = 1e-13      # root refinement tolerance on E
-    matching_residual: float = 1e-10
-    condition_limit: float = 1e12   # order-k system condition number triggering the paradox flag
-    series_boundary_rtol: float = 1e-10
-    series_m_max: int = 600
-
-
-DEFAULT_TOL = Tolerances()
+BETA_MIN = 1e-8                # degeneracy floor on |beta|
+REALITY_RTOL = 1e-8            # imaginary residue allowed, relative to local magnitude
+FREQ_MATCH_RTOL = 1e-10        # agreement of V - E with -beta^2 in the operator
+ROOT_TOL = 1e-9                # |normalized determinant| accepted as a root
+REFINE_XTOL = 1e-13            # root refinement tolerance on E
+MATCHING_RESIDUAL = 1e-10
+CONDITION_LIMIT = 1e12         # order-k system condition number triggering the paradox flag
+SERIES_BOUNDARY_RTOL = 1e-10
+SERIES_M_MAX = 600
 
 
 @dataclass(frozen=True)

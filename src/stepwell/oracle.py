@@ -18,12 +18,12 @@ solvers, which the package itself never imports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .config import DEFAULT_TOL, ScanConfig
+from .config import ScanConfig
 from .errors import SolverError
 from .potential import PerturbationSpec, PotentialSpec
 from .zero_order import find_eigenvalues
@@ -448,11 +448,10 @@ def exact_perturbed_energy(
     """
     polys = tuple(tuple(lam * c for c in poly) for poly in pert.interval_polys)
     pspec = PotentialSpec(spec.breakpoints, spec.heights, polys)
-    tol = replace(DEFAULT_TOL, refine_xtol=1e-14)
     span = 0.05 * max(1.0, abs(guess))
     while span <= 1e3:
         levels = find_eigenvalues(
-            pspec, guess - span, guess + span, scan=ScanConfig(points=3), tol=tol, series_m=60
+            pspec, guess - span, guess + span, scan=ScanConfig(points=3), xtol=1e-14, series_m=60
         ).energies
         if levels:
             return min(levels, key=lambda e: abs(e - guess))

@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .config import DEFAULT_SCAN, DEFAULT_TOL, ScanConfig, Tolerances
+from .config import CONDITION_LIMIT, DEFAULT_SCAN, ScanConfig
 from .errors import (
     DegeneracyParadoxError,
     NonFiniteDeterminantError,
@@ -86,7 +86,7 @@ def _with_initial_data(particular: TrigPoly) -> TrigPoly:
     return TrigPoly(particular.anchor, particular.freq, new_p, new_q)
 
 
-def _zero_data_solutions(state: MatchedState, rhs_pairs, tol: Tolerances):
+def _zero_data_solutions(state: MatchedState, rhs_pairs):
     """Per-domain (left, right) solutions of H u = rhs with zero value and
     slope at the anchor, and their values at the domain ends L_{j -/+ 1}.
 
@@ -96,12 +96,10 @@ def _zero_data_solutions(state: MatchedState, rhs_pairs, tol: Tolerances):
     at_lo = np.empty(state.n_domains)
     at_hi = np.empty(state.n_domains)
     for j, (basis, rhs_pair) in enumerate(zip(state.bases, rhs_pairs)):
-        pair = tuple(
-            _with_initial_data(particular_solution(rhs, tol=tol)) for rhs in rhs_pair
-        )
+        pair = tuple(_with_initial_data(particular_solution(rhs)) for rhs in rhs_pair)
         pieces.append(pair)
-        at_lo[j] = pair[0].eval(basis.x_lo, tol=tol)
-        at_hi[j] = pair[1].eval(basis.x_hi, tol=tol)
+        at_lo[j] = pair[0].eval(basis.x_lo)
+        at_hi[j] = pair[1].eval(basis.x_hi)
         if not (math.isfinite(at_lo[j]) and math.isfinite(at_hi[j])):
             raise NonFiniteDeterminantError(
                 f"particular solution on domain {j + 1} is not finite at its "
@@ -167,7 +165,7 @@ class OrderResult:
     overlap_gap: float
 
 
-def build_omega(state: MatchedState, *, tol: Tolerances = DEFAULT_TOL) -> OmegaSet:
+def build_omega(state: MatchedState) -> OmegaSet:
     """Solve H omega_j = psi_0 on every domain with zero initial data, and
     border the zero-order matching matrix with them.
 
@@ -180,7 +178,7 @@ def build_omega(state: MatchedState, *, tol: Tolerances = DEFAULT_TOL) -> OmegaS
     """
     psi0 = tuple(state.domain_pieces())
     norm2 = _piecewise_overlap(state.spec, cover(psi0), cover(psi0))
-    pieces, at_lo, at_hi = _zero_data_solutions(state, psi0, tol)
+    pieces, at_lo, at_hi = _zero_data_solutions(state, psi0)
     n = state.n_domains
     a = np.zeros((2 * n + 1, 2 * n + 1))
     a[:-1, :-1] = _stacked_matrices(*_boundary_values([state.bases]))[0]
@@ -195,8 +193,6 @@ def build_tau(
     omega: OmegaSet,
     history: list[OrderResult],
     pert: PerturbationSpec,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> TauSet:
     """Order-k right-hand side tau_(k-1) = -V1 psi_(k-1) + sum_i E_i psi_(k-i).
 
@@ -226,25 +222,17 @@ def build_tau(
     return TauSet(k, tuple(pieces))
 
 
-def build_order_basis(
-    state: MatchedState, tau: TauSet, *, tol: Tolerances = DEFAULT_TOL
-) -> OrderBasis:
+def build_order_basis(state: MatchedState, tau: TauSet) -> OrderBasis:
     """Order-k particular solutions of H P = tau with zero initial data on
     every domain."""
-    return OrderBasis(tau.k, *_zero_data_solutions(state, tau.pieces, tol))
+    return OrderBasis(tau.k, *_zero_data_solutions(state, tau.pieces))
 
 
-def solve_order(
-    state: MatchedState,
-    omega: OmegaSet,
-    basis: OrderBasis,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> OrderResult:
+def solve_order(state: MatchedState, omega: OmegaSet, basis: OrderBasis) -> OrderResult:
     """Solve one order on the bordered matching matrix of build_omega.
 
     Only the right-hand side -P changes from order to order.  A condition
-    number beyond the configured limit is flagged as the degeneracy
+    number beyond CONDITION_LIMIT is flagged as the degeneracy
     paradox rather than silently regularized.  Finally alpha psi_0,
     alpha = <psi_0|psi_k> / <psi_0|psi_0>, is subtracted.
     """
@@ -252,10 +240,10 @@ def solve_order(
     # rows alternate the ends L_{j-1}, L_{j+1} of each domain; the gauge row last
     b = np.append(-np.column_stack((basis.at_lo, basis.at_hi)).ravel(), 0.0)
     condition = omega.condition
-    if not np.isfinite(condition) or condition > tol.condition_limit:
+    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise DegeneracyParadoxError(
             f"order-{basis.k} system condition {condition:.3e} beyond "
-            f"{tol.condition_limit:.1e}; vanishing determinant would signal a "
+            f"{CONDITION_LIMIT:.1e}; vanishing determinant would signal a "
             "degenerate unperturbed level"
         )
     u = np.linalg.solve(omega.matrix, b)
@@ -281,13 +269,13 @@ def solve_order(
     global_pieces = cover(domain_pieces)
 
     boundary_residual = max(
-        abs(global_pieces[0].eval(spec.x_min, tol=tol)),
-        abs(global_pieces[-1].eval(spec.x_max, tol=tol)),
+        abs(global_pieces[0].eval(spec.x_min)),
+        abs(global_pieces[-1].eval(spec.x_max)),
     )
     # psi_k(L_j) is a_j, on interval j - 1 and on interval j alike
     at_anchors = ab[:, 0] - alpha * state.coeffs[:, 0]
     matching_residual = max(
-        abs(global_pieces[j + side].eval(x, tol=tol) - value)
+        abs(global_pieces[j + side].eval(x) - value)
         for j, (x, value) in enumerate(zip(spec.breakpoints[1:-1], at_anchors))
         for side in (0, 1)
     )
@@ -300,33 +288,32 @@ def solve_order(
         condition,
         boundary_residual,
         matching_residual,
-        overlap_gap(spec, pieces_on_overlaps(domain_pieces, tol=tol)),
+        overlap_gap(spec, pieces_on_overlaps(domain_pieces)),
     )
 
 
+# points per interval at which equation_residual samples the residual
+_RESIDUAL_SAMPLES = 50
+
+
 def equation_residual(
-    spec: PotentialSpec,
-    omega: OmegaSet,
-    result: OrderResult,
-    tau: TauSet,
-    *,
-    samples: int = 50,
-    tol: Tolerances = DEFAULT_TOL,
+    spec: PotentialSpec, omega: OmegaSet, result: OrderResult, tau: TauSet
 ) -> float:
     """Max residual of the order-k differential equation over all pieces.
 
-    Checks H psi_k - tau - eps psi_0 = 0 pointwise; the algebra is exact,
-    so anything beyond rounding indicates a bookkeeping bug.
+    Checks H psi_k - tau - eps psi_0 = 0 at _RESIDUAL_SAMPLES points per
+    interval; the algebra is exact, so anything beyond rounding indicates
+    a bookkeeping bug.
     """
     worst = 0.0
     pieces = zip(result.global_pieces, cover(tau.pieces), cover(omega.psi0))
     for i, (piece, rhs, psi0) in enumerate(pieces):
         res_poly = (
-            apply_hamiltonian(piece, -piece.freq * piece.freq, tol=tol)
+            apply_hamiltonian(piece, -piece.freq * piece.freq)
             - rhs
             - result.energy * psi0
         )
-        xs = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], samples)
+        xs = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], _RESIDUAL_SAMPLES)
         worst = max(worst, float(np.max(np.abs(res_poly.value(xs)))))
     return worst
 
@@ -404,33 +391,30 @@ def _piecewise_overlap(spec: PotentialSpec, pieces_a, pieces_b) -> float:
     )
 
 
-def _series_for_state(spec, pert, e0, order_max, tol) -> StateSeries:
+def _series_for_state(spec, pert, e0, order_max) -> StateSeries:
     try:
-        state = match_coefficients(spec, e0, tol=tol)
+        state = match_coefficients(spec, e0)
     except SolverError as exc:
         raise PipelineError("S2:match", exc) from exc
     try:
-        omega = build_omega(state, tol=tol)
+        omega = build_omega(state)
     except SolverError as exc:
         raise PipelineError("S3:omega", exc) from exc
     history: list[OrderResult] = []
     taus: list[TauSet] = []
     for k in range(1, order_max + 1):
         try:
-            tau = build_tau(k, omega, history, pert, tol=tol)
-            basis = build_order_basis(state, tau, tol=tol)
+            tau = build_tau(k, omega, history, pert)
+            basis = build_order_basis(state, tau)
         except SolverError as exc:
             raise PipelineError(f"S4:order-{k}", exc) from exc
         try:
-            result = solve_order(state, omega, basis, tol=tol)
+            result = solve_order(state, omega, basis)
         except SolverError as exc:
             raise PipelineError(f"S5:order-{k}", exc) from exc
         history.append(result)
         taus.append(tau)
-    residuals = tuple(
-        equation_residual(spec, omega, res, tau, tol=tol)
-        for res, tau in zip(history, taus)
-    )
+    residuals = tuple(equation_residual(spec, omega, res, tau) for res, tau in zip(history, taus))
     overlaps = tuple(
         _piecewise_overlap(spec, cover(omega.psi0), res.global_pieces) for res in history
     )
@@ -444,7 +428,6 @@ def run_series(
     order_max: int,
     *,
     max_states: int | None = None,
-    tol: Tolerances = DEFAULT_TOL,
     scan: ScanConfig = DEFAULT_SCAN,
 ) -> SeriesResult:
     """Full pipeline: zero-order spectrum plus corrections through order_max.
@@ -470,7 +453,7 @@ def run_series(
 
     try:
         scan_result = find_eigenvalues(
-            spec, e_window[0], e_window[1], count=max_states, scan=scan, tol=tol
+            spec, e_window[0], e_window[1], count=max_states, scan=scan
         )
     except SolverError as exc:
         raise PipelineError("S2:scan", exc) from exc
@@ -481,7 +464,7 @@ def run_series(
         embedded = spec.with_fictitious_breakpoint(midpoint)
         pert = pert.split_interval(0) if pert is not None else None
     states = tuple(
-        _series_for_state(embedded or spec, pert, e0, order_max, tol)
+        _series_for_state(embedded or spec, pert, e0, order_max)
         for e0 in scan_result.energies
     )
     return SeriesResult(states, scan_result, embedded)

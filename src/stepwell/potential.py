@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import BETA_MIN
 from .errors import DegenerateEnergyError, SchemaError
 
 __all__ = [
@@ -105,6 +106,13 @@ class PotentialSpec:
     def x_max(self) -> float:
         return self.breakpoints[-1]
 
+    @cached_property
+    def value_ranges(self) -> tuple[tuple[float, float], ...]:
+        """Least and greatest value of V on each interval, computed on first
+        read (the spec is immutable): the height on a flat interval, else
+        sampled at 201 points."""
+        return tuple(_value_range(self, i) for i in range(self.n_intervals))
+
     def interval_index(self, x):
         """Index of the interval containing x; breakpoints go to the right interval.
 
@@ -177,6 +185,15 @@ class PerturbationSpec:
         return out if np.ndim(x) else float(out[0])
 
 
+def _value_range(spec: PotentialSpec, i: int) -> tuple[float, float]:
+    """PotentialSpec.value_ranges of interval i."""
+    if spec.zero_order_polys is None:
+        return spec.heights[i], spec.heights[i]
+    xs = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], 201)
+    vals = spec.heights[i] + np.polynomial.polynomial.polyval(xs, spec.zero_order_polys[i])
+    return float(np.min(vals)), float(np.max(vals))
+
+
 def potential_value(spec: PotentialSpec, x) -> np.ndarray:
     """Zero-order potential V(x); right-continuous at breakpoints."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -193,7 +210,7 @@ def potential_value(spec: PotentialSpec, x) -> np.ndarray:
 def degenerate_energy_error(
     spec: PotentialSpec, interval: int, energy: float
 ) -> DegenerateEnergyError:
-    """The error for an energy within beta_min^2 of an interval height."""
+    """The error for an energy within BETA_MIN^2 of an interval height."""
     return DegenerateEnergyError(
         f"E = {energy} degenerate with height {spec.heights[interval]} on interval "
         f"{interval}; move the energy window (or scan grid) off this height "
@@ -201,19 +218,17 @@ def degenerate_energy_error(
     )
 
 
-def local_frequency(
-    spec: PotentialSpec, interval: int, energy: float, *, tol: Tolerances = DEFAULT_TOL
-) -> complex:
+def local_frequency(spec: PotentialSpec, interval: int, energy: float) -> complex:
     """Principal square root beta_i = sqrt(E - H_i) for one interval.
 
     Real and positive above the height, purely imaginary with positive
-    imaginary part below it.  Energies within beta_min^2 of the height are
+    imaginary part below it.  Energies within BETA_MIN^2 of the height are
     rejected with DegenerateEnergyError; move the energy off the height (a
     gauge shift of heights and window together moves nothing, because
     E - H_i is unchanged).
     """
     diff = energy - spec.heights[interval]
-    if abs(diff) <= tol.beta_min**2:
+    if abs(diff) <= BETA_MIN**2:
         raise degenerate_energy_error(spec, interval, energy)
     beta = complex(np.sqrt(complex(diff)))
     if beta.real < 0 or (beta.real == 0 and beta.imag < 0):
@@ -222,19 +237,19 @@ def local_frequency(
 
 
 def local_frequencies(
-    spec: PotentialSpec, energies: np.ndarray, *, tol: Tolerances = DEFAULT_TOL
+    spec: PotentialSpec, energies: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """local_frequency for every interval at each energy of a 1-D array.
 
     The same rule, vectorised; the scalar form stays for the per-energy
     bases and is the reference the batched determinant is tested against.
     Returns beta, shape (M, n_intervals), and the mask of entries within
-    beta_min^2 of their height, where local_frequency would raise; beta is
+    BETA_MIN^2 of their height, where local_frequency would raise; beta is
     set to 1 there so that callers can evaluate without warnings and
     discard those energies afterwards.
     """
     diff = np.asarray(energies, dtype=float)[:, None] - np.asarray(spec.heights)
-    degenerate = np.abs(diff) <= tol.beta_min**2
+    degenerate = np.abs(diff) <= BETA_MIN**2
     beta = np.sqrt(diff.astype(complex))
     flip = (beta.real < 0) | ((beta.real == 0) & (beta.imag < 0))
     beta = np.where(flip, -beta, beta)

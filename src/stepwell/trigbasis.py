@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import BETA_MIN, FREQ_MATCH_RTOL, REALITY_RTOL
 from .errors import (
     DegenerateFrequencyError,
     FrequencyMismatchError,
@@ -77,7 +77,7 @@ class TrigPoly:
         object.__setattr__(self, "sin_coeffs", q)
         object.__setattr__(self, "anchor", float(self.anchor))
         object.__setattr__(self, "freq", complex(self.freq))
-        if abs(self.freq) <= DEFAULT_TOL.beta_min:
+        if abs(self.freq) <= BETA_MIN:
             raise DegenerateFrequencyError(
                 f"|beta| = {abs(self.freq):.3e} at or below the degeneracy floor"
             )
@@ -166,36 +166,34 @@ class TrigPoly:
             t, np.abs(self.sin_coeffs)
         ) * np.abs(np.sin(arg))
 
-    def eval(self, x, *, tol: Tolerances = DEFAULT_TOL):
+    def eval(self, x):
         """Real value(s) at x after the reality check.
 
-        Raises RealityError when the imaginary residue exceeds the declared
-        tolerance relative to the local magnitude of the piece.
+        Raises RealityError when the imaginary residue exceeds REALITY_RTOL
+        relative to the local magnitude of the piece.
         """
-        out = _checked_real(self.value(x), self._magnitude(x), tol)
+        out = _checked_real(self.value(x), self._magnitude(x))
         return float(out) if np.isscalar(x) else out
 
-    def eval_deriv(self, x, *, tol: Tolerances = DEFAULT_TOL):
+    def eval_deriv(self, x):
         """Real first derivative at x (reality-checked)."""
-        return derivative(self).eval(x, tol=tol)
+        return derivative(self).eval(x)
 
 
-def _checked_real(val, magnitude, tol: Tolerances) -> np.ndarray:
+def _checked_real(val, magnitude) -> np.ndarray:
     """Real part of val; RealityError when the imaginary residue exceeds
-    tol.reality_rtol relative to the local magnitude."""
+    REALITY_RTOL relative to the local magnitude."""
     scale = magnitude + 1e-300
-    bad = np.abs(np.imag(val)) > tol.reality_rtol * np.maximum(scale, 1e-30)
+    bad = np.abs(np.imag(val)) > REALITY_RTOL * np.maximum(scale, 1e-30)
     if np.any(bad):
         worst = float(np.max(np.abs(np.imag(val)) / scale))
         raise RealityError(
-            f"imaginary residue {worst:.3e} above tolerance {tol.reality_rtol:.1e}"
+            f"imaginary residue {worst:.3e} above tolerance {REALITY_RTOL:.1e}"
         )
     return np.real(val)
 
 
-def unit_solutions(
-    freq, t, *, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def unit_solutions(freq, t) -> tuple[np.ndarray, np.ndarray]:
     """cos(beta t) and sin(beta t) / beta, elementwise over broadcast arrays.
 
     The values of TrigPoly.cosine(a, beta) and TrigPoly.sine_unit_slope(a,
@@ -207,12 +205,12 @@ def unit_solutions(
     cos, sin = np.cos(arg), np.sin(arg)
     inv = 1.0 / freq
     return (
-        _checked_real(cos, np.abs(cos), tol),
-        _checked_real(sin * inv, np.abs(sin) * np.abs(inv), tol),
+        _checked_real(cos, np.abs(cos)),
+        _checked_real(sin * inv, np.abs(sin) * np.abs(inv)),
     )
 
 
-def trig_values(freq, t, p, q, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def trig_values(freq, t, p, q) -> np.ndarray:
     """p cos(beta t) + q sin(beta t), elementwise over broadcast arrays.
 
     The value of TrigPoly(a, beta, [p], [q]) at x = a + t, from the same
@@ -222,7 +220,7 @@ def trig_values(freq, t, p, q, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     arg = freq * t
     cos, sin = np.cos(arg), np.sin(arg)
     magnitude = np.abs(p) * np.abs(cos) + np.abs(q) * np.abs(sin)
-    return _checked_real(p * cos + q * sin, magnitude, tol)
+    return _checked_real(p * cos + q * sin, magnitude)
 
 
 def derivative(f: TrigPoly) -> TrigPoly:
@@ -259,9 +257,7 @@ def _apply_shifted(f: TrigPoly) -> TrigPoly:
     return TrigPoly(f.anchor, f.freq, out_p, out_q).trimmed()
 
 
-def apply_hamiltonian(
-    f: TrigPoly, local_offset: complex, *, tol: Tolerances = DEFAULT_TOL
-) -> TrigPoly:
+def apply_hamiltonian(f: TrigPoly, local_offset: complex) -> TrigPoly:
     """Apply H = -d^2/dx^2 + (V - E) to f, with local_offset = V - E.
 
     The piece's frequency must satisfy beta^2 = -(V - E); anything else is a
@@ -270,8 +266,8 @@ def apply_hamiltonian(
 
     Args:
         f: the trig polynomial to act on.
-        local_offset: constant V - E on the piece.
-        tol: tolerance bundle; beta floor and the offset match threshold.
+        local_offset: constant V - E on the piece; it must match -beta^2
+            to FREQ_MATCH_RTOL.
 
     Returns:
         H f in the same anchored representation (degree drops by one for
@@ -279,27 +275,24 @@ def apply_hamiltonian(
         to zero).
     """
     beta = f.freq
-    if abs(beta) <= tol.beta_min:
-        raise DegenerateFrequencyError("frequency at or below the degeneracy floor")
     mismatch = abs(beta * beta + local_offset)
-    if mismatch > tol.freq_match_rtol * max(1.0, abs(beta) ** 2):
+    if mismatch > FREQ_MATCH_RTOL * max(1.0, abs(beta) ** 2):
         raise FrequencyMismatchError(
             f"local offset {local_offset} does not equal -beta^2 = {-beta * beta}"
         )
     return _apply_shifted(f)
 
 
-def particular_solution(rhs: TrigPoly, *, tol: Tolerances = DEFAULT_TOL) -> TrigPoly:
+def particular_solution(rhs: TrigPoly) -> TrigPoly:
     """Closed-form u with H u = rhs, H = -d^2/dx^2 - beta^2 at rhs's frequency.
 
     Resonant forcing raises the degree by exactly one.  The degree-0
     (homogeneous) components of u are set to zero; callers add homogeneous
     terms to meet their initial conditions.  Undefined as beta -> 0, where
-    the particular solutions turn polynomial; that regime is rejected.
+    the particular solutions turn polynomial; TrigPoly rejects that regime
+    when rhs is built.
     """
     beta = rhs.freq
-    if abs(beta) <= tol.beta_min:
-        raise DegenerateFrequencyError("frequency at or below the degeneracy floor")
     r = rhs.trimmed()
     rp, rq = r.cos_coeffs, r.sin_coeffs
     deg = len(rp) - 1
@@ -357,7 +350,7 @@ class BandedOperator:
     truncation: int
 
     def __post_init__(self) -> None:
-        if abs(complex(self.freq)) <= DEFAULT_TOL.beta_min:
+        if abs(complex(self.freq)) <= BETA_MIN:
             raise DegenerateFrequencyError("frequency at or below the degeneracy floor")
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")

@@ -21,7 +21,16 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .config import DEFAULT_SCAN, DEFAULT_TOL, ScanConfig, Tolerances
+from .config import (
+    BETA_MIN,
+    DEFAULT_SCAN,
+    MATCHING_RESIDUAL,
+    REFINE_XTOL,
+    ROOT_TOL,
+    SERIES_BOUNDARY_RTOL,
+    SERIES_M_MAX,
+    ScanConfig,
+)
 from .errors import (
     DegeneracyParadoxError,
     NonFiniteDeterminantError,
@@ -68,12 +77,12 @@ class TaylorPiece:
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "anchor", float(self.anchor))
 
-    def eval(self, x, **_ignored):
+    def eval(self, x):
         t = np.asarray(x, dtype=float) - self.anchor
         out = np.polynomial.polynomial.polyval(t, self.coeffs)
         return float(out) if np.isscalar(x) else out
 
-    def eval_deriv(self, x, **_ignored):
+    def eval_deriv(self, x):
         t = np.asarray(x, dtype=float) - self.anchor
         d = self.coeffs[1:] * np.arange(1, len(self.coeffs))
         out = np.polynomial.polynomial.polyval(t, d)
@@ -130,7 +139,6 @@ def build_domain_basis(
     energy: float,
     j: int,
     *,
-    tol: Tolerances = DEFAULT_TOL,
     series_m: int | None = None,
 ) -> DomainBasis:
     """Local basis on domain j (anchored at breakpoint L_j), j = 1..N.
@@ -142,14 +150,14 @@ def build_domain_basis(
     if not 1 <= j <= spec.n_interior:
         raise ValueError(f"domain index {j} outside 1..{spec.n_interior}")
     if spec.zero_order_polys is not None:
-        return series_local_basis(spec, energy, j, series_m or 80, tol=tol)
+        return series_local_basis(spec, energy, j, series_m or 80)
     anchor = spec.breakpoints[j]
     x_lo = spec.breakpoints[j - 1]
     x_hi = spec.breakpoints[j + 1]
-    beta_l = local_frequency(spec, j - 1, energy, tol=tol)
-    beta_r = local_frequency(spec, j, energy, tol=tol)
+    beta_l = local_frequency(spec, j - 1, energy)
+    beta_r = local_frequency(spec, j, energy)
     c_ends, s_ends = unit_solutions(
-        np.array([beta_l, beta_r]), np.array([x_lo - anchor, x_hi - anchor]), tol=tol
+        np.array([beta_l, beta_r]), np.array([x_lo - anchor, x_hi - anchor])
     )
     return DomainBasis(
         j,
@@ -203,14 +211,12 @@ def series_local_basis(
     energy: float,
     j: int,
     m: int,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> DomainBasis:
     """Power-series local basis for piecewise-polynomial zero-order potentials.
 
     Builds the two solutions as degree-(m+10) Taylor series about L_j on
     each side and demands that the cached boundary values move by less than
-    series_boundary_rtol (relative) between truncations m and m + 10;
+    SERIES_BOUNDARY_RTOL (relative) between truncations m and m + 10;
     otherwise raises TruncationError with the residual estimate.
 
     Args:
@@ -227,8 +233,8 @@ def series_local_basis(
     m_min = max(8, 4 * (max_deg + 1))
     if m < m_min:
         raise TruncationError(f"m = {m} below the minimum {m_min} for degree {max_deg}")
-    if m > tol.series_m_max:
-        raise TruncationError(f"m = {m} above the configured maximum {tol.series_m_max}")
+    if m > SERIES_M_MAX:
+        raise TruncationError(f"m = {m} above the maximum {SERIES_M_MAX}")
 
     anchor = spec.breakpoints[j]
     x_lo = spec.breakpoints[j - 1]
@@ -244,7 +250,7 @@ def series_local_basis(
             full = float(coeffs @ powers)
             shorter = float(coeffs[: m + 1] @ powers[: m + 1])
             resid = abs(full - shorter) / max(1.0, abs(full))
-            if resid > tol.series_boundary_rtol:
+            if resid > SERIES_BOUNDARY_RTOL:
                 raise TruncationError(
                     f"series basis not converged at m = {m} on domain {j} ({side}):"
                     f" boundary value moved by {resid:.2e}",
@@ -268,9 +274,9 @@ def series_local_basis(
     )
 
 
-def _domain_bases(spec, energy, tol, series_m=None) -> list[DomainBasis]:
+def _domain_bases(spec, energy, series_m=None) -> list[DomainBasis]:
     return [
-        build_domain_basis(spec, energy, j, tol=tol, series_m=series_m)
+        build_domain_basis(spec, energy, j, series_m=series_m)
         for j in range(1, spec.n_interior + 1)
     ]
 
@@ -314,14 +320,13 @@ def matching_matrix(
     spec: PotentialSpec,
     energy: float,
     *,
-    tol: Tolerances = DEFAULT_TOL,
     series_m: int | None = None,
 ) -> np.ndarray:
     """The homogeneous matching system with rows scaled to unit length;
     singular exactly at eigenvalues."""
     if spec.n_interior < 1:
         raise ValueError("matching matrix needs at least one interior breakpoint")
-    return _matching_matrix_at(spec, energy, tol, series_m)[0]
+    return _matching_matrix_at(spec, energy, series_m)[0]
 
 
 def _box_sine_value(spec, energy, series_m=None) -> float:
@@ -337,7 +342,7 @@ def _box_sine_value(spec, energy, series_m=None) -> float:
 _BLOCK_BYTES = 8 * 2**20
 
 
-def _matching_block(spec, energies, tol, series_m):
+def _matching_block(spec, energies, series_m):
     """The matching kernel: row-normalized matching matrices at a block of
     energies (N >= 1), the one place such a matrix is built.
 
@@ -351,16 +356,15 @@ def _matching_block(spec, energies, tol, series_m):
     n = spec.n_interior
     if spec.zero_order_polys is not None:
         degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
-        source = [_domain_bases(spec, e, tol, series_m) for e in energies]
+        source = [_domain_bases(spec, e, series_m) for e in energies]
         c_lo, s_lo, c_hi, s_hi = _boundary_values(source)
     else:
-        source, degenerate = local_frequencies(spec, energies, tol=tol)
+        source, degenerate = local_frequencies(spec, energies)
         bp = np.asarray(spec.breakpoints)
         # one call for both ends: column j - 1 is domain j's lo end, N + j - 1 its hi end
         c, s = unit_solutions(
             np.concatenate([source[:, :-1], source[:, 1:]], axis=1),
             np.concatenate([bp[:-2] - bp[1:-1], bp[2:] - bp[1:-1]]),
-            tol=tol,
         )
         c_lo, c_hi, s_lo, s_hi = c[:, :n], c[:, n:], s[:, :n], s[:, n:]
     # interval i holds the lo values of domain i + 1 and the hi values of domain i
@@ -381,14 +385,14 @@ def _non_finite_error(energy, overflow) -> NonFiniteDeterminantError:
     )
 
 
-def _matching_matrix_at(spec, energy, tol, series_m):
+def _matching_matrix_at(spec, energy, series_m):
     """The kernel at one energy: the row-normalized matrix and what its
     boundary values came from.  DegenerateEnergyError at an energy
     degenerate with an interval height, NonFiniteDeterminantError where
     the boundary values overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         matrices, degenerate, overflow, source = _matching_block(
-            spec, np.array([float(energy)]), tol, series_m
+            spec, np.array([float(energy)]), series_m
         )
     if degenerate[0].any():
         raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
@@ -397,17 +401,17 @@ def _matching_matrix_at(spec, energy, tol, series_m):
     return matrices[0], source[0]
 
 
-def _determinant_block(spec, energies, tol, series_m):
+def _determinant_block(spec, energies, series_m):
     """Determinants at a block of energies, with the kernel's two masks."""
     if spec.n_interior > 0:
-        matrices, degenerate, overflow, _ = _matching_block(spec, energies, tol, series_m)
+        matrices, degenerate, overflow, _ = _matching_block(spec, energies, series_m)
         return np.linalg.det(matrices), degenerate, overflow
     if spec.zero_order_polys is not None:
         degenerate = np.zeros((len(energies), 1), dtype=bool)
         dets = np.array([_box_sine_value(spec, e, series_m) for e in energies])
     else:
-        beta, degenerate = local_frequencies(spec, energies, tol=tol)
-        dets = unit_solutions(beta[:, 0], spec.x_max - spec.x_min, tol=tol)[1]
+        beta, degenerate = local_frequencies(spec, energies)
+        dets = unit_solutions(beta[:, 0], spec.x_max - spec.x_min)[1]
     return dets, degenerate, ~np.isfinite(dets)[:, None]
 
 
@@ -415,7 +419,6 @@ def secular_determinant(
     spec: PotentialSpec,
     energy: float | np.ndarray,
     *,
-    tol: Tolerances = DEFAULT_TOL,
     series_m: int | None = None,
 ) -> float | np.ndarray:
     """Row-normalized determinant of the matching system.
@@ -445,7 +448,7 @@ def secular_determinant(
         block = slice(lo, lo + step)
         with np.errstate(over="ignore", invalid="ignore"):
             dets[block], degenerate[block], overflow = _determinant_block(
-                spec, energies[block], tol, series_m
+                spec, energies[block], series_m
             )
         bad = overflow.any(axis=1) | ~np.isfinite(dets[block])
         bad &= ~degenerate[block].any(axis=1)
@@ -460,19 +463,9 @@ def secular_determinant(
     return dets
 
 
-def _potential_range(spec: PotentialSpec, i: int) -> tuple[float, float]:
-    """Least and greatest value of V on interval i (polynomial backend),
-    sampled at 201 points."""
-    xs = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], 201)
-    vals = spec.heights[i] + np.polynomial.polynomial.polyval(xs, spec.zero_order_polys[i])
-    return float(np.min(vals)), float(np.max(vals))
-
-
 def reference_floor(spec: PotentialSpec) -> float:
     """Reference potential floor for the momentum variable k = sqrt(E - floor)."""
-    if spec.zero_order_polys is None:
-        return float(min(spec.heights))
-    return min(_potential_range(spec, i)[0] for i in range(spec.n_intervals))
+    return min(lo for lo, _ in spec.value_ranges)
 
 
 def _shots(spec: PotentialSpec, c: int) -> tuple[list, list]:
@@ -508,13 +501,13 @@ def _trig_legs(spec, c) -> tuple[np.ndarray, np.ndarray]:
     return heights, widths
 
 
-def _trig_angle(energies, legs, tol) -> np.ndarray:
+def _trig_angle(energies, legs) -> np.ndarray:
     """Modified Pruefer angles at the matching point, one row per shot of
     ``legs`` (_trig_legs: row 0 from the left wall, row 1 from the right),
     the shots swept together leg by leg.
 
     tan(theta) = S psi / psi', psi' taken along the path, with the scale
-    S = sqrt|E - H_i| on interval i (1 where E is within beta_min^2 of
+    S = sqrt|E - H_i| on interval i (1 where E is within BETA_MIN^2 of
     H_i, the rule of local_frequency); theta = 0 at the wall and passes each
     multiple of pi upward at a zero of psi.  Each interval has a closed form
     that cannot overflow: an oscillatory one advances theta by beta w, an
@@ -526,7 +519,7 @@ def _trig_angle(energies, legs, tol) -> np.ndarray:
     for height, w in zip(*legs):
         q = energies - height
         size = np.abs(q)
-        flat = size <= tol.beta_min**2
+        flat = size <= BETA_MIN**2
         some_flat = flat.any()
         s = np.where(flat, 1.0, np.sqrt(size)) if some_flat else np.sqrt(size)
         if s_old is not None:
@@ -586,25 +579,24 @@ def _series_angle(energies, legs, m) -> np.ndarray:
     return np.array(angles)
 
 
-def _angle_sum(spec, tol, series_m):
+def _angle_sum(spec, series_m):
     """The function half_turns(energies, c) that gives (theta_L + theta_R)
     / pi at a 1-D array of energies, matched in the middle of interval c
     (by default the lowest): the angle sum that sturm_count floors and
     find_eigenvalues refines.  Nothing but the angles depends on the
     energy: each matching point's legs are built on its first use, and for
-    the power-series backend each interval's potential range and
-    re-expanded polynomials once, shared by every matching point."""
+    the power-series backend each interval's re-expanded polynomials once,
+    shared by every matching point; the potential ranges are the spec's."""
     if spec.zero_order_polys is None:
         legs = cache(lambda c: _trig_legs(spec, c))
 
         def angles(energies, c):
-            theta = _trig_angle(energies, legs(c), tol)
+            theta = _trig_angle(energies, legs(c))
             return theta[0] + theta[1]
     else:
-        ranges = cache(lambda i: _potential_range(spec, i))
         reanchored = cache(lambda i, x0: _reanchored(spec, i, x0))
         legs = cache(lambda c: [
-            [(x1 - x0, ranges(i), reanchored(i, x0), spec.heights[i]) for i, x0, x1 in path]
+            [(x1 - x0, spec.value_ranges[i], reanchored(i, x0), spec.heights[i]) for i, x0, x1 in path]
             for path in _shots(spec, c)
         ])
         m = series_m or 80
@@ -620,7 +612,6 @@ def sturm_count(
     spec: PotentialSpec,
     energies: float | np.ndarray,
     *,
-    tol: Tolerances = DEFAULT_TOL,
     series_m: int | None = None,
 ) -> int | np.ndarray:
     """Number of eigenvalues below each energy, by the oscillation theorem.
@@ -641,7 +632,7 @@ def sturm_count(
     e = np.asarray(energies, dtype=float)
     if e.ndim > 1:
         raise ValueError("energies must be a scalar or a one-dimensional array")
-    counts = np.floor(_angle_sum(spec, tol, series_m)(np.atleast_1d(e))).astype(int)
+    counts = np.floor(_angle_sum(spec, series_m)(np.atleast_1d(e))).astype(int)
     return int(counts[0]) if e.ndim == 0 else counts
 
 
@@ -797,7 +788,7 @@ _REFINE_RTOL = 8.9e-16
 _STEEP_RISE = 0.5
 
 
-def _refined_crossings(spec, grid, tol, series_m) -> tuple[np.ndarray, int]:
+def _refined_crossings(spec, grid, xtol, series_m) -> tuple[np.ndarray, int]:
     """Every level n in (grid[0], grid[-1]], ascending: where the angle sum
     crosses n + 1 (in units of pi), and the number of angle evaluations.
 
@@ -810,7 +801,7 @@ def _refined_crossings(spec, grid, tol, series_m) -> tuple[np.ndarray, int]:
     evaluated at both ends of every such cell in one call.  One brentq call
     per matching interval refines its brackets in lock-step from the values
     at their ends, with per-lane targets n + 1."""
-    half_turns = _angle_sum(spec, tol, series_m)
+    half_turns = _angle_sum(spec, series_m)
     sums = half_turns(grid)
     evaluations = 1
     counts = np.floor(sums).astype(int)
@@ -847,7 +838,7 @@ def _refined_crossings(spec, grid, tol, series_m) -> tuple[np.ndarray, int]:
             f,
             e_lo[lanes],
             e_hi[lanes],
-            xtol=tol.refine_xtol,
+            xtol=xtol,
             rtol=_REFINE_RTOL,
             target=target[lanes],
             f_ends=(f_lo[lanes], f_hi[lanes]),
@@ -855,7 +846,7 @@ def _refined_crossings(spec, grid, tol, series_m) -> tuple[np.ndarray, int]:
     return np.sort(roots), evaluations
 
 
-def _overlap_resonances(spec, grid, tol, series_m) -> list[float]:
+def _overlap_resonances(spec, grid, xtol, series_m) -> list[float]:
     """The Dirichlet levels in (grid[0], grid[-1]] of each interval
     (L_j, L_{j+1}), j = 1..N-1, that domains j and j + 1 share: H_j +
     (m pi / w_j)^2 for closed-form specs, the levels of the one-interval
@@ -864,7 +855,7 @@ def _overlap_resonances(spec, grid, tol, series_m) -> list[float]:
     for j in range(1, spec.n_interior):
         if spec.zero_order_polys is not None:
             interval = PotentialSpec(bp[j : j + 2], (spec.heights[j],), (spec.zero_order_polys[j],))
-            out += _refined_crossings(interval, grid, tol, series_m)[0].tolist()
+            out += _refined_crossings(interval, grid, xtol, series_m)[0].tolist()
             continue
         h, width = spec.heights[j], bp[j + 1] - bp[j]
         m = np.arange(1, width * math.sqrt(max(grid[-1] - h, 0.0)) / math.pi + 1)
@@ -873,10 +864,10 @@ def _overlap_resonances(spec, grid, tol, series_m) -> list[float]:
     return out
 
 
-def _is_spurious_root(resonance: float, levels: np.ndarray, tol: Tolerances) -> bool:
+def _is_spurious_root(resonance: float, levels: np.ndarray, xtol: float) -> bool:
     """An overlap resonance is a spurious determinant zero unless a level
     was refined onto it: within brentq's last bracket width of it."""
-    resolution = tol.refine_xtol + _REFINE_RTOL * abs(resonance)
+    resolution = xtol + _REFINE_RTOL * abs(resonance)
     return bool(np.all(np.abs(levels - resonance) > resolution))
 
 
@@ -887,7 +878,7 @@ def find_eigenvalues(
     count: int | None = None,
     *,
     scan: ScanConfig = DEFAULT_SCAN,
-    tol: Tolerances = DEFAULT_TOL,
+    xtol: float = REFINE_XTOL,
     series_m: int | None = None,
 ) -> EigenvalueScan:
     """Eigenvalues in (e_lo, e_hi), ascending, from the Pruefer angle alone.
@@ -895,7 +886,8 @@ def find_eigenvalues(
     The angle sum of sturm_count is evaluated on scan.points energies
     uniform in k = sqrt(E - floor), which spreads out low-lying levels, and
     each of its crossings of a multiple of pi in the window is refined by
-    brentq to |dE| ~ 1e-13, from the grid's values at the ends of its cell.
+    brentq to |dE| ~ xtol (REFINE_XTOL, 1e-13, by default), from the
+    grid's values at the ends of its cell.
     A level whose sum steps across its cell is matched in the interval
     where the sum is smoothest (see _refined_crossings); the levels of each
     matching point are refined in lock-step, one angle evaluation a step.
@@ -917,17 +909,17 @@ def find_eigenvalues(
 
     ks = np.linspace(k_lo, k_hi, scan.points)
     grid = floor + ks * ks
-    roots, evaluations = _refined_crossings(spec, grid, tol, series_m)
+    roots, evaluations = _refined_crossings(spec, grid, xtol, series_m)
     levels: list[float] = []
     merged = set()
     for root in roots.tolist():
         # two crossings at one energy end up to two last brackets apart
-        if levels and root - levels[-1] <= 2 * (tol.refine_xtol + _REFINE_RTOL * abs(root)):
+        if levels and root - levels[-1] <= 2 * (xtol + _REFINE_RTOL * abs(root)):
             merged.add(levels[-1])
         else:
             levels.append(root)
-    resonances = _overlap_resonances(spec, grid, tol, series_m)
-    spurious = sorted({e for e in resonances if _is_spurious_root(e, roots, tol)})
+    resonances = _overlap_resonances(spec, grid, xtol, series_m)
+    spurious = sorted({e for e in resonances if _is_spurious_root(e, roots, xtol)})
     complete = count is None or len(levels) >= count
     if count is not None:
         levels = levels[:count]
@@ -942,28 +934,28 @@ def find_eigenvalues(
 
 class _LazyBases:
     """A closed-form matched state's domain bases 1..N, built on first
-    access with the match's tolerances: only the perturbation series, the
-    Wronskian check and MatchedState.domain_piece read the pieces.  It
-    also keeps the kernel's local frequencies at the state's energy, from
-    which MatchedState.overlap_gap is evaluated without building a piece."""
+    access: only the perturbation series, the Wronskian check and
+    MatchedState.domain_piece read the pieces.  It also keeps the kernel's
+    local frequencies at the state's energy, from which
+    MatchedState.overlap_gap is evaluated without building a piece."""
 
-    def __init__(self, spec, energy, tol, beta) -> None:
-        self._args = (spec, energy, tol)
+    def __init__(self, spec, energy, beta) -> None:
+        self._spec = spec
+        self._energy = energy
         self._beta = beta
         self._bases = None
 
     def _built(self) -> tuple[DomainBasis, ...]:
         if self._bases is None:
-            self._bases = tuple(_domain_bases(*self._args))
+            self._bases = tuple(_domain_bases(self._spec, self._energy))
         return self._bases
 
     def on_overlaps(self, coeffs):
         """overlap_gap's ``values`` for the state with these coefficients."""
-        spec, _, tol = self._args
-        return _trig_on_overlaps(spec, self._beta, coeffs, tol)
+        return _trig_on_overlaps(self._spec, self._beta, coeffs)
 
     def __len__(self) -> int:
-        return self._args[0].n_interior
+        return self._spec.n_interior
 
     def __getitem__(self, i):
         return self._built()[i]
@@ -982,7 +974,7 @@ class MatchedState:
     of the row-normalized matching system.  The null vector comes from the
     matching kernel's boundary values; ``bases`` is a sequence of the
     domains' DomainBasis, which match_coefficients builds on first access
-    for closed-form specs (with its tol) and passes on from the kernel for
+    for closed-form specs and passes on from the kernel for
     the power-series backend (built with its series_m).  Two states are
     equal, and hash alike, only if they are the same object.
     """
@@ -999,8 +991,8 @@ class MatchedState:
         shared interval (the module's overlap_gap): machine-small for genuine
         eigenvalues, order one for the spurious sub-interval-resonance
         zeros.  Computed on first read; a closed-form match evaluates it
-        from the kernel's local frequencies with its own tol, other bases
-        from their pieces (TaylorPiece.eval takes no tolerance)."""
+        from the kernel's local frequencies, other bases from their
+        pieces."""
         if isinstance(self.bases, _LazyBases):
             values = self.bases.on_overlaps(self.coeffs)
         else:
@@ -1051,12 +1043,12 @@ def eval_pieces(spec: PotentialSpec, pieces, x):
     return out if np.ndim(x) else float(out[0])
 
 
-def _extract_null_vector(spec, energy, tol, series_m):
+def _extract_null_vector(spec, energy, series_m):
     """Matched coefficients and residual at a determinant root, with what
     the kernel built the matrix from."""
-    an, source = _matching_matrix_at(spec, energy, tol, series_m)
+    an, source = _matching_matrix_at(spec, energy, series_m)
     det = float(np.linalg.det(an))
-    if abs(det) > 10.0 * tol.root_tol:
+    if abs(det) > 10.0 * ROOT_TOL:
         raise NotARootError(
             f"|det| = {abs(det):.3e} at E = {energy}; refine the root first"
         )
@@ -1067,9 +1059,9 @@ def _extract_null_vector(spec, energy, tol, series_m):
         )
     v = vt[-1]
     residual = float(np.max(np.abs(an @ v)))
-    if residual > tol.matching_residual:
+    if residual > MATCHING_RESIDUAL:
         raise NotARootError(
-            f"matching residual {residual:.3e} above {tol.matching_residual:.1e} "
+            f"matching residual {residual:.3e} above {MATCHING_RESIDUAL:.1e} "
             f"at E = {energy}"
         )
     nz = np.nonzero(np.abs(v) > 1e-10)[0]
@@ -1098,18 +1090,18 @@ def overlap_gap(spec: PotentialSpec, values) -> float:
     return float(gap / scale)
 
 
-def pieces_on_overlaps(domain_pieces, *, tol: Tolerances = DEFAULT_TOL):
+def pieces_on_overlaps(domain_pieces):
     """overlap_gap's ``values`` from each domain's (left, right) pieces."""
 
     def values(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        right = [pair[1].eval(x, tol=tol) for pair, x in zip(domain_pieces, xs)]
-        left = [pair[0].eval(x, tol=tol) for pair, x in zip(domain_pieces[1:], xs)]
+        right = [pair[1].eval(x) for pair, x in zip(domain_pieces, xs)]
+        left = [pair[0].eval(x) for pair, x in zip(domain_pieces[1:], xs)]
         return np.array(right), np.array(left)
 
     return values
 
 
-def _trig_on_overlaps(spec, beta, coeffs, tol):
+def _trig_on_overlaps(spec, beta, coeffs):
     """overlap_gap's ``values`` for a closed-form state, in one trig_values
     call: c(j) cos + (d(j) / beta) sin on each overlap, the expression
     TrigPoly.eval evaluates for MatchedState.domain_pieces.  ``beta`` holds
@@ -1124,7 +1116,7 @@ def _trig_on_overlaps(spec, beta, coeffs, tol):
         t = np.stack([xs - anchors[:-1], xs - anchors[1:]])
         p = np.stack([c[:-1], c[1:]])
         q = np.stack([d[:-1] * inv, d[1:] * inv])
-        return trig_values(beta, t, p, q, tol=tol)
+        return trig_values(beta, t, p, q)
 
     return values
 
@@ -1133,14 +1125,13 @@ def match_coefficients(
     spec: PotentialSpec,
     energy: float,
     *,
-    tol: Tolerances = DEFAULT_TOL,
     series_m: int | None = None,
 ) -> MatchedState:
     """Extract the matched coefficients at a determinant root.
 
     The null vector of the (row-normalized) matching system, with the
     Sturm-Liouville guarantee that it is one-dimensional.  Raises
-    NotARootError when the energy is not a root to within root_tol and
+    NotARootError when the energy is not a root to within ROOT_TOL and
     DegeneracyParadoxError when the null space is not simple.  The state's
     overlap_gap diagnostic, whether adjacent representations actually
     agree, is computed on its first read, not here.
@@ -1150,7 +1141,7 @@ def match_coefficients(
             "a plain box has no matching coefficients; insert a fictitious "
             "breakpoint (see PotentialSpec.with_fictitious_breakpoint)"
         )
-    coeffs, residual, source = _extract_null_vector(spec, energy, tol, series_m)
+    coeffs, residual, source = _extract_null_vector(spec, energy, series_m)
     closed_form = spec.zero_order_polys is None
-    bases = _LazyBases(spec, float(energy), tol, source) if closed_form else tuple(source)
+    bases = _LazyBases(spec, float(energy), source) if closed_form else tuple(source)
     return MatchedState(spec, float(energy), coeffs, bases, residual)

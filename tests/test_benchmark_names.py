@@ -1,7 +1,8 @@
 """The solver names that the benchmark in perfbench/ looks up.
 
 The tracer wraps functions by (module, attribute), and the workloads import
-solver names and read DEFAULT_SCAN.points.  A rename would otherwise break
+solver names, read DEFAULT_SCAN.points and call the solver with their own
+argument shapes.  A rename or a changed signature would otherwise break
 only the benchmark, which the test suite does not run.
 """
 
@@ -36,3 +37,18 @@ def test_tracer_sites_resolve():
 def test_workloads_import_and_read_the_scan_grid():
     workloads = _load("workloads")
     assert isinstance(workloads.DEFAULT_SCAN.points, int)
+
+
+def test_workload_runners_call_the_solver_under_the_tracer():
+    tracer, workloads = _load("tracer"), _load("workloads")
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        outcomes = [
+            workloads.RUNNERS["spectrum_wells"](workloads.well_problem(1, 0)),
+            workloads.RUNNERS["series_orders"](workloads.series_problem(1, 0)),
+        ]
+    finally:
+        tr.uninstall()
+    assert [out.error for out in outcomes] == [None, None]
+    assert "zero_order.find_eigenvalues" in {span[0] for span in tr.spans}

@@ -12,7 +12,6 @@ from stepwell import (
     PotentialSpec,
     SchemaError,
     SequencingError,
-    Tolerances,
     apply_hamiltonian,
     build_omega,
     build_order_basis,
@@ -24,6 +23,7 @@ from stepwell import (
     run_series,
     solve_order,
 )
+from stepwell import perturbation
 from stepwell.oracle import fd_rs_series
 from stepwell.perturbation import _piecewise_overlap, equation_residual
 from stepwell.zero_order import MatchedState, overlap_gap, pieces_on_overlaps
@@ -245,15 +245,15 @@ class TestSolveOrder:
         assert len({order.condition for order in series.orders}) == 1
         assert len(calls) == 1
 
-    def test_condition_limit_triggers_paradox_flag(self):
+    def test_condition_limit_triggers_paradox_flag(self, monkeypatch):
         state = box_state()
         pert = PerturbationSpec(((0.3,), (0.3,)))
         omega = build_omega(state)
         tau = build_tau(1, omega, [], pert)
         basis = build_order_basis(state, tau)
-        strict = Tolerances(condition_limit=1.0)
+        monkeypatch.setattr(perturbation, "CONDITION_LIMIT", 1.0)
         with pytest.raises(DegeneracyParadoxError):
-            solve_order(state, omega, basis, tol=strict)
+            solve_order(state, omega, basis)
 
 
 class TestRunSeries:
@@ -380,11 +380,11 @@ class TestRunSeries:
         result = run_series(box_spec, pert, (30.0, 35.0), 1)
         assert result.states == ()
 
-    def test_pipeline_error_carries_stage(self, n1_step_spec):
+    def test_pipeline_error_carries_stage(self, n1_step_spec, monkeypatch):
         pert = PerturbationSpec(((0.3,), (0.3,)))
-        strict = Tolerances(condition_limit=1e-6)
+        monkeypatch.setattr(perturbation, "CONDITION_LIMIT", 1e-6)
         with pytest.raises(PipelineError) as info:
-            run_series(n1_step_spec, pert, (0.05, 10.0), 1, max_states=1, tol=strict)
+            run_series(n1_step_spec, pert, (0.05, 10.0), 1, max_states=1)
         assert info.value.stage.startswith("S5")
 
 

@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,8 @@ from stepwell import (
     sturm_count,
 )
 from stepwell import zero_order
-from stepwell.config import DEFAULT_TOL, ScanConfig
+from stepwell import potential
+from stepwell.config import BETA_MIN, ScanConfig
 
 import golden_formulas as golden
 
@@ -717,7 +717,7 @@ class TestOneMatchingKernel:
     @pytest.mark.parametrize("spec", WELLS)
     def test_match_uses_the_kernels_matrix(self, spec):
         for energy in self.levels(spec):
-            kernel = zero_order._matching_block(spec, np.array([energy]), DEFAULT_TOL, None)[0][0]
+            kernel = zero_order._matching_block(spec, np.array([energy]), None)[0][0]
             assert np.array_equal(kernel, _reference_matrix(spec, energy))
             assert np.array_equal(matching_matrix(spec, energy), kernel)
             assert np.linalg.det(kernel) == secular_determinant(spec, energy)
@@ -726,17 +726,15 @@ class TestOneMatchingKernel:
 
     @pytest.mark.parametrize("spec", WELLS)
     def test_lazy_bases_equal_build_domain_basis(self, spec, monkeypatch):
-        tol = replace(DEFAULT_TOL, reality_rtol=1e-9, beta_min=1e-7)
-        for energy in self.levels(spec, tol=tol):
-            state = match_coefficients(spec, energy, tol=tol)
+        for energy in self.levels(spec):
+            state = match_coefficients(spec, energy)
             builds = _counting(monkeypatch, zero_order, "build_domain_basis")
             assert len(state.bases) == state.n_domains == spec.n_interior
             assert not builds
             for j, basis in enumerate(state.bases, start=1):
-                assert _same_basis(basis, build_domain_basis(spec, energy, j, tol=tol))
-            # built once, with the match's tolerances
+                assert _same_basis(basis, build_domain_basis(spec, energy, j))
+            # built once
             assert [args[2] for args, _ in builds] == list(range(1, spec.n_interior + 1))
-            assert all(kwargs["tol"] is tol for _, kwargs in builds)
             monkeypatch.undo()
 
     def test_lazy_series_bases_keep_the_truncation(self):
@@ -788,14 +786,13 @@ class TestOneMatchingKernel:
 
     @pytest.mark.parametrize("spec", WELLS)
     def test_lazy_overlap_gap_keeps_the_tolerances(self, spec, monkeypatch):
-        tol = replace(DEFAULT_TOL, reality_rtol=1e-9, beta_min=1e-7)
-        for energy in self.levels(spec, tol=tol):
-            state = match_coefficients(spec, energy, tol=tol)
+        for energy in self.levels(spec):
+            state = match_coefficients(spec, energy)
             trig = _counting(monkeypatch, zero_order, "trig_values")
             gap = state.overlap_gap
-            assert [kwargs["tol"] for _, kwargs in trig] == [tol]
+            assert len(trig) == 1
             monkeypatch.undo()
-            pieces = zero_order.pieces_on_overlaps(state.domain_pieces(), tol=tol)
+            pieces = zero_order.pieces_on_overlaps(state.domain_pieces())
             assert gap == zero_order.overlap_gap(spec, pieces)
 
     def test_lazy_series_overlap_gap_keeps_the_truncation(self, monkeypatch):
@@ -814,7 +811,7 @@ class TestOneMatchingKernel:
 
     @pytest.mark.parametrize("spec", WELLS[:2])
     def test_match_near_a_height_is_degenerate(self, spec):
-        for energy in (spec.heights[1], spec.heights[1] + 0.5 * DEFAULT_TOL.beta_min**2):
+        for energy in (spec.heights[1], spec.heights[1] + 0.5 * BETA_MIN**2):
             with pytest.raises(DegenerateEnergyError):
                 match_coefficients(spec, energy)
             with pytest.raises(DegenerateEnergyError):
@@ -1102,7 +1099,7 @@ class TestLevelsFromTheAngle:
         # a grid call and a refinement step must read the same float at an energy
         energies = np.linspace(0.3, 45.0, 37)
         for spec, m in ((double_well_spec, None), (self.TILTED, 60)):
-            half_turns = zero_order._angle_sum(spec, DEFAULT_TOL, m)
+            half_turns = zero_order._angle_sum(spec, m)
             together = half_turns(energies)
             alone = [half_turns(energies[i : i + 1])[0] for i in range(37)]
             assert together.tolist() == alone
@@ -1110,22 +1107,21 @@ class TestLevelsFromTheAngle:
     def test_three_point_window_around_each_series_level(self):
         # the window of oracle.exact_perturbed_energy: the middle grid point
         # sits on the level, where the count must agree with the refinement
-        tol = replace(DEFAULT_TOL, refine_xtol=1e-14)
-        levels = find_eigenvalues(self.TILTED, 0.5, 60.0, tol=tol, series_m=60).energies
+        levels = find_eigenvalues(self.TILTED, 0.5, 60.0, xtol=1e-14, series_m=60).energies
         assert len(levels) == 7
         for e in levels:
             window = find_eigenvalues(
-                self.TILTED, e - 1e-6, e + 1e-6, scan=ScanConfig(points=3), tol=tol, series_m=60
+                self.TILTED, e - 1e-6, e + 1e-6, scan=ScanConfig(points=3), xtol=1e-14, series_m=60
             )
             assert len(window.energies) == 1
             assert abs(window.energies[0] - e) < 1e-11 * e
 
 
-def _fixed_point_crossings(spec, grid, tol, series_m):
+def _fixed_point_crossings(spec, grid, xtol, series_m):
     """The refinement matched in the lowest interval alone, brentq evaluating
     the bracket ends itself: the reference for find_eigenvalues' matching
     point per level.  Returns the roots and the angle evaluations."""
-    half_turns = zero_order._angle_sum(spec, tol, series_m)
+    half_turns = zero_order._angle_sum(spec, series_m)
     calls = []
 
     def f(energies):
@@ -1136,7 +1132,7 @@ def _fixed_point_crossings(spec, grid, tol, series_m):
     n = np.arange(counts[0], counts[-1])
     hi = np.searchsorted(np.maximum.accumulate(counts), n, side="right")
     roots = zero_order.brentq(
-        f, grid[hi - 1], grid[hi], xtol=tol.refine_xtol, rtol=zero_order._REFINE_RTOL, target=n + 1.0
+        f, grid[hi - 1], grid[hi], xtol=xtol, rtol=zero_order._REFINE_RTOL, target=n + 1.0
     )
     return np.sort(roots), len(calls)
 
@@ -1216,10 +1212,10 @@ class TestMatchingPointPerLevel:
         )
         energies = np.concatenate([np.linspace(-5.0, 60.0, 97), spec.heights])
         heights, widths = zero_order._trig_legs(spec, c)
-        both = zero_order._trig_angle(energies, (heights, widths), DEFAULT_TOL)
+        both = zero_order._trig_angle(energies, (heights, widths))
         for row, path in enumerate(zero_order._shots(spec, c)):
             legs = (heights[-len(path):, row:row + 1], widths[-len(path):, row:row + 1])
-            alone = zero_order._trig_angle(energies, legs, DEFAULT_TOL)
+            alone = zero_order._trig_angle(energies, legs)
             assert np.array_equal(both[row], alone[0])
 
     def test_series_backend_shares_the_expansions(self, monkeypatch):
@@ -1227,25 +1223,24 @@ class TestMatchingPointPerLevel:
         # ground state of the wider right well, matched in the left one by
         # default; each interval's range and re-expansions are built once
         spec = _series_twin(PotentialSpec((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)))
-        tol = replace(DEFAULT_TOL, refine_xtol=1e-14)
-        levels = find_eigenvalues(spec, 0.05, 40.0, tol=tol, series_m=60).energies
-        ranges = _counting(monkeypatch, zero_order, "_potential_range")
+        ranges = _counting(monkeypatch, potential, "_value_range")
+        levels = find_eigenvalues(spec, 0.05, 40.0, xtol=1e-14, series_m=60).energies
         reanchored = _counting(monkeypatch, zero_order, "_reanchored")
         shots = _counting(monkeypatch, zero_order, "_shots")
         window = find_eigenvalues(
-            spec, levels[0] - 0.2, levels[0] + 0.2, scan=ScanConfig(points=3), tol=tol, series_m=60
+            spec, levels[0] - 0.2, levels[0] + 0.2, scan=ScanConfig(points=3), xtol=1e-14, series_m=60
         )
         assert len(window.energies) == 1
         assert abs(window.energies[0] - levels[0]) < 1e-12 * levels[0]
         # the overlap resonances' own one-interval problem aside: the two
         # wells as matching points (the barrier is no candidate), one range
-        # per interval (the floor's own three besides) and at most two
-        # anchors per interval, one from each side
+        # per interval of the spec, shared by the floor and the angle sum of
+        # both calls, and at most two anchors per interval, one from each side
         def of_spec(calls):
             return [args[1:] for args, _ in calls if args[0] is spec]
 
         assert sorted(of_spec(shots)) == [(0,), (2,)]
-        assert sorted(of_spec(ranges)) == [(0,), (0,), (1,), (1,), (2,), (2,)]
+        assert sorted(of_spec(ranges)) == [(0,), (1,), (2,)]
         assert len(set(of_spec(reanchored))) == len(of_spec(reanchored)) <= 2 * 3
 
 
