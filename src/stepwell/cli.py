@@ -17,8 +17,6 @@ from . import oracle
 from .config import ScanConfig
 from .errors import (
     DegeneracyParadoxError,
-    DegenerateEnergyError,
-    NonFiniteDeterminantError,
     PipelineError,
     SchemaError,
     SolverError,
@@ -26,6 +24,7 @@ from .errors import (
 from .perturbation import run_series
 from .potential import PotentialSpec, load_spec
 from .zero_order import (
+    _determinants,
     eval_pieces,
     find_eigenvalues,
     match_coefficients,
@@ -112,16 +111,6 @@ def _energy_window(args, spec: PotentialSpec) -> tuple[float, float]:
     return floor + 1e-4, floor + 50.0
 
 
-def _point_determinant(spec: PotentialSpec, energy: float) -> tuple[float | None, str]:
-    """Determinant at one energy, or None and why the point is skipped."""
-    try:
-        return secular_determinant(spec, energy), ""
-    except DegenerateEnergyError:
-        return None, "degenerate"
-    except NonFiniteDeterminantError:
-        return None, "non-finite"
-
-
 def cmd_scan(args) -> int:
     spec, _ = load_spec(args.spec)
     if args.k_lo is None or args.k_hi is None:
@@ -133,15 +122,11 @@ def cmd_scan(args) -> int:
     floor = reference_floor(spec)
     ks = np.linspace(args.k_lo, args.k_hi, args.points)
     energies = floor + ks * ks
-    try:
-        points = [
-            (None, "degenerate") if np.isnan(d) else (d, "")
-            for d in secular_determinant(spec, energies).tolist()
-        ]
-    except NonFiniteDeterminantError:
-        # some points overflow: evaluate point by point and skip those
-        points = [_point_determinant(spec, e) for e in energies]
-    rows = [(k, d, why) for k, (d, why) in zip(ks.tolist(), points)]
+    dets, degenerate, overflow = _determinants(spec, energies, None)
+    reasons = np.where(
+        degenerate.any(axis=1), "degenerate", np.where(overflow.any(axis=1), "non-finite", "")
+    ).tolist()
+    rows = [(k, None if why else d, why) for k, d, why in zip(ks.tolist(), dets.tolist(), reasons)]
     skipped = [(k, why) for k, d, why in rows if d is None]
     if args.format == "json":
         doc = {
@@ -265,7 +250,7 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
     worst = 0.0
     for i, e in enumerate(energies):
         if i < len(fd.values):
-            ratio = abs(e - fd.values[i]) / max(fd.estimate[i], 1e-12)
+            ratio = abs(e - fd.values[i]) / fd.estimate[i]
             worst = max(worst, ratio)
     record("fd-oracle-agreement", worst, 1.0, "|E - E_fd| / estimate over window")
 

@@ -152,7 +152,9 @@ class FdEigenvalues:
     values holds the Richardson-extrapolated eigenvalues
     (4 E_fine - E_coarse) / 3; estimate holds |E_coarse - E_fine| / 3,
     the standard proxy for the fine grid's own O(h^2) error (the
-    extrapolated values are better than that).
+    extrapolated values are better than that), but at least the
+    bisection's own error in the values, (4 t_fine + t_coarse) / 3 with t
+    each grid's bisection tolerance (_bisection_tolerance).
     """
 
     values: np.ndarray
@@ -236,6 +238,21 @@ def _negative_count(diag: np.ndarray, off2: np.ndarray, shifts) -> np.ndarray:
     return count
 
 
+def _gershgorin(diag: np.ndarray, offdiag: np.ndarray) -> tuple[float, float]:
+    """The ends of the Gershgorin interval of a symmetric tridiagonal matrix."""
+    radius = np.abs(np.concatenate([offdiag, [0.0]])) + np.abs(np.concatenate([[0.0], offdiag]))
+    return float(np.min(diag - radius)), float(np.max(diag + radius))
+
+
+def _bisection_tolerance(diag: np.ndarray, offdiag: np.ndarray) -> float:
+    """dstebz's absolute tolerance max(eps ||T||, pivmin), ||T|| bounded by
+    the larger Gershgorin end.  _lowest_eigenvalues bisects every level
+    whose |E| is below ||T|| / 2 to an interval narrower than this, so its
+    midpoint is within half of it."""
+    gl, gu = _gershgorin(diag, offdiag)
+    return max(_EPS * max(abs(gl), abs(gu)), _pivmin(offdiag * offdiag))
+
+
 def _lowest_eigenvalues(diag: np.ndarray, offdiag: np.ndarray, count: int) -> np.ndarray:
     """The ``count`` lowest eigenvalues of a symmetric tridiagonal matrix.
 
@@ -253,13 +270,12 @@ def _lowest_eigenvalues(diag: np.ndarray, offdiag: np.ndarray, count: int) -> np
     midpoints as from the Gershgorin top.
     """
     off2 = offdiag * offdiag
-    radius = np.abs(np.concatenate([offdiag, [0.0]])) + np.abs(np.concatenate([[0.0], offdiag]))
-    gl, gu = float(np.min(diag - radius)), float(np.max(diag + radius))
+    gl, gu = _gershgorin(diag, offdiag)
     tnorm = max(abs(gl), abs(gu))
     pivmin = _pivmin(off2)
     pad = _FUDGE * (tnorm * _EPS * len(diag) + pivmin)
     bottom = gl - pad - _FUDGE * pivmin
-    atol = max(_EPS * tnorm, pivmin)
+    atol = _bisection_tolerance(diag, offdiag)
     chain = [gu + pad]
     while chain[-1] - bottom >= max(atol, 2.0 * _EPS * max(abs(bottom), abs(chain[-1]))):
         chain.append(0.5 * (bottom + chain[-1]))
@@ -342,7 +358,9 @@ def fd_eigenvalues(
     gh2 = build_grid_hamiltonian(spec, pert, lam, m, refine=2)
     fine = _lowest_eigenvalues(gh2.diag, gh2.offdiag, count)
     richardson = (4.0 * fine - coarse) / 3.0
-    estimate = np.abs(coarse - fine) / 3.0
+    t_coarse = _bisection_tolerance(gh.diag, gh.offdiag)
+    t_fine = _bisection_tolerance(gh2.diag, gh2.offdiag)
+    estimate = np.maximum(np.abs(coarse - fine) / 3.0, (4.0 * t_fine + t_coarse) / 3.0)
     return FdEigenvalues(richardson, estimate, coarse, fine, gh.m, gh2.m, complete)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "derivative",
     "reanchor_poly",
     "unit_solutions",
-    "trig_values",
 ]
 
 
@@ -208,19 +207,6 @@ def unit_solutions(freq, t) -> tuple[np.ndarray, np.ndarray]:
         _checked_real(cos, np.abs(cos)),
         _checked_real(sin * inv, np.abs(sin) * np.abs(inv)),
     )
-
-
-def trig_values(freq, t, p, q) -> np.ndarray:
-    """p cos(beta t) + q sin(beta t), elementwise over broadcast arrays.
-
-    The value of TrigPoly(a, beta, [p], [q]) at x = a + t, from the same
-    complex expressions (so the same bits wherever they are finite) and with
-    the same reality check, for a whole array of degree-0 pieces at once.
-    """
-    arg = freq * t
-    cos, sin = np.cos(arg), np.sin(arg)
-    magnitude = np.abs(p) * np.abs(cos) + np.abs(q) * np.abs(sin)
-    return _checked_real(p * cos + q * sin, magnitude)
 
 
 def derivative(f: TrigPoly) -> TrigPoly:

@@ -26,7 +26,6 @@ from .config import (
     DEFAULT_SCAN,
     MATCHING_RESIDUAL,
     REFINE_XTOL,
-    ROOT_TOL,
     SERIES_BOUNDARY_RTOL,
     SERIES_M_MAX,
     ScanConfig,
@@ -45,7 +44,7 @@ from .potential import (
     local_frequencies,
     local_frequency,
 )
-from .trigbasis import TrigPoly, reanchor_poly, trig_values, unit_solutions
+from .trigbasis import TrigPoly, reanchor_poly, unit_solutions
 
 __all__ = [
     "TaylorPiece",
@@ -206,6 +205,21 @@ def _local_series(v, height, energy, m) -> tuple[np.ndarray, np.ndarray]:
     return (c, s) if np.ndim(energy) else (c[0], s[0])
 
 
+def _check_truncation(coeffs, t, full, where: str) -> None:
+    """TruncationError unless the power series with Taylor coefficients
+    ``coeffs`` (last axis; any leading axes hold more series), summed at t to
+    ``full``, moves by at most SERIES_BOUNDARY_RTOL, relative to its sum
+    (at least 1), when its last ten terms are dropped."""
+    shorter = coeffs[..., :-10] @ t ** np.arange(np.shape(coeffs)[-1] - 10)
+    resid = float(np.max(np.abs(full - shorter) / np.maximum(1.0, np.abs(full))))
+    if resid > SERIES_BOUNDARY_RTOL:
+        raise TruncationError(
+            f"power series not converged {where}: the sum moved by {resid:.2e}"
+            " without its last ten terms",
+            residual=resid,
+        )
+
+
 def series_local_basis(
     spec: PotentialSpec,
     energy: float,
@@ -217,7 +231,8 @@ def series_local_basis(
     Builds the two solutions as degree-(m+10) Taylor series about L_j on
     each side and demands that the cached boundary values move by less than
     SERIES_BOUNDARY_RTOL (relative) between truncations m and m + 10;
-    otherwise raises TruncationError with the residual estimate.
+    otherwise raises TruncationError with the residual estimate
+    (_check_truncation).
 
     Args:
         spec: potential with zero_order_polys present (heights still apply).
@@ -244,19 +259,10 @@ def series_local_basis(
     for side, interval, endpoint in (("left", j - 1, x_lo), ("right", j, x_hi)):
         v = _reanchored(spec, interval, anchor)
         for kind, coeffs in zip("cs", _local_series(v, spec.heights[interval], energy, m + 10)):
-            piece = TaylorPiece(anchor, coeffs)
             t = endpoint - anchor
-            powers = t ** np.arange(m + 11)
-            full = float(coeffs @ powers)
-            shorter = float(coeffs[: m + 1] @ powers[: m + 1])
-            resid = abs(full - shorter) / max(1.0, abs(full))
-            if resid > SERIES_BOUNDARY_RTOL:
-                raise TruncationError(
-                    f"series basis not converged at m = {m} on domain {j} ({side}):"
-                    f" boundary value moved by {resid:.2e}",
-                    residual=resid,
-                )
-            pieces[f"{kind}_{side}"] = piece
+            full = float(coeffs @ t ** np.arange(m + 11))
+            _check_truncation(coeffs, t, full, f"at m = {m} on domain {j} ({side})")
+            pieces[f"{kind}_{side}"] = TaylorPiece(anchor, coeffs)
             values[f"{kind}_{side}"] = full
     return DomainBasis(
         j,
@@ -323,18 +329,29 @@ def matching_matrix(
     series_m: int | None = None,
 ) -> np.ndarray:
     """The homogeneous matching system with rows scaled to unit length;
-    singular exactly at eigenvalues."""
+    singular exactly at eigenvalues.  DegenerateEnergyError at an energy
+    degenerate with an interval height, NonFiniteDeterminantError where the
+    boundary values overflow."""
     if spec.n_interior < 1:
         raise ValueError("matching matrix needs at least one interior breakpoint")
-    return _matching_matrix_at(spec, energy, series_m)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices, degenerate, overflow = _matching_block(spec, np.array([float(energy)]), series_m)
+    if degenerate[0].any():
+        raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
+    if overflow[0].any():
+        raise _non_finite_error(energy, overflow[0])
+    return matrices[0]
 
 
 def _box_sine_value(spec, energy, series_m=None) -> float:
     """Power-series sine-like solution from the left wall, evaluated at the
-    right wall (N = 0)."""
+    right wall (N = 0), its truncation checked as in series_local_basis."""
+    m = series_m or 80
     v = _reanchored(spec, 0, spec.x_min)
-    coeffs = _local_series(v, spec.heights[0], energy, (series_m or 80) + 10)[1]
-    return TaylorPiece(spec.x_min, coeffs).eval(spec.x_max)
+    coeffs = _local_series(v, spec.heights[0], energy, m + 10)[1]
+    value = TaylorPiece(spec.x_min, coeffs).eval(spec.x_max)
+    _check_truncation(coeffs, spec.x_max - spec.x_min, value, f"at m = {m} across the box")
+    return value
 
 
 # Largest size of the stacked matching matrices evaluated at once; longer
@@ -346,24 +363,24 @@ def _matching_block(spec, energies, series_m):
     """The matching kernel: row-normalized matching matrices at a block of
     energies (N >= 1), the one place such a matrix is built.
 
-    Returns the (M, 2N, 2N) matrices; two (M, N + 1) masks, the intervals
-    whose height an energy is degenerate with (its entries are meaningless)
-    and the intervals whose boundary values overflow the row normalization
-    (inf or NaN once squared); and what the boundary values came from: the
-    local frequencies beta, shape (M, N + 1), for closed-form specs, each
-    energy's list of domain bases for the power-series backend.
+    Returns the (M, 2N, 2N) matrices and two (M, N + 1) masks: the
+    intervals whose height an energy is degenerate with (its entries are
+    meaningless) and the intervals whose boundary values overflow the row
+    normalization (inf or NaN once squared).  Closed-form specs take the
+    boundary values from the local frequencies, the power-series backend
+    from each energy's domain bases.
     """
     n = spec.n_interior
     if spec.zero_order_polys is not None:
         degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
-        source = [_domain_bases(spec, e, series_m) for e in energies]
-        c_lo, s_lo, c_hi, s_hi = _boundary_values(source)
+        bases = [_domain_bases(spec, e, series_m) for e in energies]
+        c_lo, s_lo, c_hi, s_hi = _boundary_values(bases)
     else:
-        source, degenerate = local_frequencies(spec, energies)
+        beta, degenerate = local_frequencies(spec, energies)
         bp = np.asarray(spec.breakpoints)
         # one call for both ends: column j - 1 is domain j's lo end, N + j - 1 its hi end
         c, s = unit_solutions(
-            np.concatenate([source[:, :-1], source[:, 1:]], axis=1),
+            np.concatenate([beta[:, :-1], beta[:, 1:]], axis=1),
             np.concatenate([bp[:-2] - bp[1:-1], bp[2:] - bp[1:-1]]),
         )
         c_lo, c_hi, s_lo, s_hi = c[:, :n], c[:, n:], s[:, :n], s[:, n:]
@@ -372,7 +389,7 @@ def _matching_block(spec, energies, series_m):
     overflow[:, :-1] = ~np.isfinite(c_lo * c_lo + s_lo * s_lo)
     overflow[:, 1:] |= ~np.isfinite(c_hi * c_hi + s_hi * s_hi)
     matrices = _row_normalized(_stacked_matrices(c_lo, s_lo, c_hi, s_hi))
-    return matrices, degenerate, overflow, source
+    return matrices, degenerate, overflow
 
 
 def _non_finite_error(energy, overflow) -> NonFiniteDeterminantError:
@@ -385,34 +402,35 @@ def _non_finite_error(energy, overflow) -> NonFiniteDeterminantError:
     )
 
 
-def _matching_matrix_at(spec, energy, series_m):
-    """The kernel at one energy: the row-normalized matrix and what its
-    boundary values came from.  DegenerateEnergyError at an energy
-    degenerate with an interval height, NonFiniteDeterminantError where
-    the boundary values overflow."""
+def _determinants(spec, energies, series_m):
+    """secular_determinant's values at a 1-D array of energies, with the
+    kernel's two masks, one row per energy: the intervals whose height the
+    energy is degenerate with, and the intervals whose boundary values
+    overflow.  A degenerate energy's overflow row is all False; any other
+    energy whose determinant is not finite has one marked (interval 0 if
+    none overflows).  For N >= 1 the energies go through the kernel in
+    blocks that keep the stacked matrices near 8 MB."""
+    n = spec.n_interior
+    degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
+    overflow = np.zeros_like(degenerate)
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices, degenerate, overflow, source = _matching_block(
-            spec, np.array([float(energy)]), series_m
-        )
-    if degenerate[0].any():
-        raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
-    if overflow[0].any():
-        raise _non_finite_error(energy, overflow[0])
-    return matrices[0], source[0]
-
-
-def _determinant_block(spec, energies, series_m):
-    """Determinants at a block of energies, with the kernel's two masks."""
-    if spec.n_interior > 0:
-        matrices, degenerate, overflow, _ = _matching_block(spec, energies, series_m)
-        return np.linalg.det(matrices), degenerate, overflow
-    if spec.zero_order_polys is not None:
-        degenerate = np.zeros((len(energies), 1), dtype=bool)
-        dets = np.array([_box_sine_value(spec, e, series_m) for e in energies])
-    else:
-        beta, degenerate = local_frequencies(spec, energies)
-        dets = unit_solutions(beta[:, 0], spec.x_max - spec.x_min)[1]
-    return dets, degenerate, ~np.isfinite(dets)[:, None]
+        if n == 0 and spec.zero_order_polys is not None:
+            dets = np.array([_box_sine_value(spec, e, series_m) for e in energies])
+        elif n == 0:
+            beta, degenerate = local_frequencies(spec, energies)
+            dets = unit_solutions(beta[:, 0], spec.x_max - spec.x_min)[1]
+        else:
+            step = max(1, _BLOCK_BYTES // (32 * n * n))
+            dets = np.empty(len(energies))
+            for lo in range(0, len(energies), step):
+                block = slice(lo, lo + step)
+                matrices, degenerate[block], overflow[block] = _matching_block(
+                    spec, energies[block], series_m
+                )
+                dets[block] = np.linalg.det(matrices)
+    overflow[:, 0] |= ~np.isfinite(dets) & ~overflow.any(axis=1)
+    overflow[degenerate.any(axis=1)] = False
+    return dets, degenerate, overflow
 
 
 def secular_determinant(
@@ -440,21 +458,11 @@ def secular_determinant(
     if e.ndim > 1:
         raise ValueError("energy must be a scalar or a one-dimensional array")
     energies = np.atleast_1d(e)
-    n = spec.n_interior
-    step = max(1, _BLOCK_BYTES // (32 * n * n)) if n else max(1, len(energies))
-    dets = np.empty(len(energies))
-    degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
-    for lo in range(0, len(energies), step):
-        block = slice(lo, lo + step)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dets[block], degenerate[block], overflow = _determinant_block(
-                spec, energies[block], series_m
-            )
-        bad = overflow.any(axis=1) | ~np.isfinite(dets[block])
-        bad &= ~degenerate[block].any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise _non_finite_error(energies[lo + i], overflow[i])
+    dets, degenerate, overflow = _determinants(spec, energies, series_m)
+    bad = overflow.any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _non_finite_error(energies[i], overflow[i])
     if e.ndim == 0:
         if degenerate[0].any():
             raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
@@ -555,10 +563,14 @@ def _series_angle(energies, legs, m) -> np.ndarray:
     comparison no step holds two zeros of psi, and each sign change between
     samples is exactly one zero.  psi' is taken along the path.  Each energy
     is stepped on its own, so that a grid and a refinement step read the
-    same float at it.
+    same float at it; each leg's series are checked at its far end, for all
+    energies at once, as series_local_basis checks its boundary values.
     """
     n = np.arange(m + 1)
     series = [_local_series(v, height, energies, m) for _, _, v, height in legs]
+    for (width, _, _, _), pair in zip(legs, series):
+        both = np.stack(pair)
+        _check_truncation(both, width, both @ width ** n, f"at m = {m} on a leg of the angle sum")
     angles = []
     for k, e in enumerate(energies.tolist()):
         psi, slope, sign, zeros = 0.0, 1.0, 1.0, 0
@@ -932,72 +944,39 @@ def find_eigenvalues(
     )
 
 
-class _LazyBases:
-    """A closed-form matched state's domain bases 1..N, built on first
-    access: only the perturbation series, the Wronskian check and
-    MatchedState.domain_piece read the pieces.  It also keeps the kernel's
-    local frequencies at the state's energy, from which
-    MatchedState.overlap_gap is evaluated without building a piece."""
-
-    def __init__(self, spec, energy, beta) -> None:
-        self._spec = spec
-        self._energy = energy
-        self._beta = beta
-        self._bases = None
-
-    def _built(self) -> tuple[DomainBasis, ...]:
-        if self._bases is None:
-            self._bases = tuple(_domain_bases(self._spec, self._energy))
-        return self._bases
-
-    def on_overlaps(self, coeffs):
-        """overlap_gap's ``values`` for the state with these coefficients."""
-        return _trig_on_overlaps(self._spec, self._beta, coeffs)
-
-    def __len__(self) -> int:
-        return self._spec.n_interior
-
-    def __getitem__(self, i):
-        return self._built()[i]
-
-    def __iter__(self):
-        return iter(self._built())
-
-
 @dataclass(frozen=True, eq=False)
 class MatchedState:
-    """Matched zero-order state: energy, per-domain coefficients, domain bases.
+    """Matched zero-order state: energy, per-domain coefficients, residual.
 
     coeffs[j - 1] = (c(j), d(j)) for domains j = 1..N, normalized to a unit
     Euclidean null vector with the first nonzero component positive.
     c(0) = c(N+1) = 0 are implicit.  residual is the largest row residual
-    of the row-normalized matching system.  The null vector comes from the
-    matching kernel's boundary values; ``bases`` is a sequence of the
-    domains' DomainBasis, which match_coefficients builds on first access
-    for closed-form specs and passes on from the kernel for
-    the power-series backend (built with its series_m).  Two states are
-    equal, and hash alike, only if they are the same object.
+    of the row-normalized matching system, and series_m the truncation of
+    the power-series backend that match_coefficients was given.  The
+    domain bases and the overlap gap are built from these on first read.
+    Two states are equal, and hash alike, only if they are the same object.
     """
 
     spec: PotentialSpec
     energy: float
     coeffs: np.ndarray
-    bases: tuple[DomainBasis, ...] | _LazyBases
     residual: float
+    series_m: int | None = None
+
+    @cached_property
+    def bases(self) -> tuple[DomainBasis, ...]:
+        """Each domain's DomainBasis at the state's energy, built on first
+        read: only the perturbation series, the Wronskian check and the
+        state's pieces read them."""
+        return tuple(_domain_bases(self.spec, self.energy, self.series_m))
 
     @cached_property
     def overlap_gap(self) -> float:
         """Worst disagreement of adjacent domain representations on their
         shared interval (the module's overlap_gap): machine-small for genuine
         eigenvalues, order one for the spurious sub-interval-resonance
-        zeros.  Computed on first read; a closed-form match evaluates it
-        from the kernel's local frequencies, other bases from their
-        pieces."""
-        if isinstance(self.bases, _LazyBases):
-            values = self.bases.on_overlaps(self.coeffs)
-        else:
-            values = pieces_on_overlaps(self.domain_pieces())
-        return overlap_gap(self.spec, values)
+        zeros.  Computed on first read."""
+        return overlap_gap(self.spec, pieces_on_overlaps(self.domain_pieces()))
 
     @property
     def n_domains(self) -> int:
@@ -1043,35 +1022,6 @@ def eval_pieces(spec: PotentialSpec, pieces, x):
     return out if np.ndim(x) else float(out[0])
 
 
-def _extract_null_vector(spec, energy, series_m):
-    """Matched coefficients and residual at a determinant root, with what
-    the kernel built the matrix from."""
-    an, source = _matching_matrix_at(spec, energy, series_m)
-    det = float(np.linalg.det(an))
-    if abs(det) > 10.0 * ROOT_TOL:
-        raise NotARootError(
-            f"|det| = {abs(det):.3e} at E = {energy}; refine the root first"
-        )
-    _, svals, vt = np.linalg.svd(an)
-    if len(svals) >= 2 and svals[-2] < 1e-8 * max(svals[0], 1e-300):
-        raise DegeneracyParadoxError(
-            "matching system null space is not one-dimensional"
-        )
-    v = vt[-1]
-    residual = float(np.max(np.abs(an @ v)))
-    if residual > MATCHING_RESIDUAL:
-        raise NotARootError(
-            f"matching residual {residual:.3e} above {MATCHING_RESIDUAL:.1e} "
-            f"at E = {energy}"
-        )
-    nz = np.nonzero(np.abs(v) > 1e-10)[0]
-    if len(nz) and v[nz[0]] < 0:
-        v = -v
-    coeffs = v.reshape(-1, 2).copy()
-    coeffs.setflags(write=False)
-    return coeffs, residual, source
-
-
 def overlap_gap(spec: PotentialSpec, values) -> float:
     """Worst disagreement of adjacent domain representations of a state.
 
@@ -1101,26 +1051,6 @@ def pieces_on_overlaps(domain_pieces):
     return values
 
 
-def _trig_on_overlaps(spec, beta, coeffs):
-    """overlap_gap's ``values`` for a closed-form state, in one trig_values
-    call: c(j) cos + (d(j) / beta) sin on each overlap, the expression
-    TrigPoly.eval evaluates for MatchedState.domain_pieces.  ``beta`` holds
-    the kernel's local frequencies at the state's energy."""
-    beta = beta[1:-1, None]
-    inv = 1.0 / beta
-    anchors = np.asarray(spec.breakpoints)[1:-1, None]
-    c, d = coeffs[:, :1], coeffs[:, 1:]
-
-    def values(xs: np.ndarray) -> np.ndarray:
-        # domain j's right piece is anchored at L_j, domain j + 1's left at L_{j+1}
-        t = np.stack([xs - anchors[:-1], xs - anchors[1:]])
-        p = np.stack([c[:-1], c[1:]])
-        q = np.stack([d[:-1] * inv, d[1:] * inv])
-        return trig_values(beta, t, p, q)
-
-    return values
-
-
 def match_coefficients(
     spec: PotentialSpec,
     energy: float,
@@ -1131,17 +1061,35 @@ def match_coefficients(
 
     The null vector of the (row-normalized) matching system, with the
     Sturm-Liouville guarantee that it is one-dimensional.  Raises
-    NotARootError when the energy is not a root to within ROOT_TOL and
-    DegeneracyParadoxError when the null space is not simple.  The state's
-    overlap_gap diagnostic, whether adjacent representations actually
-    agree, is computed on its first read, not here.
+    DegeneracyParadoxError when the null space is not simple and
+    NotARootError when the null vector's residual exceeds
+    MATCHING_RESIDUAL.  No determinant is tested: the 2N rows have unit
+    length, so |det| <= sqrt(e) sigma_min <= sqrt(e) sqrt(2N) residual.
+    The state's domain bases and its overlap_gap diagnostic, whether
+    adjacent representations actually agree, are built on first read,
+    not here.
     """
     if spec.n_interior == 0:
         raise SchemaError(
             "a plain box has no matching coefficients; insert a fictitious "
             "breakpoint (see PotentialSpec.with_fictitious_breakpoint)"
         )
-    coeffs, residual, source = _extract_null_vector(spec, energy, series_m)
-    closed_form = spec.zero_order_polys is None
-    bases = _LazyBases(spec, float(energy), source) if closed_form else tuple(source)
-    return MatchedState(spec, float(energy), coeffs, bases, residual)
+    an = matching_matrix(spec, energy, series_m=series_m)
+    _, svals, vt = np.linalg.svd(an)
+    if len(svals) >= 2 and svals[-2] < 1e-8 * max(svals[0], 1e-300):
+        raise DegeneracyParadoxError(
+            "matching system null space is not one-dimensional"
+        )
+    v = vt[-1]
+    residual = float(np.max(np.abs(an @ v)))
+    if residual > MATCHING_RESIDUAL:
+        raise NotARootError(
+            f"matching residual {residual:.3e} above {MATCHING_RESIDUAL:.1e} "
+            f"at E = {energy}"
+        )
+    nz = np.nonzero(np.abs(v) > 1e-10)[0]
+    if len(nz) and v[nz[0]] < 0:
+        v = -v
+    coeffs = v.reshape(-1, 2).copy()
+    coeffs.setflags(write=False)
+    return MatchedState(spec, float(energy), coeffs, residual, series_m)

@@ -52,3 +52,18 @@ def test_workload_runners_call_the_solver_under_the_tracer():
         tr.uninstall()
     assert [out.error for out in outcomes] == [None, None]
     assert "zero_order.find_eigenvalues" in {span[0] for span in tr.spans}
+
+
+def test_benchmark_checks_pass_on_one_problem_each():
+    """The benchmark's correctness checks on a spectrum and a series
+    problem.  series_problem(1, 1) is the plain box, whose exact energy
+    comes from the power-series determinant at N = 0."""
+    workloads = _load("workloads")
+    problems = {
+        "spectrum_wells": workloads.well_problem(1, 0),
+        "series_orders": workloads.series_problem(1, 1),
+    }
+    assert problems["series_orders"].spec.n_interior == 0
+    for name, problem in problems.items():
+        outcome = workloads.RUNNERS[name](problem)
+        assert workloads.CHECKS[name](problem, outcome) == [], name

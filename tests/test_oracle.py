@@ -173,6 +173,21 @@ class TestFdEigenvalues:
         for i, e in enumerate(scan.energies):
             assert abs(e - fd.values[i]) < fd.estimate[i]
 
+    def test_estimate_covers_the_bisection_error(self, n1_step_spec):
+        # the Richardson difference, but never below (4 t_fine + t_coarse) / 3,
+        # the bisection tolerance t of each grid carried through extrapolation
+        fd = fd_eigenvalues(n1_step_spec, m=3000, count=4)
+        t_coarse, t_fine = (
+            oracle._bisection_tolerance(gh.diag, gh.offdiag)
+            for gh in (
+                build_grid_hamiltonian(n1_step_spec, m=3000),
+                build_grid_hamiltonian(n1_step_spec, m=3000, refine=2),
+            )
+        )
+        floor = (4.0 * t_fine + t_coarse) / 3.0
+        assert 1e-9 < floor < 1e-7
+        assert np.array_equal(fd.estimate, np.maximum(np.abs(fd.coarse - fd.fine) / 3.0, floor))
+
     def test_count_clamped(self, box_spec):
         fd = fd_eigenvalues(box_spec, m=5, count=50)
         assert not fd.complete

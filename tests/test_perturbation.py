@@ -26,7 +26,7 @@ from stepwell import (
 from stepwell import perturbation
 from stepwell.oracle import fd_rs_series
 from stepwell.perturbation import _piecewise_overlap, equation_residual
-from stepwell.zero_order import MatchedState, overlap_gap, pieces_on_overlaps
+from stepwell.zero_order import overlap_gap, pieces_on_overlaps
 
 PI = math.pi
 
@@ -69,13 +69,7 @@ class TestOmega:
 
     def test_zero_state_gives_zero_omega(self):
         state = box_state()
-        zeroed = MatchedState(
-            state.spec,
-            state.energy,
-            np.zeros_like(state.coeffs),
-            state.bases,
-            state.residual,
-        )
+        zeroed = replace(state, coeffs=np.zeros_like(state.coeffs))
         omega = build_omega(zeroed)
         for left, right in omega.pieces:
             assert left.is_zero() and right.is_zero()
@@ -337,9 +331,7 @@ class TestRunSeries:
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         e0 = find_eigenvalues(n1_step_spec, 0.05, 10.0, count=1).energies[0]
         state = match_coefficients(n1_step_spec, e0)
-        flipped = MatchedState(
-            state.spec, state.energy, -state.coeffs, state.bases, state.residual
-        )
+        flipped = replace(state, coeffs=-state.coeffs)
         energies = []
         for st in (state, flipped):
             omega = build_omega(st)

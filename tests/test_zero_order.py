@@ -725,12 +725,44 @@ class TestOneMatchingKernel:
             assert state.residual == np.max(np.abs(kernel @ state.coeffs.ravel()))
 
     @pytest.mark.parametrize("spec", WELLS)
+    def test_residual_bound_implies_the_determinant_bound(self, spec):
+        # the 2N rows have unit length, so |det| <= sqrt(e) sigma_min <=
+        # sqrt(e 2N) residual: match_coefficients tests no determinant.
+        # Checked near each level, where both are well above rounding.
+        for energy in self.levels(spec):
+            for shift in (-1e-3, 1e-6, 1e-3):
+                a = matching_matrix(spec, energy + shift)
+                residual = np.max(np.abs(a @ np.linalg.svd(a)[2][-1]))
+                bound = math.sqrt(math.e * 2 * spec.n_interior) * residual
+                assert abs(np.linalg.det(a)) <= bound
+
+    @pytest.mark.parametrize("spec", WELLS)
+    def test_match_between_levels_fails_on_its_residual(self, spec):
+        levels = np.array(self.levels(spec))
+        for energy in 0.5 * (levels[:-1] + levels[1:]):
+            with pytest.raises(NotARootError, match="matching residual"):
+                match_coefficients(spec, energy)
+
+    def test_determinant_masks_say_what_a_scalar_call_raises(self):
+        spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, 1.6e5, 0.0))
+        energies = np.array([9.85, 1.6e5, 1.6e5 + 10.0])
+        dets, degenerate, overflow = zero_order._determinants(spec, energies, None)
+        assert degenerate.any(axis=1).tolist() == [False, True, False]
+        assert overflow.any(axis=1).tolist() == [True, False, False]
+        with pytest.raises(NonFiniteDeterminantError, match="interval 1 "):
+            secular_determinant(spec, energies[0])
+        with pytest.raises(DegenerateEnergyError):
+            secular_determinant(spec, energies[1])
+        assert secular_determinant(spec, energies[2]) == dets[2]
+        with pytest.raises(NonFiniteDeterminantError, match="interval 1 "):
+            secular_determinant(spec, energies)
+
+    @pytest.mark.parametrize("spec", WELLS)
     def test_lazy_bases_equal_build_domain_basis(self, spec, monkeypatch):
         for energy in self.levels(spec):
             state = match_coefficients(spec, energy)
             builds = _counting(monkeypatch, zero_order, "build_domain_basis")
             assert len(state.bases) == state.n_domains == spec.n_interior
-            assert not builds
             for j, basis in enumerate(state.bases, start=1):
                 assert _same_basis(basis, build_domain_basis(spec, energy, j))
             # built once
@@ -764,11 +796,11 @@ class TestOneMatchingKernel:
             zero_order_polys=((0.0, 2.0), (0.0, 2.0), (0.0, 2.0), (0.0, 2.0)),
         )
         energy = self.levels(spec)[0]
-        builds = _counting(monkeypatch, zero_order, "series_local_basis")
         state = match_coefficients(spec, energy)
+        builds = _counting(monkeypatch, zero_order, "series_local_basis")
         state.domain_pieces()
         list(state.bases)
-        assert sorted(args[2] for args, _ in builds) == [1, 2, 3]
+        assert [args[2] for args, _ in builds] == [1, 2, 3]
 
     POLY_WELL = PotentialSpec(
         (0.0, 0.8, 1.5, 2.2, PI), (0.0, 0.0, 1.0, 0.0), zero_order_polys=((0.0, 2.0),) * 4
@@ -783,17 +815,6 @@ class TestOneMatchingKernel:
         for i, state in enumerate(states, start=1):
             assert state.overlap_gap == state.overlap_gap
             assert len(gaps) == i
-
-    @pytest.mark.parametrize("spec", WELLS)
-    def test_lazy_overlap_gap_keeps_the_tolerances(self, spec, monkeypatch):
-        for energy in self.levels(spec):
-            state = match_coefficients(spec, energy)
-            trig = _counting(monkeypatch, zero_order, "trig_values")
-            gap = state.overlap_gap
-            assert len(trig) == 1
-            monkeypatch.undo()
-            pieces = zero_order.pieces_on_overlaps(state.domain_pieces())
-            assert gap == zero_order.overlap_gap(spec, pieces)
 
     def test_lazy_series_overlap_gap_keeps_the_truncation(self, monkeypatch):
         spec = self.POLY_WELL
@@ -894,6 +915,17 @@ class TestSeriesBackend:
         with pytest.raises(TruncationError) as info:
             series_local_basis(spec, 1.0, 1, 14)
         assert info.value.residual is None or info.value.residual > 0
+
+    def test_every_series_sum_is_checked(self):
+        # V = 8x^2 on (0, 6): at m = 80 a series from a wall does not converge
+        # across the box.  Summed unchecked, the angle sum put levels at
+        # 30.77 and 42.65 (FD: 31.11 and 42.43) and the determinant was 3.9e20.
+        box = PotentialSpec((0.0, 6.0), (0.0,), zero_order_polys=((0.0, 0.0, 8.0),))
+        for spec in (box, box.with_fictitious_breakpoint(3.0)):
+            with pytest.raises(TruncationError):
+                find_eigenvalues(spec, 0.1, 60.0)
+            with pytest.raises(TruncationError):
+                secular_determinant(spec, 5.0)
 
     def test_eigenvalues_with_linear_tilt(self):
         # V = 2x on (0, pi): series-backed scan against the fd oracle
