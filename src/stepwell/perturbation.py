@@ -52,7 +52,6 @@ from .zero_order import (
     find_eigenvalues,
     match_coefficients,
     overlap_gap,
-    pieces_on_overlaps,
 )
 
 __all__ = [
@@ -288,7 +287,7 @@ def solve_order(state: MatchedState, omega: OmegaSet, basis: OrderBasis) -> Orde
         condition,
         boundary_residual,
         matching_residual,
-        overlap_gap(spec, pieces_on_overlaps(domain_pieces)),
+        overlap_gap(spec, domain_pieces),
     )
 
 

@@ -222,18 +222,16 @@ def local_frequency(spec: PotentialSpec, interval: int, energy: float) -> comple
     """Principal square root beta_i = sqrt(E - H_i) for one interval.
 
     Real and positive above the height, purely imaginary with positive
-    imaginary part below it.  Energies within BETA_MIN^2 of the height are
-    rejected with DegenerateEnergyError; move the energy off the height (a
-    gauge shift of heights and window together moves nothing, because
+    imaginary part below it: the principal root of E - H_i + 0j is already
+    so, and needs no sign flip.  Energies within BETA_MIN^2 of the height
+    are rejected with DegenerateEnergyError; move the energy off the height
+    (a gauge shift of heights and window together moves nothing, because
     E - H_i is unchanged).
     """
     diff = energy - spec.heights[interval]
     if abs(diff) <= BETA_MIN**2:
         raise degenerate_energy_error(spec, interval, energy)
-    beta = complex(np.sqrt(complex(diff)))
-    if beta.real < 0 or (beta.real == 0 and beta.imag < 0):
-        beta = -beta
-    return beta
+    return complex(np.sqrt(complex(diff)))
 
 
 def local_frequencies(
@@ -243,16 +241,16 @@ def local_frequencies(
 
     The same rule, vectorised; the scalar form stays for the per-energy
     bases and is the reference the batched determinant is tested against.
-    Returns beta, shape (M, n_intervals), and the mask of entries within
-    BETA_MIN^2 of their height, where local_frequency would raise; beta is
-    set to 1 there so that callers can evaluate without warnings and
-    discard those energies afterwards.
+    Each beta is the principal root of E - H_i + 0j: real and positive, or
+    purely imaginary with positive imaginary part.  Returns beta, shape
+    (M, n_intervals), and the mask of entries within BETA_MIN^2 of their
+    height, where local_frequency would raise; beta is set to 1 there so
+    that callers can evaluate without warnings and discard those energies
+    afterwards.
     """
     diff = np.asarray(energies, dtype=float)[:, None] - np.asarray(spec.heights)
     degenerate = np.abs(diff) <= BETA_MIN**2
     beta = np.sqrt(diff.astype(complex))
-    flip = (beta.real < 0) | ((beta.real == 0) & (beta.imag < 0))
-    beta = np.where(flip, -beta, beta)
     beta[degenerate] = 1.0
     return beta, degenerate
 

@@ -197,16 +197,17 @@ def unit_solutions(freq, t) -> tuple[np.ndarray, np.ndarray]:
 
     The values of TrigPoly.cosine(a, beta) and TrigPoly.sine_unit_slope(a,
     beta) at x = a + t, from the same complex expressions (so the same bits
-    wherever they are finite) and with the same reality check, for a whole
-    array of frequencies at once.
+    wherever they are finite), for a whole array of frequencies at once.
+    Only the real parts are returned, with no reality check, because for
+    real t and beta real or purely imaginary (local_frequencies) the
+    imaginary parts are exactly +-0, or NaN where cosh or sinh overflows,
+    which no tolerance test rejects.  With beta = b + 0j the argument is
+    bt +- 0j, where cos and sin have imaginary parts -sin(bt) sinh(+-0)
+    and cos(bt) sinh(+-0); with beta = 0 + ik, cos(ikt) = cosh(kt) - i
+    sin(0) sinh(kt) and sin(ikt) / (ik) = sinh(kt) / k + i 0 sinh(kt).
     """
     arg = freq * t
-    cos, sin = np.cos(arg), np.sin(arg)
-    inv = 1.0 / freq
-    return (
-        _checked_real(cos, np.abs(cos)),
-        _checked_real(sin * inv, np.abs(sin) * np.abs(inv)),
-    )
+    return np.cos(arg).real, (np.sin(arg) * (1.0 / freq)).real
 
 
 def derivative(f: TrigPoly) -> TrigPoly:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -287,39 +287,59 @@ def _domain_bases(spec, energy, series_m=None) -> list[DomainBasis]:
     ]
 
 
-def _boundary_values(bases_per_energy) -> np.ndarray:
-    """_stacked_matrices' (c_lo, s_lo, c_hi, s_hi) from M lists of N bases."""
-    values = [[(b.c_at_lo, b.s_at_lo, b.c_at_hi, b.s_at_hi) for b in bases] for bases in bases_per_energy]
-    return np.moveaxis(np.array(values), -1, 0)
+def _boundary_values(bases_per_energy) -> tuple[np.ndarray, np.ndarray]:
+    """_stacked_matrices' C and S values from M lists of N bases."""
+    c = [[b.c_at_lo for b in bases] + [b.c_at_hi for b in bases] for bases in bases_per_energy]
+    s = [[b.s_at_lo for b in bases] + [b.s_at_hi for b in bases] for bases in bases_per_energy]
+    return np.array(c), np.array(s)
 
 
-def _stacked_matrices(c_lo, s_lo, c_hi, s_hi) -> np.ndarray:
-    """Assemble 2N x 2N matching matrices from boundary values of shape (M, N).
-
-    Entry [m, j - 1] of each argument is the cached boundary value of domain
-    j at the m-th energy.  Unknown ordering (c(1), d(1), ..., c(N), d(N));
-    row ordering (domain 1 left, domain 1 right, domain 2 left, ...).  Row
-    (j, left) states c(j) C_j(L_{j-1}) + d(j) S_j(L_{j-1}) - c(j-1) = 0 and
-    row (j, right) the mirror image at L_{j+1}, with c(0) = c(N+1) = 0.
-    """
-    m, n = np.shape(c_lo)
-    # in the flattened matrix each entry kind is a strided slice: entry
-    # (2j + r, 2j + c) sits at 2j (2N + 1) + 2N r + c
-    a = np.zeros((m, 4 * n * n))
+@cache
+def _assembly(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the N-domain matching matrices, which depend on N
+    alone: the interval at each domain end (lo ends, then hi ends), where
+    those ends' C and S values sit in a flattened matrix, and the flattened
+    matrix holding only its -1 entries."""
+    # in the flattened matrix entry (2j + r, 2j + c) sits at 2j (2N + 1) + 2N r + c
     step = 4 * n + 2
-    a[:, 0::step] = c_lo
-    a[:, 1::step] = s_lo
-    a[:, 2 * n :: step] = c_hi
-    a[:, 2 * n + 1 :: step] = s_hi
-    a[:, 4 * n :: step] = -1.0  # (2j, 2j - 2), j = 1..N-1
-    a[:, 2 * n + 2 :: step] = -1.0  # (2j + 1, 2j + 2), j = 0..N-2
+    diag = np.arange(n) * step
+    template = np.zeros(4 * n * n)
+    template[4 * n :: step] = -1.0  # (2j, 2j - 2), j = 1..N-1
+    template[2 * n + 2 :: step] = -1.0  # (2j + 1, 2j + 2), j = 0..N-2
+    at_c = np.concatenate([diag, diag + 2 * n])
+    ends = np.concatenate([np.arange(n), np.arange(1, n + 1)])
+    arrays = ends, at_c, at_c + 1, template
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _end_offsets(breakpoints: tuple[float, ...]) -> np.ndarray:
+    """x - L_j at the lo ends of domains j = 1..N, then at their hi ends."""
+    bp = np.asarray(breakpoints)
+    offsets = np.concatenate([bp[:-2] - bp[1:-1], bp[2:] - bp[1:-1]])
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _stacked_matrices(c, s) -> np.ndarray:
+    """Assemble 2N x 2N matching matrices from boundary values of shape (M, 2N).
+
+    Entries [m, j - 1] and [m, N + j - 1] of ``c`` are C_j at L_{j-1} and
+    at L_{j+1} at the m-th energy, and likewise S_j in ``s``.  Unknown
+    ordering (c(1), d(1), ..., c(N), d(N)); row ordering (domain 1 left,
+    domain 1 right, domain 2 left, ...).  Row (j, left) states c(j)
+    C_j(L_{j-1}) + d(j) S_j(L_{j-1}) - c(j-1) = 0 and row (j, right) the
+    mirror image at L_{j+1}, with c(0) = c(N+1) = 0.
+    """
+    m, n = len(c), np.shape(c)[1] // 2
+    _, at_c, at_s, template = _assembly(n)
+    a = np.empty((m, 4 * n * n))
+    a[:] = template
+    a[:, at_c] = c
+    a[:, at_s] = s
     return a.reshape(m, 2 * n, 2 * n)
-
-
-def _row_normalized(a: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit length: the determinant stays in [-1, 1] and
-    keeps its zeros."""
-    return a / np.linalg.norm(a, axis=-1)[..., None]
 
 
 def matching_matrix(
@@ -366,30 +386,27 @@ def _matching_block(spec, energies, series_m):
     Returns the (M, 2N, 2N) matrices and two (M, N + 1) masks: the
     intervals whose height an energy is degenerate with (its entries are
     meaningless) and the intervals whose boundary values overflow the row
-    normalization (inf or NaN once squared).  Closed-form specs take the
-    boundary values from the local frequencies, the power-series backend
-    from each energy's domain bases.
+    normalization (an inf or NaN row norm).  Rows are scaled to unit
+    length, so the determinant stays in [-1, 1] and keeps its zeros.
+    Closed-form specs take the boundary values from the local frequencies,
+    the power-series backend from each energy's domain bases.
     """
     n = spec.n_interior
     if spec.zero_order_polys is not None:
         degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
-        bases = [_domain_bases(spec, e, series_m) for e in energies]
-        c_lo, s_lo, c_hi, s_hi = _boundary_values(bases)
+        c, s = _boundary_values([_domain_bases(spec, e, series_m) for e in energies])
     else:
         beta, degenerate = local_frequencies(spec, energies)
-        bp = np.asarray(spec.breakpoints)
-        # one call for both ends: column j - 1 is domain j's lo end, N + j - 1 its hi end
-        c, s = unit_solutions(
-            np.concatenate([beta[:, :-1], beta[:, 1:]], axis=1),
-            np.concatenate([bp[:-2] - bp[1:-1], bp[2:] - bp[1:-1]]),
-        )
-        c_lo, c_hi, s_lo, s_hi = c[:, :n], c[:, n:], s[:, :n], s[:, n:]
-    # interval i holds the lo values of domain i + 1 and the hi values of domain i
+        c, s = unit_solutions(beta[:, _assembly(n)[0]], _end_offsets(spec.breakpoints))
+    a = _stacked_matrices(c, s)
+    # the row norms, summed as np.linalg.norm sums them
+    norms = np.sqrt(np.add.reduce(a * a, axis=-1))
+    # row 2j - 2 holds domain j's values on interval j - 1, row 2j - 1 on interval j
+    bad = ~np.isfinite(norms)
     overflow = np.zeros((len(energies), n + 1), dtype=bool)
-    overflow[:, :-1] = ~np.isfinite(c_lo * c_lo + s_lo * s_lo)
-    overflow[:, 1:] |= ~np.isfinite(c_hi * c_hi + s_hi * s_hi)
-    matrices = _row_normalized(_stacked_matrices(c_lo, s_lo, c_hi, s_hi))
-    return matrices, degenerate, overflow
+    overflow[:, :-1] = bad[:, 0::2]
+    overflow[:, 1:] |= bad[:, 1::2]
+    return a / norms[..., None], degenerate, overflow
 
 
 def _non_finite_error(energy, overflow) -> NonFiniteDeterminantError:
@@ -509,10 +526,23 @@ def _trig_legs(spec, c) -> tuple[np.ndarray, np.ndarray]:
     return heights, widths
 
 
+def _lane_legs(each) -> tuple[np.ndarray, np.ndarray]:
+    """Legs of shape (legs, 2, lanes) from each lane's _trig_legs, the
+    shorter ones padded in front like the shorter shot."""
+    n = max(len(heights) for heights, _ in each)
+    heights = np.full((n, 2, len(each)), _PAD_HEIGHT)
+    widths = np.zeros((n, 2, len(each)))
+    for k, (h, w) in enumerate(each):
+        heights[n - len(h) :, :, k] = h[:, :, 0]
+        widths[n - len(w) :, :, k] = w[:, :, 0]
+    return heights, widths
+
+
 def _trig_angle(energies, legs) -> np.ndarray:
     """Modified Pruefer angles at the matching point, one row per shot of
-    ``legs`` (_trig_legs: row 0 from the left wall, row 1 from the right),
-    the shots swept together leg by leg.
+    ``legs`` (_trig_legs: row 0 from the left wall, row 1 from the right;
+    last axis 1, or one lane per energy as _lane_legs stacks them), the
+    shots swept together leg by leg.
 
     tan(theta) = S psi / psi', psi' taken along the path, with the scale
     S = sqrt|E - H_i| on interval i (1 where E is within BETA_MIN^2 of
@@ -521,34 +551,39 @@ def _trig_angle(energies, legs) -> np.ndarray:
     that cannot overflow: an oscillatory one advances theta by beta w, an
     evanescent one shrinks tan(theta - pi/4) (mod pi) by exp(-2 kappa w)
     toward the growing solution, and a flat one adds w to tan(theta).
+    What does not depend on theta is computed for every leg at once.
     """
-    theta = np.zeros((legs[0].shape[1], len(energies)))
-    s_old = None
-    for height, w in zip(*legs):
-        q = energies - height
-        size = np.abs(q)
-        flat = size <= BETA_MIN**2
-        some_flat = flat.any()
-        s = np.where(flat, 1.0, np.sqrt(size)) if some_flat else np.sqrt(size)
-        if s_old is not None:
+    heights, widths = legs
+    q = energies - heights
+    size = np.abs(q)
+    flat = size <= BETA_MIN**2
+    s = np.sqrt(size)
+    some_flat = flat.any(axis=(1, 2)).tolist()
+    if any(some_flat):
+        s[flat] = 1.0
+    sw = s * widths
+    below = q < 0
+    some_below = below.any(axis=(1, 2)).tolist()
+    theta = np.zeros(q.shape[1:])
+    for leg in range(len(q)):
+        if leg:
             # a change of scale keeps every multiple of pi / 2 in place
             k = np.floor(theta / np.pi) * np.pi
             r = theta - k
-            theta = k + np.arctan2(s * np.sin(r), s_old * np.cos(r))
-        sw = s * w
-        advanced = theta + sw
-        below = q < 0
-        if below.any():
-            t = theta[below]
+            theta = k + np.arctan2(s[leg] * np.sin(r), s[leg - 1] * np.cos(r))
+        advanced = theta + sw[leg]
+        if some_below[leg]:
+            at = below[leg]
+            t = theta[at]
             k = np.floor(t / np.pi + 0.25) * np.pi + np.pi / 4
             r = t - k
-            advanced[below] = k + np.arctan2(np.sin(r) * np.exp(-2 * sw[below]), np.cos(r))
-        if some_flat:
+            advanced[at] = k + np.arctan2(np.sin(r) * np.exp(-2 * sw[leg][at]), np.cos(r))
+        if some_flat[leg]:
             k = np.floor(theta / np.pi + 0.5) * np.pi
             r = theta - k
-            linear = k + np.arctan2(np.sin(r) + w * np.cos(r), np.cos(r))
-            advanced = np.where(flat, linear, advanced)
-        theta, s_old = advanced, s
+            linear = k + np.arctan2(np.sin(r) + widths[leg] * np.cos(r), np.cos(r))
+            advanced = np.where(flat[leg], linear, advanced)
+        theta = advanced
     return theta
 
 
@@ -593,17 +628,23 @@ def _series_angle(energies, legs, m) -> np.ndarray:
 
 def _angle_sum(spec, series_m):
     """The function half_turns(energies, c) that gives (theta_L + theta_R)
-    / pi at a 1-D array of energies, matched in the middle of interval c
-    (by default the lowest): the angle sum that sturm_count floors and
-    find_eigenvalues refines.  Nothing but the angles depends on the
-    energy: each matching point's legs are built on its first use, and for
-    the power-series backend each interval's re-expanded polynomials once,
-    shared by every matching point; the potential ranges are the spec's."""
+    / pi at a 1-D array of energies, matched in the middle of interval c:
+    the lowest by default, or an int for every energy, or an int array of
+    one matching point per energy.  That is the angle sum that sturm_count
+    floors and find_eigenvalues refines.  Nothing but the angles depends on
+    the energy: each matching point's legs are built on its first use (and
+    the trig backend's stack of per-energy legs once per array of matching
+    points), and for the power-series backend each interval's re-expanded
+    polynomials once, shared by every matching point; the potential ranges
+    are the spec's.  The trig backend sweeps every energy at once, its
+    shorter legs padded; the power-series backend groups the energies by
+    matching point."""
     if spec.zero_order_polys is None:
         legs = cache(lambda c: _trig_legs(spec, c))
+        lanes = cache(lambda cs: _lane_legs([legs(c) for c in cs]))
 
         def angles(energies, c):
-            theta = _trig_angle(energies, legs(c))
+            theta = _trig_angle(energies, legs(c) if np.ndim(c) == 0 else lanes(tuple(c.tolist())))
             return theta[0] + theta[1]
     else:
         reanchored = cache(lambda i, x0: _reanchored(spec, i, x0))
@@ -613,8 +654,17 @@ def _angle_sum(spec, series_m):
         ])
         m = series_m or 80
 
-        def angles(energies, c):
+        def matched(energies, c):
             return sum(_series_angle(energies, path, m) for path in legs(c))
+
+        def angles(energies, c):
+            if np.ndim(c) == 0:
+                return matched(energies, c)
+            out = np.empty(len(energies))
+            for point in sorted(set(c.tolist())):
+                at = c == point
+                out[at] = matched(energies[at], point)
+            return out
 
     lowest = int(np.argmin(spec.heights))
     return lambda energies, c=lowest: angles(energies, c) / np.pi
@@ -665,8 +715,8 @@ class EigenvalueScan:
     inventing a null vector.  ``skipped`` is always empty, since the angle
     is defined at every energy, an interval height included.
     ``angle_evaluations`` counts the levels' calls of the angle sum, each
-    at an array of energies: the grid, the other matching points at the
-    ends of steep cells, and the brentq steps.
+    at an array of energies: the grid, one call of the other matching
+    points at the ends of steep cells, and the brentq steps.
     """
 
     energies: tuple[float, ...]
@@ -695,11 +745,13 @@ def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0, f_ends=Non
     RootNotConvergedError after 100 steps.
 
     ``a`` and ``b`` are scalars, or 1-D arrays of brackets refined in
-    lock-step: f is called with the array of every unfinished bracket's
-    trial point, once per step, and each bracket takes the same steps, and
-    returns the same float, as it would alone.  ``target`` is then a scalar
-    or one value per bracket.  A NaN in that array is evaluated again as a
-    scalar, so that f raises there what its scalar form raises.
+    lock-step: f is called once per step with an array of one trial point
+    per bracket, a finished bracket repeating its root, so that f may pair
+    each entry with data of its bracket.  Each bracket takes the same steps,
+    and returns the same float, as it would alone.  ``target`` is then a
+    scalar or one value per bracket.  A NaN at an unfinished bracket is
+    evaluated again as a scalar, so that f raises there what its scalar
+    form raises.
 
     ``f_ends = (f(a), f(b))``, values already known (of f, not f - target,
     shaped like ``a`` and ``b``), take the place of the first two calls;
@@ -717,29 +769,29 @@ def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0, f_ends=Non
     ends = () if f_ends is None else f_ends
     known = [np.broadcast_to(np.asarray(v, dtype=float), lo.shape).tolist() for v in ends]
     lanes = [_brent(x, y, xtol, rtol) for x, y in zip(lo.tolist(), hi.tolist())]
-    trials = {i: next(lane) for i, lane in enumerate(lanes)}
-    roots = [0.0] * len(lanes)
-    while trials:
-        xs = list(trials.values())
+    # each lane's trial point while it runs, its root once it has finished
+    xs = [next(lane) for lane in lanes]
+    running = range(len(lanes))
+    while running:
         if known:
             # every lane asks for f(a), then f(b), before its first step
-            fxs = [known[0][i] for i in trials]
-            del known[0]
+            fxs = known.pop(0)
         else:
             fxs = [f(xs[0])] if scalar else np.asarray(f(np.array(xs)), dtype=float).tolist()
-        pending = {}
-        for (i, x), fx in zip(trials.items(), fxs):
-            fx = float(fx)
+        still = []
+        for i in running:
+            fx = float(fxs[i])
             if math.isnan(fx) and not scalar:
-                fx = float(f(x))
+                fx = float(f(xs[i]))
             if math.isnan(fx):
-                raise ValueError(f"f({x!r}) is NaN; the root cannot be refined")
+                raise ValueError(f"f({xs[i]!r}) is NaN; the root cannot be refined")
             try:
-                pending[i] = lanes[i].send(fx - goal[i])
+                xs[i] = lanes[i].send(fx - goal[i])
+                still.append(i)
             except StopIteration as done:
-                roots[i] = done.value
-        trials = pending
-    return roots[0] if scalar else np.array(roots)
+                xs[i] = done.value
+        running = still
+    return xs[0] if scalar else np.array(xs)
 
 
 def _brent(xpre: float, xcur: float, xtol: float, rtol: float):
@@ -809,10 +861,10 @@ def _refined_crossings(spec, grid, xtol, series_m) -> tuple[np.ndarray, int]:
     itself, so a level whose sum rises steeply across its cell, a state
     small at the lowest interval, takes the interval where the sum rises
     least, if that is under a quarter of the default's rise and brackets
-    n + 1 too; each other interval below the top of some such cell is
-    evaluated at both ends of every such cell in one call.  One brentq call
-    per matching interval refines its brackets in lock-step from the values
-    at their ends, with per-lane targets n + 1."""
+    n + 1 too; one call evaluates each other interval below the top of some
+    such cell at both ends of every such cell.  One brentq call refines
+    every level in lock-step, each at its own matching point, from the
+    values at the ends of its cell, with per-lane targets n + 1."""
     half_turns = _angle_sum(spec, series_m)
     sums = half_turns(grid)
     evaluations = 1
@@ -824,37 +876,28 @@ def _refined_crossings(spec, grid, xtol, series_m) -> tuple[np.ndarray, int]:
     lowest = int(np.argmin(spec.heights))
     match = np.full(len(n), lowest)
     steep = np.flatnonzero(f_hi - f_lo > _STEEP_RISE)
-    if len(steep):
-        least = 0.25 * (f_hi - f_lo)[steep]
-        ends, crossed = np.concatenate([e_lo[steep], e_hi[steep]]), target[steep]
-        for c in range(spec.n_intervals):
-            # a state is large where it oscillates, not inside a barrier
-            if c == lowest or spec.heights[c] >= e_hi[steep].max():
-                continue
-            a, b = np.split(half_turns(ends, c), 2)
-            evaluations += 1
+    # a state is large where it oscillates, not inside a barrier
+    top = e_hi[steep].max(initial=-math.inf)
+    others = [c for c in range(spec.n_intervals) if c != lowest and spec.heights[c] < top]
+    if others:
+        ends = np.concatenate([e_lo[steep], e_hi[steep]])
+        values = half_turns(np.tile(ends, len(others)), np.repeat(others, len(ends)))
+        evaluations += 1
+        least, crossed = 0.25 * (f_hi - f_lo)[steep], target[steep]
+        for c, (a, b) in zip(others, values.reshape(len(others), 2, len(steep))):
             better = (b - a < least) & (a < crossed) & (b > crossed)
             least = np.where(better, b - a, least)
             moved = steep[better]
             match[moved], f_lo[moved], f_hi[moved] = c, a[better], b[better]
-    roots = np.empty(len(n))
-    for c in sorted(set(match.tolist())):
-        lanes = match == c
 
-        def f(energies, c=c):
-            nonlocal evaluations
-            evaluations += 1
-            return half_turns(energies, c)
+    def f(energies):
+        nonlocal evaluations
+        evaluations += 1
+        return half_turns(energies, match)
 
-        roots[lanes] = brentq(
-            f,
-            e_lo[lanes],
-            e_hi[lanes],
-            xtol=xtol,
-            rtol=_REFINE_RTOL,
-            target=target[lanes],
-            f_ends=(f_lo[lanes], f_hi[lanes]),
-        )
+    roots = brentq(
+        f, e_lo, e_hi, xtol=xtol, rtol=_REFINE_RTOL, target=target, f_ends=(f_lo, f_hi)
+    )
     return np.sort(roots), evaluations
 
 
@@ -901,8 +944,9 @@ def find_eigenvalues(
     brentq to |dE| ~ xtol (REFINE_XTOL, 1e-13, by default), from the
     grid's values at the ends of its cell.
     A level whose sum steps across its cell is matched in the interval
-    where the sum is smoothest (see _refined_crossings); the levels of each
-    matching point are refined in lock-step, one angle evaluation a step.
+    where the sum is smoothest (see _refined_crossings); all levels are
+    refined in lock-step, each at its own matching point, one angle
+    evaluation a step.
     Two crossings refined to the same energy within that tolerance are one
     entry, listed as near-degenerate: a pair split below double precision.
     The secular determinant is not evaluated; its other zeros, the overlap
@@ -976,7 +1020,7 @@ class MatchedState:
         shared interval (the module's overlap_gap): machine-small for genuine
         eigenvalues, order one for the spurious sub-interval-resonance
         zeros.  Computed on first read."""
-        return overlap_gap(self.spec, pieces_on_overlaps(self.domain_pieces()))
+        return overlap_gap(self.spec, self.domain_pieces())
 
     @property
     def n_domains(self) -> int:
@@ -1022,33 +1066,23 @@ def eval_pieces(spec: PotentialSpec, pieces, x):
     return out if np.ndim(x) else float(out[0])
 
 
-def overlap_gap(spec: PotentialSpec, values) -> float:
+def overlap_gap(spec: PotentialSpec, domain_pieces) -> float:
     """Worst disagreement of adjacent domain representations of a state.
 
-    Domains j and j + 1 both represent the state on (L_j, L_{j+1}); they
-    are compared at nine interior points of each such overlap, relative to
-    the largest value sampled (at least 1).  ``values(xs)`` is given the
-    points, row j - 1 on overlap j, shape (N - 1, 9), and returns domain j's
-    right and domain j + 1's left representation there.  Machine-small for
-    a genuine solution.
+    Domains j and j + 1 both represent the state on (L_j, L_{j+1}): domain
+    j's right piece and domain j + 1's left piece of ``domain_pieces``, each
+    domain's (left, right) pair.  They are compared at nine interior points
+    of each such overlap, relative to the largest value sampled (at least
+    1).  Machine-small for a genuine solution.
     """
     bp = np.asarray(spec.breakpoints)
     lo, hi = bp[1:-2], bp[2:-1]
-    right, left = values(np.linspace(lo + 0.07 * (hi - lo), hi - 0.07 * (hi - lo), 9, axis=1))
+    xs = np.linspace(lo + 0.07 * (hi - lo), hi - 0.07 * (hi - lo), 9, axis=1)
+    right = np.array([pair[1].eval(x) for pair, x in zip(domain_pieces, xs)])
+    left = np.array([pair[0].eval(x) for pair, x in zip(domain_pieces[1:], xs)])
     gap = np.max(np.abs(right - left), initial=0.0)
     scale = max(1.0, np.max(np.abs(right), initial=0.0), np.max(np.abs(left), initial=0.0))
     return float(gap / scale)
-
-
-def pieces_on_overlaps(domain_pieces):
-    """overlap_gap's ``values`` from each domain's (left, right) pieces."""
-
-    def values(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        right = [pair[1].eval(x) for pair, x in zip(domain_pieces, xs)]
-        left = [pair[0].eval(x) for pair, x in zip(domain_pieces[1:], xs)]
-        return np.array(right), np.array(left)
-
-    return values
 
 
 def match_coefficients(

@@ -1,4 +1,5 @@
-"""The solver names that the benchmark in perfbench/ looks up.
+"""The solver names that the benchmark in perfbench/ looks up, and the bits
+of its results.
 
 The tracer wraps functions by (module, attribute), and the workloads import
 solver names, read DEFAULT_SCAN.points and call the solver with their own
@@ -6,6 +7,7 @@ argument shapes.  A rename or a changed signature would otherwise break
 only the benchmark, which the test suite does not run.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import sys
@@ -67,3 +69,20 @@ def test_benchmark_checks_pass_on_one_problem_each():
     for name, problem in problems.items():
         outcome = workloads.RUNNERS[name](problem)
         assert workloads.CHECKS[name](problem, outcome) == [], name
+
+
+# sha256 of the spectrum_wells results of seeds 1 and 2 (48 problems), as
+# perfbench/workloads.serialize writes them: every level and coefficient to
+# 17 significant digits.  A change that moves any of those bits must say so.
+WELLS_SEEDS_1_2 = "676b017077a0f2ca8adadaec0c98943fc2ef5f8ce776240faf3d574c19604553"
+
+
+def test_spectrum_wells_results_are_bit_identical():
+    workloads = _load("workloads")
+    run = workloads.RUNNERS["spectrum_wells"]
+    texts = []
+    for seed in (1, 2):
+        for index in range(workloads.ROUND_SIZE["spectrum_wells"]):
+            problem = workloads.well_problem(seed, index)
+            texts.append(workloads.serialize(problem, run(problem)))
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == WELLS_SEEDS_1_2

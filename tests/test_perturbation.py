@@ -26,7 +26,7 @@ from stepwell import (
 from stepwell import perturbation
 from stepwell.oracle import fd_rs_series
 from stepwell.perturbation import _piecewise_overlap, equation_residual
-from stepwell.zero_order import overlap_gap, pieces_on_overlaps
+from stepwell.zero_order import overlap_gap
 
 PI = math.pi
 
@@ -323,7 +323,7 @@ class TestRunSeries:
         assert diagnostics == [float.fromhex(g) for g in gaps]
         for series, gap in zip(result.states, diagnostics):
             state = match_coefficients(spec, series.matched.energy)
-            assert gap == overlap_gap(spec, pieces_on_overlaps(state.domain_pieces()))
+            assert gap == overlap_gap(spec, state.domain_pieces())
 
     def test_sign_convention_invariance(self, n1_step_spec):
         from stepwell import find_eigenvalues

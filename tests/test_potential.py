@@ -1,8 +1,9 @@
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepwell import (
@@ -14,9 +15,14 @@ from stepwell import (
     parse_spec,
     spec_document,
 )
-from stepwell.potential import potential_value
+from stepwell.potential import local_frequencies, potential_value
 
 PI = math.pi
+
+# magnitudes from 1e-12 to 1e9, of either sign
+SIGNED_MAGNITUDES = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent, st.sampled_from((-1.0, 1.0)), st.floats(-12.0, 9.0)
+)
 
 
 def test_parse_box():
@@ -177,6 +183,37 @@ class TestLocalFrequency:
         beta = local_frequency(spec, 0, h + de)
         beta_shifted = local_frequency(spec.gauge_shifted(shift), 0, h + de + shift)
         assert beta_shifted == pytest.approx(beta, rel=1e-12)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(SIGNED_MAGNITUDES, min_size=1, max_size=4),
+        st.lists(SIGNED_MAGNITUDES, min_size=1, max_size=8),
+        st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
+    )
+    @example([1e9], [1e-12], [6.0])
+    def test_unit_solutions_are_real_without_a_check(self, heights, energies, offsets):
+        # the theorem that lets trigbasis.unit_solutions return real parts
+        # unchecked: beta = b + 0j or 0 + i k from local_frequencies makes the
+        # imaginary parts of cos(beta t) and sin(beta t) / beta exactly +-0,
+        # or NaN where cosh and sinh overflow (every spec has a barrier of
+        # 1e9, which overflows from kappa t of about 710 on)
+        heights = heights + [1e9]
+        energies = energies + [
+            e for h in heights for e in (math.nextafter(h, -math.inf), h, math.nextafter(h, math.inf))
+        ]
+        spec = PotentialSpec(tuple(float(i) for i in range(len(heights) + 1)), tuple(heights))
+        beta, degenerate = local_frequencies(spec, np.array(energies))
+        assert not np.any((beta.real < 0) | ((beta.real == 0) & (beta.imag < 0)))
+        t = np.array(offsets)[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            arg = beta * t
+            values = np.cos(arg), np.sin(arg) * (1.0 / beta)
+        for v in values:
+            assert np.all((v.imag == 0) | np.isnan(v.imag))
+        # the scalar rule gives the same beta without a sign flip
+        for (k, i), b in np.ndenumerate(beta):
+            if not degenerate[k, i]:
+                assert local_frequency(spec, i, energies[k]) == b
 
 
 def test_potential_value_piecewise():

@@ -662,8 +662,7 @@ class TestMatchWithoutTrigPolyEvals:
         assert scan.energies
         for energy in scan.energies:
             state = match_coefficients(spec, energy)
-            pieces = zero_order.pieces_on_overlaps(state.domain_pieces())
-            assert state.overlap_gap == zero_order.overlap_gap(spec, pieces)
+            assert state.overlap_gap == zero_order.overlap_gap(spec, state.domain_pieces())
 
 
 def _counting(monkeypatch, owner, name):
@@ -820,15 +819,15 @@ class TestOneMatchingKernel:
         spec = self.POLY_WELL
         for energy in self.levels(spec, series_m=60):
             state = match_coefficients(spec, energy, series_m=60)
-            read = _counting(monkeypatch, zero_order, "pieces_on_overlaps")
+            read = _counting(monkeypatch, zero_order, "overlap_gap")
             gap = state.overlap_gap
-            assert all(len(piece.coeffs) == 71 for pair in read[0][0][0] for piece in pair)
+            assert all(len(piece.coeffs) == 71 for pair in read[0][0][1] for piece in pair)
             monkeypatch.undo()
             pieces = []
             for j, (c, d) in enumerate(state.coeffs, start=1):
                 basis = build_domain_basis(spec, energy, j, series_m=60)
                 pieces.append((c * basis.c_left + d * basis.s_left, c * basis.c_right + d * basis.s_right))
-            assert gap == zero_order.overlap_gap(spec, zero_order.pieces_on_overlaps(pieces))
+            assert gap == zero_order.overlap_gap(spec, pieces)
 
     @pytest.mark.parametrize("spec", WELLS[:2])
     def test_match_near_a_height_is_degenerate(self, spec):
@@ -1234,7 +1233,39 @@ class TestMatchingPointPerLevel:
         scan, ref = find_eigenvalues(spec, 6.146, 46.146), _fixed_point_scan(spec, 6.146, 46.146)
         assert len(scan.energies) == len(ref.energies) == 11
         np.testing.assert_allclose(scan.energies, ref.energies, rtol=1e-14, atol=0)
-        assert (scan.angle_evaluations, ref.angle_evaluations) == (14, 55)
+        assert (scan.angle_evaluations, ref.angle_evaluations) == (8, 55)
+
+    @pytest.mark.parametrize("series", [False, True], ids=["trig", "series"])
+    def test_one_brentq_call_refines_every_matching_point(self, series, monkeypatch):
+        # the levels of the barrier well above use several matching points;
+        # one lock-step brentq call refines them all, its f called with one
+        # matching point per bracket
+        spec = PotentialSpec(
+            (0.0, 0.4548, 2.7205, 4.4634, 6.4099, 8.9611), (6.146, 22.458, 36.366, 47.372, 12.319)
+        )
+        spec = _series_twin(spec) if series else spec
+        refines = _counting(monkeypatch, zero_order, "brentq")
+        points = []
+        angle_sum = zero_order._angle_sum
+
+        def recorded(of, series_m):
+            half_turns = angle_sum(of, series_m)
+            if of is not spec:
+                return half_turns
+            return lambda energies, *c: points.append(c) or half_turns(energies, *c)
+
+        monkeypatch.setattr(zero_order, "_angle_sum", recorded)
+        scan = find_eigenvalues(spec, 6.146, 46.146, series_m=80 if series else None)
+        assert len(scan.energies) == 11
+        # the power-series backend finds the overlap resonances as the levels
+        # of each overlap interval, one scan of its own each
+        assert len(refines) == (spec.n_interior if series else 1)
+        assert len(refines[0][0][1]) == 11
+        # the grid, the other intervals at the steep cells' ends, the steps
+        assert points[0] == () and len(points) == scan.angle_evaluations
+        steps = [np.asarray(c[0]).tolist() for c in points[2:]]
+        assert len(set(steps[0])) >= 2
+        assert all(c == steps[0] and len(c) == 11 for c in steps)
 
     @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
     def test_one_sweep_equals_each_shot_alone(self, c):
