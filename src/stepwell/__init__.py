@@ -12,7 +12,6 @@ from .errors import (
     NormalizationObstructionError,
     NotARootError,
     PipelineError,
-    RealityError,
     RootNotConvergedError,
     SchemaError,
     SequencingError,

@@ -300,9 +300,9 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
         ):
             c = basis.piece("c", side)
             s = basis.piece("s", side)
-            for x in np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 20):
-                w = c.eval(x) * s.eval_deriv(x) - c.eval_deriv(x) * s.eval(x)
-                wr = max(wr, abs(w - 1.0))
+            xs = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 20)
+            w = c.eval(xs) * s.eval_deriv(xs) - c.eval_deriv(xs) * s.eval(xs)
+            wr = max(wr, float(np.max(np.abs(w - 1.0))))
     record("wronskian-constancy", wr, 1e-10)
 
     if pert is None:

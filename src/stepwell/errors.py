@@ -41,10 +41,6 @@ class FrequencyMismatchError(SolverError):
     """Operator offset inconsistent with the trig polynomial's frequency."""
 
 
-class RealityError(SolverError):
-    """A value that must be real came out with a large imaginary residue."""
-
-
 class NotARootError(SolverError):
     """Coefficient extraction requested at an energy that is not a determinant root."""
 

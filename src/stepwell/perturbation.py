@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .config import CONDITION_LIMIT, DEFAULT_SCAN, ScanConfig
+from .config import CONDITION_LIMIT
 from .errors import (
     DegeneracyParadoxError,
     NonFiniteDeterminantError,
@@ -427,7 +427,6 @@ def run_series(
     order_max: int,
     *,
     max_states: int | None = None,
-    scan: ScanConfig = DEFAULT_SCAN,
 ) -> SeriesResult:
     """Full pipeline: zero-order spectrum plus corrections through order_max.
 
@@ -451,9 +450,7 @@ def run_series(
         )
 
     try:
-        scan_result = find_eigenvalues(
-            spec, e_window[0], e_window[1], count=max_states, scan=scan
-        )
+        scan_result = find_eigenvalues(spec, e_window[0], e_window[1], count=max_states)
     except SolverError as exc:
         raise PipelineError("S2:scan", exc) from exc
 

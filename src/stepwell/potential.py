@@ -149,9 +149,9 @@ class PerturbationSpec:
     """Piecewise-polynomial perturbation, one polynomial per interval.
 
     Coefficients are in the global coordinate x.  A single global
-    polynomial is broadcast to every interval at parse time.  The coupling
-    only matters to the oracle and series-evaluation layers; the
-    perturbation-series machinery produces coefficients of coupling^k.
+    polynomial is broadcast to every interval at parse time.  ``coupling``
+    is parsed, validated and written back by spec_document, but nothing
+    computes with it: the series produces the coefficients of coupling^k.
     """
 
     interval_polys: tuple[tuple[float, ...], ...]

@@ -23,12 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .config import BETA_MIN, FREQ_MATCH_RTOL, REALITY_RTOL
-from .errors import (
-    DegenerateFrequencyError,
-    FrequencyMismatchError,
-    RealityError,
-)
+from .config import BETA_MIN, FREQ_MATCH_RTOL
+from .errors import DegenerateFrequencyError, FrequencyMismatchError
 
 __all__ = [
     "TrigPoly",
@@ -55,6 +51,15 @@ class TrigPoly:
 
     Immutable; all operations return new instances.  Coefficient arrays are
     padded to a common length on construction.
+
+    Structure contract, which cosine and sine_unit_slope set up and sums,
+    real scalar multiples, products with real polynomials, derivative,
+    apply_hamiltonian and particular_solution keep:
+    - real beta: real p and q;
+    - purely imaginary beta: real p, purely imaginary q.
+    Then every value at a real x has an imaginary part of exactly +-0 (NaN
+    where cosh or sinh overflows), and ``eval`` returns the real part
+    unchecked.
     """
 
     anchor: float
@@ -150,46 +155,21 @@ class TrigPoly:
     # -- evaluation ----------------------------------------------------
 
     def value(self, x) -> complex | np.ndarray:
-        """Complex value(s) at x, no reality check."""
+        """Complex value(s) at x."""
         t = np.asarray(x, dtype=float) - self.anchor
         arg = self.freq * t
         return npoly.polyval(t, self.cos_coeffs) * np.cos(arg) + npoly.polyval(
             t, self.sin_coeffs
         ) * np.sin(arg)
 
-    def _magnitude(self, x) -> np.ndarray:
-        """Local size estimate used to scale the reality check."""
-        t = np.abs(np.asarray(x, dtype=float) - self.anchor)
-        arg = self.freq * (np.asarray(x, dtype=float) - self.anchor)
-        return npoly.polyval(t, np.abs(self.cos_coeffs)) * np.abs(np.cos(arg)) + npoly.polyval(
-            t, np.abs(self.sin_coeffs)
-        ) * np.abs(np.sin(arg))
-
     def eval(self, x):
-        """Real value(s) at x after the reality check.
-
-        Raises RealityError when the imaginary residue exceeds REALITY_RTOL
-        relative to the local magnitude of the piece.
-        """
-        out = _checked_real(self.value(x), self._magnitude(x))
+        """Real value(s) at x: a float for a scalar x, else an array."""
+        out = np.real(self.value(x))
         return float(out) if np.isscalar(x) else out
 
     def eval_deriv(self, x):
-        """Real first derivative at x (reality-checked)."""
+        """Real first derivative at x."""
         return derivative(self).eval(x)
-
-
-def _checked_real(val, magnitude) -> np.ndarray:
-    """Real part of val; RealityError when the imaginary residue exceeds
-    REALITY_RTOL relative to the local magnitude."""
-    scale = magnitude + 1e-300
-    bad = np.abs(np.imag(val)) > REALITY_RTOL * np.maximum(scale, 1e-30)
-    if np.any(bad):
-        worst = float(np.max(np.abs(np.imag(val)) / scale))
-        raise RealityError(
-            f"imaginary residue {worst:.3e} above tolerance {REALITY_RTOL:.1e}"
-        )
-    return np.real(val)
 
 
 def unit_solutions(freq, t) -> tuple[np.ndarray, np.ndarray]:

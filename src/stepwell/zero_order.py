@@ -638,7 +638,8 @@ def _angle_sum(spec, series_m):
     polynomials once, shared by every matching point; the potential ranges
     are the spec's.  The trig backend sweeps every energy at once, its
     shorter legs padded; the power-series backend groups the energies by
-    matching point."""
+    matching point and sweeps each energy once per matching point, so a
+    finished bracket that brentq repeats in lock-step costs no sweep."""
     if spec.zero_order_polys is None:
         legs = cache(lambda c: _trig_legs(spec, c))
         lanes = cache(lambda cs: _lane_legs([legs(c) for c in cs]))
@@ -653,9 +654,14 @@ def _angle_sum(spec, series_m):
             for path in _shots(spec, c)
         ])
         m = series_m or 80
+        known = {}  # (matching point, energy): angle sum
 
         def matched(energies, c):
-            return sum(_series_angle(energies, path, m) for path in legs(c))
+            new = [e for e in dict.fromkeys(energies.tolist()) if (c, e) not in known]
+            if new:
+                swept = sum(_series_angle(np.array(new), path, m) for path in legs(c))
+                known.update({(c, e): a for e, a in zip(new, swept.tolist())})
+            return np.array([known[c, e] for e in energies.tolist()])
 
         def angles(energies, c):
             if np.ndim(c) == 0:

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stepwell import (
     BandedOperator,
     DegenerateFrequencyError,
     FrequencyMismatchError,
+    PotentialSpec,
     TrigPoly,
     apply_hamiltonian,
+    local_frequency,
     mul_polynomial,
     particular_solution,
 )
+from stepwell.config import BETA_MIN
+from stepwell.perturbation import _with_initial_data
 from stepwell.trigbasis import (
     SIGMA,
     coeff_vector,
@@ -255,16 +259,73 @@ def test_eval_basics():
         assert p.eval_deriv(x) == pytest.approx((np.cos(x) - x * np.sin(x)) / 2, rel=1e-13)
 
 
-def test_eval_reality_check():
-    from stepwell import RealityError
+PIPELINE_OPS = (
+    "mul_polynomial",
+    "particular_solution",
+    "zero_initial_data",
+    "derivative",
+    "apply_hamiltonian",
+    "sum",
+    "scale",
+)
 
-    bad = TrigPoly(0.0, 1.0, [1j], [0.0])  # i cos x is not real anywhere
-    with pytest.raises(RealityError):
-        bad.eval(0.4)
-    # purely imaginary frequency demands purely imaginary sine coefficients
-    bad_hyp = TrigPoly(0.0, 1.2j, [0.0], [1.0])
-    with pytest.raises(RealityError):
-        bad_hyp.eval(0.7)
+
+@st.composite
+def pipeline_pieces(draw):
+    """A piece built as the perturbation series builds its pieces.
+
+    beta is local_frequency's at a height up to 1e9 and an energy 1e-9 to
+    1e9 from it, outside BETA_MIN^2: real above the height, purely
+    imaginary below.  The
+    piece starts as cosine or sine_unit_slope and goes through up to six of
+    the operations the pipeline applies: products with real polynomials,
+    particular solutions (with and without zero initial data), derivatives,
+    the Hamiltonian, sums and real scalar multiples.  Returns the piece and
+    its points x = anchor + t, with |t| <= 2 and |beta t| <= 700 so that
+    cosh and sinh stay finite."""
+    magnitudes = st.floats(-3.0, 9.0).map(lambda e: 10.0**e)
+    signs = st.sampled_from((-1.0, 1.0))
+    height = draw(st.one_of(st.just(0.0), st.builds(lambda s, m: s * m, signs, magnitudes)))
+    offset = draw(signs) * 10.0 ** draw(st.floats(-9.0, 9.0))
+    energy = height + offset
+    assume(abs(energy - height) > BETA_MIN**2)
+    beta = local_frequency(PotentialSpec((0.0, 1.0), (height,)), 0, energy)
+    anchor = draw(st.floats(-3.0, 3.0))
+    bases = (TrigPoly.cosine(anchor, beta), TrigPoly.sine_unit_slope(anchor, beta))
+    reals = st.floats(-10.0, 10.0)
+    piece = draw(st.sampled_from(bases))
+    for op in draw(st.lists(st.sampled_from(PIPELINE_OPS), max_size=6)):
+        if op == "mul_polynomial":
+            piece = mul_polynomial(piece, draw(st.lists(reals, min_size=1, max_size=3)))
+        elif op == "particular_solution":
+            piece = particular_solution(piece)
+        elif op == "zero_initial_data":
+            piece = _with_initial_data(particular_solution(piece))
+        elif op == "derivative":
+            piece = derivative(piece)
+        elif op == "apply_hamiltonian":
+            piece = apply_hamiltonian(piece, height - energy)
+        elif op == "sum":
+            piece = piece + draw(reals) * draw(st.sampled_from(bases))
+        else:
+            piece = draw(reals) * piece
+    span = min(2.0, 700.0 / abs(beta))
+    ts = draw(st.lists(st.floats(-span, span), min_size=1, max_size=8))
+    return piece, anchor + np.array(ts)
+
+
+@settings(max_examples=300)
+@given(pipeline_pieces())
+def test_pipeline_pieces_are_real_by_construction(case):
+    # the theorem that lets TrigPoly.eval return the real part unchecked:
+    # real beta with real p and q, or imaginary beta with real p and
+    # imaginary q, gives every value at a real x an imaginary part of
+    # exactly +-0, and every operation above keeps that structure
+    piece, xs = case
+    assert np.all(np.imag(piece.value(xs)) == 0)
+    assert np.imag(piece.value(float(xs[0]))) == 0
+    assert isinstance(piece.eval(float(xs[0])), float)
+    assert piece.eval(xs).tolist() == np.real(piece.value(xs)).tolist()
 
 
 def test_derivative_matches_numeric():

@@ -1147,6 +1147,43 @@ class TestLevelsFromTheAngle:
             assert len(window.energies) == 1
             assert abs(window.energies[0] - e) < 1e-11 * e
 
+    def test_finished_brackets_cost_no_series_sweep(self, monkeypatch):
+        # lock-step brentq repeats each finished bracket's root; the angle
+        # sum remembers every (matching point, energy) it swept, so only new
+        # energies reach _series_angle: 1200 for the grid's two shots, 90
+        # for the refinement steps
+        steps = _counting(monkeypatch, zero_order, "_series_angle")
+        levels = find_eigenvalues(self.TILTED, 0.5, 60.0, series_m=60).energies
+        assert sum(len(args[0]) for args, _ in steps) == 1290
+        assert list(levels) == [
+            3.7422529532612554,
+            7.2420238793473066,
+            12.216437193404579,
+            19.188068759476153,
+            28.17249891350044,
+            39.16348058402423,
+            52.157860377339105,
+        ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="_series_angle expands each interval's series once, where the "
+        "path enters it, and loses digits to cancellation where V - E falls "
+        "along the leg: the levels are off by 1.5e-13, -2.2e-11, 1.5e-8, "
+        "-2.8e-7 and 3.4e-5, the same at series_m = 240, 320 and 400",
+    )
+    def test_series_levels_of_the_harmonic_box(self):
+        # V = 8 x^2 on (0, 6): the oscillator 2 sqrt(2) (2n + 1) with only its
+        # odd states, since psi(0) = 0, while the wall at 6 sits far out in
+        # the tail of every level below 60
+        box = PotentialSpec((0.0, 6.0), (0.0,), ((0.0, 0.0, 8.0),))
+        levels = find_eigenvalues(box, 0.1, 60.0, series_m=240).energies
+        if len(levels) != 5:
+            pytest.fail(f"expected 5 levels below 60, got {len(levels)}")
+        exact = 2 * math.sqrt(2) * (4 * np.arange(5) + 3)
+        np.testing.assert_allclose(levels, exact, rtol=0, atol=1e-9)
+
 
 def _fixed_point_crossings(spec, grid, xtol, series_m):
     """The refinement matched in the lowest interval alone, brentq evaluating
