@@ -55,13 +55,11 @@ from .zero_order import (
     DomainBasis,
     EigenvalueScan,
     MatchedState,
-    TaylorPiece,
     build_domain_basis,
     find_eigenvalues,
     match_coefficients,
     matching_matrix,
     secular_determinant,
-    series_local_basis,
     sturm_count,
 )
 

@@ -17,6 +17,7 @@ from . import oracle
 from .config import ScanConfig
 from .errors import (
     DegeneracyParadoxError,
+    NonFiniteDeterminantError,
     PipelineError,
     SchemaError,
     SolverError,
@@ -122,7 +123,7 @@ def cmd_scan(args) -> int:
     floor = reference_floor(spec)
     ks = np.linspace(args.k_lo, args.k_hi, args.points)
     energies = floor + ks * ks
-    dets, degenerate, overflow = _determinants(spec, energies, None)
+    dets, degenerate, overflow = _determinants(spec, energies)
     reasons = np.where(
         degenerate.any(axis=1), "degenerate", np.where(overflow.any(axis=1), "non-finite", "")
     ).tolist()
@@ -164,6 +165,11 @@ def cmd_spectrum(args) -> int:
                 entry["coefficients"] = [[float(c), float(d)] for c, d in st.coeffs]
             except DegeneracyParadoxError as exc:
                 entry["residual"] = abs(secular_determinant(spec, e))
+                entry["coefficients"] = None
+                warnings.append(f"E={_fmt(e)}: {exc}")
+            except NonFiniteDeterminantError as exc:
+                # the determinant overflows with the boundary values
+                entry["residual"] = None
                 entry["coefficients"] = None
                 warnings.append(f"E={_fmt(e)}: {exc}")
         else:
@@ -278,8 +284,18 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
     record("fictitious-breakpoint-invariance", fict_err, 1e-9)
 
     # matched-state smoothness (needs at least one interior breakpoint): the
-    # ground state, matched on the fictitious-breakpoint copy for a plain box
-    base, ground = (aug, scan3.energies[0]) if spec.n_interior == 0 else (spec, energies[0])
+    # ground state, matched on the fictitious-breakpoint copy for a plain box.
+    # A polynomial zero order has no closed-form pieces: both piece checks
+    # read the level of its finest staircase nearest the ground state.
+    detail = ""
+    if spec.zero_order_polys is not None:
+        base = scan.staircase
+        ground = min(find_eigenvalues(base, e_lo, e_hi).energies, key=lambda e: abs(e - energies[0]))
+        detail = f"on the finest staircase ({base.n_intervals} cells) at E = {_fmt(ground)}"
+    elif spec.n_interior == 0:
+        base, ground = aug, scan3.energies[0]
+    else:
+        base, ground = spec, energies[0]
     st = match_coefficients(base, ground)
     cont = 0.0
     pieces = st.global_pieces()
@@ -290,7 +306,7 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
             abs(pieces[j - 1].eval(xb) - pieces[j].eval(xb)),
             abs(pieces[j - 1].eval_deriv(xb) - pieces[j].eval_deriv(xb)),
         )
-    record("psi0-smoothness", cont, 1e-9)
+    record("psi0-smoothness", cont, 1e-9, detail)
 
     wr = 0.0
     for basis in st.bases:
@@ -303,7 +319,7 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
             xs = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 20)
             w = c.eval(xs) * s.eval_deriv(xs) - c.eval_deriv(xs) * s.eval(xs)
             wr = max(wr, float(np.max(np.abs(w - 1.0))))
-    record("wronskian-constancy", wr, 1e-10)
+    record("wronskian-constancy", wr, 1e-10, detail)
 
     if pert is None:
         return checks
@@ -314,7 +330,7 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
     rel = abs(st_series.energies[1] - e1_int) / max(abs(e1_int), 1e-30)
     record("first-order-integral", rel, 1e-8, "relative |E1 - <V1>|")
 
-    if orders >= 2 and spec.zero_order_polys is None:
+    if orders >= 2:
         record(
             "equation-residual",
             st_series.diagnostics()["max_equation_residual"],

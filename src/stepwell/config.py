@@ -9,8 +9,8 @@ FREQ_MATCH_RTOL = 1e-10        # agreement of V - E with -beta^2 in the operator
 REFINE_XTOL = 1e-13            # root refinement tolerance on E
 MATCHING_RESIDUAL = 1e-10
 CONDITION_LIMIT = 1e12         # order-k system condition number triggering the paradox flag
-SERIES_BOUNDARY_RTOL = 1e-10
-SERIES_M_MAX = 600
+STAIRCASE_RTOL = 1e-13         # spread of a polynomial zero order's last two extrapolants
+STAIRCASE_CELLS_MAX = 8192     # cells of the finest staircase before TruncationError
 
 
 @dataclass(frozen=True)

@@ -55,11 +55,9 @@ class NormalizationObstructionError(SolverError):
 
 
 class TruncationError(SolverError):
-    """Power-series basis did not converge at the requested truncation."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """The staircase extrapolation of a polynomial zero order did not
+    converge: the spread of its last two extrapolants stayed above
+    STAIRCASE_RTOL up to STAIRCASE_CELLS_MAX cells."""
 
 
 class SequencingError(SolverError):

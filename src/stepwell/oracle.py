@@ -6,8 +6,9 @@ end of the spectrum, Richardson extrapolation across a grid doubling) and
 Gauss-Legendre first-order integrals.  Nothing here shares code with the
 matching solver; that is the point.  The one exception is
 exact_perturbed_energy, the reference for the perturbation series, which
-solves the exactly perturbed potential with the solver's independent
-power-series backend.
+solves the exactly perturbed potential with the solver's own
+find_eigenvalues, on extrapolated staircases: a route independent of the
+series, not of the zero-order solver.
 
 Everything runs on numpy alone: the Sturm counts come from odd-even
 elimination of the tridiagonal matrix, the eigenvector from inverse
@@ -394,8 +395,8 @@ def rs_first_order(state, pert: PerturbationSpec) -> float:
     integral.  On interval i, psi^2 V1 is a polynomial of V1's degree
     times a trig polynomial of frequency 2 sqrt(E - H_i); the node count
     integrates the first exactly and resolves the phase (or growth) of the
-    second, with 16 nodes to spare.  The zero order is assumed piecewise
-    constant.
+    second, with 16 nodes to spare.  The state's pieces are read, so a
+    spec with zero_order_polys, which has none, raises SchemaError.
     """
     spec = state.spec
     pieces = state.global_pieces()
@@ -427,9 +428,11 @@ def fd_rs_series(
     and 4m nominal cells (every interval refined by 1, 2 and 4) are
     combined by two Richardson steps, which remove the h^2 and h^4 terms.
     Returns the values and, as their error estimate, their distance from
-    the one-step extrapolation of the two finer grids.  The zero order is
-    assumed piecewise constant.  m = 300: dense, 4m = 1200 takes about
-    0.3 s, and at m = 700 rounding makes the double well's E_28 10x worse.
+    the one-step extrapolation of the two finer grids.  H_0 reads the exact
+    cell averages of the heights and of zero_order_polys, so a polynomial
+    zero order is handled like a piecewise-constant one.  m = 300: dense,
+    4m = 1200 takes about 0.3 s, and at m = 700 rounding makes the double
+    well's E_28 10x worse.
     """
     m = 300
     flat = PotentialSpec(spec.breakpoints, (0.0,) * spec.n_intervals)
@@ -458,18 +461,18 @@ def exact_perturbed_energy(
 ) -> float:
     """E(lam) of V0 + lam V1 solved exactly, the level nearest ``guess``.
 
-    The perturbation is folded into the zero order as interval polynomials
-    and solved by the power-series backend (truncation 60).  The window
+    The perturbation is folded into the zero order as interval polynomials,
+    whose levels find_eigenvalues extrapolates from staircases.  The window
     guess +- 0.05 max(1, |guess|) doubles until find_eigenvalues, on a
-    three-point grid, finds a level in it; it brackets the window's levels
-    by the Sturm count and refines them to 1e-14.
+    three-point grid, finds a level in it; it brackets each staircase's
+    levels by the Sturm count and refines them to 1e-14.
     """
     polys = tuple(tuple(lam * c for c in poly) for poly in pert.interval_polys)
     pspec = PotentialSpec(spec.breakpoints, spec.heights, polys)
     span = 0.05 * max(1.0, abs(guess))
     while span <= 1e3:
         levels = find_eigenvalues(
-            pspec, guess - span, guess + span, scan=ScanConfig(points=3), xtol=1e-14, series_m=60
+            pspec, guess - span, guess + span, scan=ScanConfig(points=3), xtol=1e-14
         ).energies
         if levels:
             return min(levels, key=lambda e: abs(e - guess))

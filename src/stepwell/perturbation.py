@@ -442,11 +442,11 @@ def run_series(
         raise ValueError("order_max must be >= 0")
     if order_max >= 1 and pert is None:
         raise SchemaError("perturbation orders requested but no perturbation given")
-    if spec.zero_order_polys is not None and order_max >= 1:
+    if spec.zero_order_polys is not None:
         raise SchemaError(
-            "perturbation corrections around piecewise-polynomial zero orders "
-            "are not supported; only the zero-order problem handles interval "
-            "polynomials"
+            "the perturbation series around piecewise-polynomial zero orders "
+            "is not supported: they have no closed-form pieces; find_eigenvalues "
+            "and match_coefficients handle interval polynomials"
         )
 
     try:

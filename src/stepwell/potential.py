@@ -54,8 +54,9 @@ class PotentialSpec:
         implicit and not configurable.
     heights: one constant per interval, length N + 1.
     zero_order_polys: optional per-interval polynomial added on top of the
-        interval height (global-coordinate coefficients); selects the
-        power-series local basis backend for the zero-order problem.
+        interval height (global-coordinate coefficients); the zero-order
+        problem is then solved on extrapolated piecewise-constant
+        staircases (zero_order._staircase).
     """
 
     breakpoints: tuple[float, ...]

@@ -11,6 +11,12 @@ coefficients.
 
 N = 0 (a plain box) needs no matrix: the eigencondition degenerates to the
 sine-like solution from the left wall vanishing at the right wall.
+
+A spec with zero_order_polys is the limit of piecewise-constant
+staircases, which the same closed forms solve exactly: its levels and
+boundary values are Richardson-extrapolated in h^2 from staircases of
+n, 2n, 4n and 8n cells per interval (Pruess, SIAM J. Numer. Anal. 10
+(1973) 55; Pruess & Fulton, ACM TOMS 19 (1993) 360).
 """
 
 from __future__ import annotations
@@ -20,14 +26,15 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .config import (
     BETA_MIN,
     DEFAULT_SCAN,
     MATCHING_RESIDUAL,
     REFINE_XTOL,
-    SERIES_BOUNDARY_RTOL,
-    SERIES_M_MAX,
+    STAIRCASE_CELLS_MAX,
+    STAIRCASE_RTOL,
     ScanConfig,
 )
 from .errors import (
@@ -44,15 +51,13 @@ from .potential import (
     local_frequencies,
     local_frequency,
 )
-from .trigbasis import TrigPoly, reanchor_poly, unit_solutions
+from .trigbasis import TrigPoly, unit_solutions
 
 __all__ = [
-    "TaylorPiece",
     "DomainBasis",
     "MatchedState",
     "EigenvalueScan",
     "build_domain_basis",
-    "series_local_basis",
     "matching_matrix",
     "secular_determinant",
     "sturm_count",
@@ -63,67 +68,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class TaylorPiece:
-    """Truncated power series sum_n h_n (x - anchor)^n used by the series backend."""
-
-    anchor: float
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "anchor", float(self.anchor))
-
-    def eval(self, x):
-        t = np.asarray(x, dtype=float) - self.anchor
-        out = np.polynomial.polynomial.polyval(t, self.coeffs)
-        return float(out) if np.isscalar(x) else out
-
-    def eval_deriv(self, x):
-        t = np.asarray(x, dtype=float) - self.anchor
-        d = self.coeffs[1:] * np.arange(1, len(self.coeffs))
-        out = np.polynomial.polynomial.polyval(t, d)
-        return float(out) if np.isscalar(x) else out
-
-    def __add__(self, other: "TaylorPiece") -> "TaylorPiece":
-        if abs(self.anchor - other.anchor) > 1e-12:
-            raise ValueError("cannot combine series pieces with different anchors")
-        n = max(len(self.coeffs), len(other.coeffs))
-        c = np.zeros(n)
-        c[: len(self.coeffs)] += self.coeffs
-        c[: len(other.coeffs)] += other.coeffs
-        return TaylorPiece(self.anchor, c)
-
-    def __mul__(self, scalar: float) -> "TaylorPiece":
-        return TaylorPiece(self.anchor, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
 @dataclass(frozen=True)
 class DomainBasis:
     """Local solution pair on the double interval (x_lo, x_hi) anchored at L_j.
 
     c_* pieces have (value, slope) = (1, 0) at the anchor, s_* pieces (0, 1);
     the left piece lives on (x_lo, anchor), the right piece on (anchor, x_hi),
-    and the four boundary values at x_lo and x_hi are cached.  For
-    closed-form specs the matching kernel takes those values from
-    unit_solutions itself and no basis is built to find or match a level;
-    a MatchedState builds its bases on first access, for the perturbation
-    series.  The power-series backend builds one basis per domain and
-    energy and feeds the kernel its boundary values.
+    and the four boundary values at x_lo and x_hi are cached.  The matching
+    kernel takes those values from unit_solutions itself and no basis is
+    built to find or match a level; a MatchedState builds its bases on
+    first access, for the perturbation series.
     """
 
     j: int
     anchor: float
     x_lo: float
     x_hi: float
-    c_left: object
-    s_left: object
-    c_right: object
-    s_right: object
+    c_left: TrigPoly
+    s_left: TrigPoly
+    c_right: TrigPoly
+    s_right: TrigPoly
     c_at_lo: float
     s_at_lo: float
     c_at_hi: float
@@ -133,23 +97,19 @@ class DomainBasis:
         return getattr(self, f"{kind}_{side}")
 
 
-def build_domain_basis(
-    spec: PotentialSpec,
-    energy: float,
-    j: int,
-    *,
-    series_m: int | None = None,
-) -> DomainBasis:
-    """Local basis on domain j (anchored at breakpoint L_j), j = 1..N.
-
-    Closed-form trigonometric pieces for piecewise-constant potentials;
-    dispatches to the power-series backend when interval polynomials are
-    present.
+def build_domain_basis(spec: PotentialSpec, energy: float, j: int) -> DomainBasis:
+    """Local basis on domain j (anchored at breakpoint L_j), j = 1..N:
+    closed-form trigonometric pieces.  A spec with zero_order_polys has
+    none, and raises SchemaError: its levels and matching values are
+    extrapolated from staircases, whose own pieces are closed-form.
     """
     if not 1 <= j <= spec.n_interior:
         raise ValueError(f"domain index {j} outside 1..{spec.n_interior}")
     if spec.zero_order_polys is not None:
-        return series_local_basis(spec, energy, j, series_m or 80)
+        raise SchemaError(
+            "a polynomial zero order has no closed-form domain pieces; "
+            "only its levels and matching values are extrapolated from staircases"
+        )
     anchor = spec.breakpoints[j]
     x_lo = spec.breakpoints[j - 1]
     x_hi = spec.breakpoints[j + 1]
@@ -174,117 +134,8 @@ def build_domain_basis(
     )
 
 
-def _reanchored(spec, interval, anchor) -> list[float]:
-    """The zero-order polynomial of ``interval`` in powers of x - anchor."""
-    polys = spec.zero_order_polys or ((0.0,),) * spec.n_intervals
-    return reanchor_poly(polys[interval], anchor).tolist()
-
-
-def _local_series(v, height, energy, m) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients h_0..h_m about an anchor of the cosine-like and
-    sine-like solutions on an interval ((value, slope) = (1, 0) and (0, 1)
-    there): (n+2)(n+1) h_{n+2} = sum_l v_l h_{n-l} for -psi'' + v(t) psi = 0,
-    with v = V - E in powers of t = x - anchor.  ``v`` is the interval's
-    polynomial in those powers (_reanchored) and ``height`` its height.
-
-    ``energy`` is a scalar, giving two arrays of shape (m + 1,), or a 1-D
-    array of M energies, giving shape (M, m + 1).
-    """
-    pairs = []
-    for e in np.atleast_1d(energy).tolist():
-        ve = [v[0] + (height - e)] + v[1:]
-        pair = ([1.0, 0.0], [0.0, 1.0])
-        for n in range(m - 1):
-            for h in pair:
-                acc = 0.0
-                for l in range(min(n, len(ve) - 1) + 1):
-                    acc += ve[l] * h[n - l]
-                h.append(acc / ((n + 2) * (n + 1)))
-        pairs.append(pair)
-    c, s = np.moveaxis(np.array(pairs).reshape(-1, 2, m + 1), 1, 0)
-    return (c, s) if np.ndim(energy) else (c[0], s[0])
-
-
-def _check_truncation(coeffs, t, full, where: str) -> None:
-    """TruncationError unless the power series with Taylor coefficients
-    ``coeffs`` (last axis; any leading axes hold more series), summed at t to
-    ``full``, moves by at most SERIES_BOUNDARY_RTOL, relative to its sum
-    (at least 1), when its last ten terms are dropped."""
-    shorter = coeffs[..., :-10] @ t ** np.arange(np.shape(coeffs)[-1] - 10)
-    resid = float(np.max(np.abs(full - shorter) / np.maximum(1.0, np.abs(full))))
-    if resid > SERIES_BOUNDARY_RTOL:
-        raise TruncationError(
-            f"power series not converged {where}: the sum moved by {resid:.2e}"
-            " without its last ten terms",
-            residual=resid,
-        )
-
-
-def series_local_basis(
-    spec: PotentialSpec,
-    energy: float,
-    j: int,
-    m: int,
-) -> DomainBasis:
-    """Power-series local basis for piecewise-polynomial zero-order potentials.
-
-    Builds the two solutions as degree-(m+10) Taylor series about L_j on
-    each side and demands that the cached boundary values move by less than
-    SERIES_BOUNDARY_RTOL (relative) between truncations m and m + 10;
-    otherwise raises TruncationError with the residual estimate
-    (_check_truncation).
-
-    Args:
-        spec: potential with zero_order_polys present (heights still apply).
-        energy: trial energy E.
-        j: domain index, 1..N.
-        m: requested truncation order; must be at least the degree-dependent
-            minimum max(8, 4 (d + 1)) for interval polynomial degree d.
-    """
-    if not 1 <= j <= spec.n_interior:
-        raise ValueError(f"domain index {j} outside 1..{spec.n_interior}")
-    polys = spec.zero_order_polys or tuple((0.0,) for _ in range(spec.n_intervals))
-    max_deg = max(len(p) - 1 for p in polys)
-    m_min = max(8, 4 * (max_deg + 1))
-    if m < m_min:
-        raise TruncationError(f"m = {m} below the minimum {m_min} for degree {max_deg}")
-    if m > SERIES_M_MAX:
-        raise TruncationError(f"m = {m} above the maximum {SERIES_M_MAX}")
-
-    anchor = spec.breakpoints[j]
-    x_lo = spec.breakpoints[j - 1]
-    x_hi = spec.breakpoints[j + 1]
-    pieces = {}
-    values = {}
-    for side, interval, endpoint in (("left", j - 1, x_lo), ("right", j, x_hi)):
-        v = _reanchored(spec, interval, anchor)
-        for kind, coeffs in zip("cs", _local_series(v, spec.heights[interval], energy, m + 10)):
-            t = endpoint - anchor
-            full = float(coeffs @ t ** np.arange(m + 11))
-            _check_truncation(coeffs, t, full, f"at m = {m} on domain {j} ({side})")
-            pieces[f"{kind}_{side}"] = TaylorPiece(anchor, coeffs)
-            values[f"{kind}_{side}"] = full
-    return DomainBasis(
-        j,
-        anchor,
-        x_lo,
-        x_hi,
-        pieces["c_left"],
-        pieces["s_left"],
-        pieces["c_right"],
-        pieces["s_right"],
-        c_at_lo=values["c_left"],
-        s_at_lo=values["s_left"],
-        c_at_hi=values["c_right"],
-        s_at_hi=values["s_right"],
-    )
-
-
-def _domain_bases(spec, energy, series_m=None) -> list[DomainBasis]:
-    return [
-        build_domain_basis(spec, energy, j, series_m=series_m)
-        for j in range(1, spec.n_interior + 1)
-    ]
+def _domain_bases(spec, energy) -> list[DomainBasis]:
+    return [build_domain_basis(spec, energy, j) for j in range(1, spec.n_interior + 1)]
 
 
 def _boundary_values(bases_per_energy) -> tuple[np.ndarray, np.ndarray]:
@@ -342,12 +193,7 @@ def _stacked_matrices(c, s) -> np.ndarray:
     return a.reshape(m, 2 * n, 2 * n)
 
 
-def matching_matrix(
-    spec: PotentialSpec,
-    energy: float,
-    *,
-    series_m: int | None = None,
-) -> np.ndarray:
+def matching_matrix(spec: PotentialSpec, energy: float) -> np.ndarray:
     """The homogeneous matching system with rows scaled to unit length;
     singular exactly at eigenvalues.  DegenerateEnergyError at an energy
     degenerate with an interval height, NonFiniteDeterminantError where the
@@ -355,7 +201,7 @@ def matching_matrix(
     if spec.n_interior < 1:
         raise ValueError("matching matrix needs at least one interior breakpoint")
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices, degenerate, overflow = _matching_block(spec, np.array([float(energy)]), series_m)
+        matrices, degenerate, overflow = _matching_block(spec, np.array([float(energy)]))
     if degenerate[0].any():
         raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
     if overflow[0].any():
@@ -363,23 +209,15 @@ def matching_matrix(
     return matrices[0]
 
 
-def _box_sine_value(spec, energy, series_m=None) -> float:
-    """Power-series sine-like solution from the left wall, evaluated at the
-    right wall (N = 0), its truncation checked as in series_local_basis."""
-    m = series_m or 80
-    v = _reanchored(spec, 0, spec.x_min)
-    coeffs = _local_series(v, spec.heights[0], energy, m + 10)[1]
-    value = TaylorPiece(spec.x_min, coeffs).eval(spec.x_max)
-    _check_truncation(coeffs, spec.x_max - spec.x_min, value, f"at m = {m} across the box")
-    return value
-
-
 # Largest size of the stacked matching matrices evaluated at once; longer
-# energy arrays go through the kernel in blocks.
+# energy arrays go through the kernel in blocks.  A polynomial zero order's
+# transfer products take up to STAIRCASE_CELLS_MAX cells per energy, so its
+# blocks hold _STAIRCASE_BLOCK energies.
 _BLOCK_BYTES = 8 * 2**20
+_STAIRCASE_BLOCK = 16
 
 
-def _matching_block(spec, energies, series_m):
+def _matching_block(spec, energies):
     """The matching kernel: row-normalized matching matrices at a block of
     energies (N >= 1), the one place such a matrix is built.
 
@@ -388,13 +226,14 @@ def _matching_block(spec, energies, series_m):
     meaningless) and the intervals whose boundary values overflow the row
     normalization (an inf or NaN row norm).  Rows are scaled to unit
     length, so the determinant stays in [-1, 1] and keeps its zeros.
-    Closed-form specs take the boundary values from the local frequencies,
-    the power-series backend from each energy's domain bases.
+    Closed-form specs take the boundary values from the local frequencies;
+    a spec with zero_order_polys extrapolates them from staircases
+    (_staircase_values) and has no degenerate energy.
     """
     n = spec.n_interior
     if spec.zero_order_polys is not None:
         degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
-        c, s = _boundary_values([_domain_bases(spec, e, series_m) for e in energies])
+        c, s = _staircase_values(spec, energies)
     else:
         beta, degenerate = local_frequencies(spec, energies)
         c, s = unit_solutions(beta[:, _assembly(n)[0]], _end_offsets(spec.breakpoints))
@@ -419,30 +258,33 @@ def _non_finite_error(energy, overflow) -> NonFiniteDeterminantError:
     )
 
 
-def _determinants(spec, energies, series_m):
+def _determinants(spec, energies):
     """secular_determinant's values at a 1-D array of energies, with the
     kernel's two masks, one row per energy: the intervals whose height the
     energy is degenerate with, and the intervals whose boundary values
     overflow.  A degenerate energy's overflow row is all False; any other
     energy whose determinant is not finite has one marked (interval 0 if
-    none overflows).  For N >= 1 the energies go through the kernel in
-    blocks that keep the stacked matrices near 8 MB."""
+    none overflows).  For N >= 1, and for a polynomial zero order, the
+    energies go through the kernel in blocks that keep the stacked
+    matrices near 8 MB, or the transfer products near 20 MB."""
     n = spec.n_interior
+    polynomial = spec.zero_order_polys is not None
     degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
     overflow = np.zeros_like(degenerate)
     with np.errstate(over="ignore", invalid="ignore"):
-        if n == 0 and spec.zero_order_polys is not None:
-            dets = np.array([_box_sine_value(spec, e, series_m) for e in energies])
-        elif n == 0:
+        if n == 0 and not polynomial:
             beta, degenerate = local_frequencies(spec, energies)
             dets = unit_solutions(beta[:, 0], spec.x_max - spec.x_min)[1]
         else:
-            step = max(1, _BLOCK_BYTES // (32 * n * n))
+            step = _STAIRCASE_BLOCK if polynomial else max(1, _BLOCK_BYTES // (32 * n * n))
             dets = np.empty(len(energies))
             for lo in range(0, len(energies), step):
                 block = slice(lo, lo + step)
+                if n == 0:
+                    dets[block] = _staircase_values(spec, energies[block])
+                    continue
                 matrices, degenerate[block], overflow[block] = _matching_block(
-                    spec, energies[block], series_m
+                    spec, energies[block]
                 )
                 dets[block] = np.linalg.det(matrices)
     overflow[:, 0] |= ~np.isfinite(dets) & ~overflow.any(axis=1)
@@ -462,6 +304,9 @@ def secular_determinant(
     the eigenvalues.  Row normalization keeps the value in [-1, 1] without
     moving any zero.  For N = 0 the matching degenerates to the boundary
     condition and the sine-like wall-to-wall value is returned instead.
+    A spec with zero_order_polys builds the same matrix from extrapolated
+    boundary values (_staircase_values).  ``series_m`` is accepted and
+    ignored; it is kept only for callers written for an earlier backend.
 
     ``energy`` is a scalar or a 1-D array.  The array form evaluates every
     energy in one vectorised pass (blocked so that the stacked matrices stay
@@ -475,7 +320,7 @@ def secular_determinant(
     if e.ndim > 1:
         raise ValueError("energy must be a scalar or a one-dimensional array")
     energies = np.atleast_1d(e)
-    dets, degenerate, overflow = _determinants(spec, energies, series_m)
+    dets, degenerate, overflow = _determinants(spec, energies)
     bad = overflow.any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -491,6 +336,173 @@ def secular_determinant(
 def reference_floor(spec: PotentialSpec) -> float:
     """Reference potential floor for the momentum variable k = sqrt(E - floor)."""
     return min(lo for lo, _ in spec.value_ranges)
+
+
+# coarsest staircase: this many cells per unit of sqrt(max V - min V) on an
+# interval, and at least one
+_CELLS_PER_ROOT_VARIATION = 4.0
+
+
+def _base_cells(spec: PotentialSpec) -> np.ndarray:
+    """Cells per interval of the coarsest staircase of a spec with
+    zero_order_polys, from each polynomial's variation on its interval: a
+    flat interval needs one cell, and the level error of a staircase grows
+    with the variation each cell leaves out."""
+    return np.array([
+        max(1, math.ceil(_CELLS_PER_ROOT_VARIATION * math.sqrt(hi - lo)))
+        for lo, hi in spec.value_ranges
+    ])
+
+
+def _staircase(spec: PotentialSpec, cells) -> PotentialSpec:
+    """The piecewise-constant spec that cuts interval i of ``spec`` into
+    cells[i] equal cells, each at H_i + p_i(its midpoint); the breakpoints
+    of ``spec`` stay cell edges."""
+    bp, heights = [spec.x_min], []
+    for i, n in enumerate(np.asarray(cells).tolist()):
+        edges = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], n + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        heights += (spec.heights[i] + npoly.polyval(mids, spec.zero_order_polys[i])).tolist()
+        bp += edges[1:].tolist()
+    return PotentialSpec(tuple(bp), tuple(heights))
+
+
+def _height_error(spec: PotentialSpec, cells) -> float:
+    """A bound on |V - V_staircase| over the intervals: a cell times the
+    largest |p_i'| sampled at 201 points, twice the half cell that bounds
+    it, for the samples' sake.  By min-max, every level of the staircase
+    lies within it of the same level of ``spec``."""
+    bound = 0.0
+    for i, n in enumerate(np.asarray(cells).tolist()):
+        a, b = spec.breakpoints[i], spec.breakpoints[i + 1]
+        slope = npoly.polyval(np.linspace(a, b, 201), npoly.polyder(spec.zero_order_polys[i]))
+        bound = max(bound, (b - a) / n * float(np.max(np.abs(slope))))
+    return bound
+
+
+def _richardson(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Three Richardson steps in h^2 over values on staircases of n, 2n, 4n
+    and 8n cells per interval (the leading axis): the extrapolant, and the
+    spread of the last two extrapolants, |final - the two-step extrapolant
+    of the three finer staircases|, its error estimate."""
+    for factor in (4.0, 16.0, 64.0):
+        last, values = values, (factor * values[1:] - values[:-1]) / (factor - 1.0)
+    return values[0], np.abs(values[0] - last[1])
+
+
+def _extrapolated(spec: PotentialSpec, evaluate, scale=np.abs):
+    """Richardson extrapolation of ``evaluate(cells)``, which returns
+    (first, values): values numbered first, first + 1, ... on the
+    staircase of ``cells`` cells per interval.  The staircases start at
+    _base_cells times 1, 2, 4 and 8; the values all four number are
+    extrapolated, and while any finite one spreads by more than
+    STAIRCASE_RTOL max(1, scale), ``scale`` of the extrapolants (their
+    magnitude by default), the cells double (one new staircase a round).
+    Past STAIRCASE_CELLS_MAX cells on the finest staircase,
+    TruncationError.  Returns the extrapolants, in order, and the finest
+    cells."""
+    base, factor, runs = _base_cells(spec), 1, []
+    while True:
+        if base.sum() * factor > STAIRCASE_CELLS_MAX:
+            raise TruncationError(
+                f"staircase extrapolation did not converge within {STAIRCASE_CELLS_MAX} "
+                f"cells (coarsest cells per interval {base.tolist()})"
+            )
+        runs = runs[-3:] + [evaluate(base * factor)]
+        if len(runs) == 4:
+            first = max(f for f, _ in runs)
+            stop = max(first, min(f + len(v) for f, v in runs))
+            value, spread = _richardson(np.array([v[first - f : stop - f] for f, v in runs]))
+            tolerance = STAIRCASE_RTOL * np.maximum(1.0, scale(value))
+            if np.all((spread <= tolerance) | ~np.isfinite(value)):
+                return value, base * factor
+        factor *= 2
+
+
+def _transfer_product(heights, widths, energies) -> np.ndarray:
+    """The product M_last ... M_first of the cells' transfer matrices at
+    each energy, shape (M, 2, 2).  Cell k maps (psi, psi') across its
+    signed width t: [[C, S], [(H - E) S, C]] with C = cos(beta t) and
+    S = sin(beta t) / beta (unit_solutions), or the flat limit C = 1, S = t
+    where E is within BETA_MIN^2 of the cell's height H.  The product is
+    taken in pairs, so in log2(cells) array steps."""
+    q = energies[:, None] - heights
+    flat = np.abs(q) <= BETA_MIN**2
+    c, s = unit_solutions(np.sqrt(np.where(flat, 1.0, q).astype(complex)), widths)
+    c, s = np.where(flat, 1.0, c), np.where(flat, widths, s)
+    m = np.stack([np.stack([c, s], axis=-1), np.stack([-q * s, c], axis=-1)], axis=-2)
+    while m.shape[1] > 1:
+        if m.shape[1] % 2:
+            m = np.concatenate([m, np.broadcast_to(np.eye(2), (len(m), 1, 2, 2))], axis=1)
+        m = m[:, 1::2] @ m[:, 0::2]
+    return m[:, 0]
+
+
+def _staircase_values(spec: PotentialSpec, energies):
+    """The matching values of a spec with zero_order_polys at a 1-D array
+    of energies, extrapolated from staircases (_extrapolated): for N >= 1,
+    C_j and S_j at L_{j-1} and at L_{j+1}, as the (M, 2N) arrays c and s
+    that _stacked_matrices takes, each the first row of the transfer
+    product across the half-domain, from L_j; for N = 0, the sine-like
+    value from the left wall at the right wall, shape (M,).
+
+    C and S at one end are converged relative to the larger of the two,
+    the norm that the matching row is scaled by: near a level S across a
+    box is a difference of large terms, and no staircase holds it to a
+    fraction of itself."""
+    n = spec.n_interior
+
+    def values(cells):
+        stair = _staircase(spec, cells)
+        heights, widths = np.array(stair.heights), np.diff(stair.breakpoints)
+        bounds = np.concatenate([[0], np.cumsum(cells)])
+        cells_of = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        if n == 0:
+            ends = [_transfer_product(heights, widths, energies)]
+        else:
+            # interval j - 1 leftward from L_j, then interval j rightward
+            ends = [_transfer_product(heights[i][::-1], -widths[i][::-1], energies) for i in cells_of[:-1]]
+            ends += [_transfer_product(heights[i], widths[i], energies) for i in cells_of[1:]]
+        rows = np.stack(ends, axis=-1)[:, 0]  # (M, 2, ends): C then S
+        return 0, np.moveaxis(rows, 1, 0).ravel()
+
+    def row_size(values):
+        c_and_s = np.abs(values.reshape(2, -1))
+        return np.tile(np.max(c_and_s, axis=0), 2)
+
+    c, s = _extrapolated(spec, values, row_size)[0].reshape(2, len(energies), -1)
+    return s[:, 0] if n == 0 else (c, s)
+
+
+def _polynomial_levels(spec, e_lo, e_hi, scan, xtol) -> tuple[np.ndarray, int, PotentialSpec]:
+    """The levels in (e_lo, e_hi) of a spec with zero_order_polys,
+    ascending, the angle evaluations and the finest staircase.
+
+    Each staircase is scanned as a piecewise-constant spec, on the grid of
+    find_eigenvalues over the window widened by its _height_error, so that
+    it holds every level of the window.  Its levels are numbered by their
+    Sturm index and extrapolated (_extrapolated).  A level whose angle sum
+    steps across its cell may be matched in the lowest cell of any
+    interval of ``spec``, not in every cell."""
+    floor = reference_floor(spec)
+    evaluations = 0
+
+    def levels(cells):
+        nonlocal evaluations
+        stair = _staircase(spec, cells)
+        margin = _height_error(spec, cells)
+        k_lo, k_hi = np.sqrt(np.maximum([e_lo - margin - floor, e_hi + margin - floor], 0.0))
+        ks = np.linspace(k_lo, k_hi, scan.points)
+        starts = np.concatenate([[0], np.cumsum(cells)])
+        points = [lo + int(np.argmin(stair.heights[lo:hi])) for lo, hi in zip(starts, starts[1:])]
+        roots, used, first = _refined_crossings(stair, floor + ks * ks, xtol, points)
+        evaluations += used
+        return first, roots
+
+    roots, cells = _extrapolated(spec, levels)
+    # a pair split below the extrapolation's error may come out swapped
+    roots = np.sort(roots[(roots > e_lo) & (roots < e_hi)])
+    return roots, evaluations, _staircase(spec, cells)
 
 
 def _shots(spec: PotentialSpec, c: int) -> tuple[list, list]:
@@ -587,101 +599,38 @@ def _trig_angle(energies, legs) -> np.ndarray:
     return theta
 
 
-def _series_angle(energies, legs, m) -> np.ndarray:
-    """Pruefer angle tan(theta) = psi / psi' at the end of a path for the
-    power-series backend, shot from a wall.  ``legs`` holds _angle_sum's
-    (width, potential range, _reanchored polynomial, height) of each leg.
-
-    One series per interval, expanded where the path enters it, is sampled
-    at steps of length h with h sqrt(A) <= 2, A the largest |E - V| on the
-    interval.  That is shorter than pi / sqrt(max(E - V)), so by Sturm
-    comparison no step holds two zeros of psi, and each sign change between
-    samples is exactly one zero.  psi' is taken along the path.  Each energy
-    is stepped on its own, so that a grid and a refinement step read the
-    same float at it; each leg's series are checked at its far end, for all
-    energies at once, as series_local_basis checks its boundary values.
-    """
-    n = np.arange(m + 1)
-    series = [_local_series(v, height, energies, m) for _, _, v, height in legs]
-    for (width, _, _, _), pair in zip(legs, series):
-        both = np.stack(pair)
-        _check_truncation(both, width, both @ width ** n, f"at m = {m} on a leg of the angle sum")
-    angles = []
-    for k, e in enumerate(energies.tolist()):
-        psi, slope, sign, zeros = 0.0, 1.0, 1.0, 0
-        for (width, (v_lo, v_hi), _, _), (c, s) in zip(legs, series):
-            steps = max(1, math.ceil(abs(width) * math.sqrt(max(e - v_lo, v_hi - e)) / 2))
-            powers = np.linspace(0.0, width, steps + 1)[1:, None] ** n
-            weights = n[1:] * width ** n[:-1]
-            direction = math.copysign(1.0, width)
-            psi0, dpsi0 = psi, direction * slope  # where the path enters
-            values = psi0 * (powers @ c[k]) + dpsi0 * (powers @ s[k])
-            signs = np.where(values < 0, -1.0, 1.0)
-            zeros += int(np.sum(signs * np.append(sign, signs[:-1]) < 0))
-            sign, psi = signs[-1], values[-1]
-            slope = direction * (psi0 * (c[k, 1:] @ weights) + dpsi0 * (s[k, 1:] @ weights))
-            norm = math.hypot(psi, slope)
-            psi, slope = psi / norm, slope / norm
-        angles.append(zeros * math.pi + math.atan2(sign * psi, sign * slope))
-    return np.array(angles)
+# legs times energies that one _trig_angle call sweeps at most, at one matching point
+_SWEEP_SIZE = 2**20
 
 
-def _angle_sum(spec, series_m):
+def _angle_sum(spec):
     """The function half_turns(energies, c) that gives (theta_L + theta_R)
     / pi at a 1-D array of energies, matched in the middle of interval c:
     the lowest by default, or an int for every energy, or an int array of
     one matching point per energy.  That is the angle sum that sturm_count
     floors and find_eigenvalues refines.  Nothing but the angles depends on
-    the energy: each matching point's legs are built on its first use (and
-    the trig backend's stack of per-energy legs once per array of matching
-    points), and for the power-series backend each interval's re-expanded
-    polynomials once, shared by every matching point; the potential ranges
-    are the spec's.  The trig backend sweeps every energy at once, its
-    shorter legs padded; the power-series backend groups the energies by
-    matching point and sweeps each energy once per matching point, so a
-    finished bracket that brentq repeats in lock-step costs no sweep."""
-    if spec.zero_order_polys is None:
-        legs = cache(lambda c: _trig_legs(spec, c))
-        lanes = cache(lambda cs: _lane_legs([legs(c) for c in cs]))
-
-        def angles(energies, c):
-            theta = _trig_angle(energies, legs(c) if np.ndim(c) == 0 else lanes(tuple(c.tolist())))
-            return theta[0] + theta[1]
-    else:
-        reanchored = cache(lambda i, x0: _reanchored(spec, i, x0))
-        legs = cache(lambda c: [
-            [(x1 - x0, spec.value_ranges[i], reanchored(i, x0), spec.heights[i]) for i, x0, x1 in path]
-            for path in _shots(spec, c)
-        ])
-        m = series_m or 80
-        known = {}  # (matching point, energy): angle sum
-
-        def matched(energies, c):
-            new = [e for e in dict.fromkeys(energies.tolist()) if (c, e) not in known]
-            if new:
-                swept = sum(_series_angle(np.array(new), path, m) for path in legs(c))
-                known.update({(c, e): a for e, a in zip(new, swept.tolist())})
-            return np.array([known[c, e] for e in energies.tolist()])
-
-        def angles(energies, c):
-            if np.ndim(c) == 0:
-                return matched(energies, c)
-            out = np.empty(len(energies))
-            for point in sorted(set(c.tolist())):
-                at = c == point
-                out[at] = matched(energies[at], point)
-            return out
-
+    the energy: each matching point's legs are built on its first use, and
+    the stack of per-energy legs once per array of matching points.  The
+    energies are swept at once, the shorter legs padded, in blocks of
+    _SWEEP_SIZE legs times energies at one matching point (one block but
+    for a staircase of many cells)."""
+    legs = cache(lambda c: _trig_legs(spec, c))
+    lanes = cache(lambda cs: _lane_legs([legs(c) for c in cs]))
     lowest = int(np.argmin(spec.heights))
-    return lambda energies, c=lowest: angles(energies, c) / np.pi
+
+    def half_turns(energies, c=lowest):
+        if np.ndim(c):
+            theta = _trig_angle(energies, lanes(tuple(c.tolist())))
+        else:
+            step = max(1, _SWEEP_SIZE // len(legs(c)[0]))
+            blocks = [energies[lo : lo + step] for lo in range(0, max(len(energies), 1), step)]
+            theta = np.concatenate([_trig_angle(e, legs(c)) for e in blocks], axis=-1)
+        return (theta[0] + theta[1]) / np.pi
+
+    return half_turns
 
 
-def sturm_count(
-    spec: PotentialSpec,
-    energies: float | np.ndarray,
-    *,
-    series_m: int | None = None,
-) -> int | np.ndarray:
+def sturm_count(spec: PotentialSpec, energies: float | np.ndarray) -> int | np.ndarray:
     """Number of eigenvalues below each energy, by the oscillation theorem.
 
     Pruefer angles are shot from both walls to the middle of the lowest
@@ -696,11 +645,19 @@ def sturm_count(
     below double precision steps by one twice, rounding apart.
     ``energies`` is a scalar or a 1-D array; the result is an int or an int
     array.
+
+    A spec with zero_order_polys is counted on its finest staircase of
+    the first round, 8 _base_cells per interval.  That count is exact for
+    the staircase, whose levels lie within _height_error of the spec's and
+    closer in practice (the h^2 error the extrapolation removes); within
+    that distance of a level the count may be off by one.
     """
     e = np.asarray(energies, dtype=float)
     if e.ndim > 1:
         raise ValueError("energies must be a scalar or a one-dimensional array")
-    counts = np.floor(_angle_sum(spec, series_m)(np.atleast_1d(e))).astype(int)
+    if spec.zero_order_polys is not None:
+        spec = _staircase(spec, 8 * _base_cells(spec))
+    counts = np.floor(_angle_sum(spec)(np.atleast_1d(e))).astype(int)
     return int(counts[0]) if e.ndim == 0 else counts
 
 
@@ -722,7 +679,10 @@ class EigenvalueScan:
     is defined at every energy, an interval height included.
     ``angle_evaluations`` counts the levels' calls of the angle sum, each
     at an array of energies: the grid, one call of the other matching
-    points at the ends of steep cells, and the brentq steps.
+    points at the ends of steep cells, and the brentq steps (summed over
+    the staircases of a spec with zero_order_polys).  ``staircase`` is,
+    for such a spec, the finest staircase its levels were extrapolated
+    from, and None otherwise.
     """
 
     energies: tuple[float, ...]
@@ -731,6 +691,7 @@ class EigenvalueScan:
     spurious: tuple[float, ...] = ()
     near_degenerate: tuple[float, ...] = ()
     angle_evaluations: int = 0
+    staircase: PotentialSpec | None = None
 
 
 # smallest relative tolerance brentq accepts: four ulps
@@ -858,9 +819,10 @@ _REFINE_RTOL = 8.9e-16
 _STEEP_RISE = 0.5
 
 
-def _refined_crossings(spec, grid, xtol, series_m) -> tuple[np.ndarray, int]:
+def _refined_crossings(spec, grid, xtol, points=None) -> tuple[np.ndarray, int, int]:
     """Every level n in (grid[0], grid[-1]], ascending: where the angle sum
-    crosses n + 1 (in units of pi), and the number of angle evaluations.
+    crosses n + 1 (in units of pi), the number of angle evaluations, and
+    the index of the first level.
 
     The first cell whose upper end counts past n brackets level n, because
     the count can only rise.  Any matching point crosses n + 1 at the level
@@ -868,10 +830,11 @@ def _refined_crossings(spec, grid, xtol, series_m) -> tuple[np.ndarray, int]:
     small at the lowest interval, takes the interval where the sum rises
     least, if that is under a quarter of the default's rise and brackets
     n + 1 too; one call evaluates each other interval below the top of some
-    such cell at both ends of every such cell.  One brentq call refines
-    every level in lock-step, each at its own matching point, from the
-    values at the ends of its cell, with per-lane targets n + 1."""
-    half_turns = _angle_sum(spec, series_m)
+    such cell at both ends of every such cell; ``points`` narrows the
+    intervals tried to those listed.  One brentq call refines every level
+    in lock-step, each at its own matching point, from the values at the
+    ends of its cell, with per-lane targets n + 1."""
+    half_turns = _angle_sum(spec)
     sums = half_turns(grid)
     evaluations = 1
     counts = np.floor(sums).astype(int)
@@ -884,7 +847,8 @@ def _refined_crossings(spec, grid, xtol, series_m) -> tuple[np.ndarray, int]:
     steep = np.flatnonzero(f_hi - f_lo > _STEEP_RISE)
     # a state is large where it oscillates, not inside a barrier
     top = e_hi[steep].max(initial=-math.inf)
-    others = [c for c in range(spec.n_intervals) if c != lowest and spec.heights[c] < top]
+    tried = range(spec.n_intervals) if points is None else points
+    others = [c for c in tried if c != lowest and spec.heights[c] < top]
     if others:
         ends = np.concatenate([e_lo[steep], e_hi[steep]])
         values = half_turns(np.tile(ends, len(others)), np.repeat(others, len(ends)))
@@ -904,24 +868,26 @@ def _refined_crossings(spec, grid, xtol, series_m) -> tuple[np.ndarray, int]:
     roots = brentq(
         f, e_lo, e_hi, xtol=xtol, rtol=_REFINE_RTOL, target=target, f_ends=(f_lo, f_hi)
     )
-    return np.sort(roots), evaluations
+    return np.sort(roots), evaluations, int(counts[0])
 
 
-def _overlap_resonances(spec, grid, xtol, series_m) -> list[float]:
-    """The Dirichlet levels in (grid[0], grid[-1]] of each interval
-    (L_j, L_{j+1}), j = 1..N-1, that domains j and j + 1 share: H_j +
-    (m pi / w_j)^2 for closed-form specs, the levels of the one-interval
-    problem on (L_j, L_{j+1}) for the power-series backend."""
+def _overlap_resonances(spec, e_lo, e_hi, scan, xtol) -> list[float]:
+    """The Dirichlet levels in (e_lo, e_hi] of each interval (L_j, L_{j+1}),
+    j = 1..N-1, that domains j and j + 1 share: H_j + (m pi / w_j)^2 for
+    closed-form specs; for a spec with zero_order_polys, the levels in
+    (e_lo, e_hi) of the one-interval problem on (L_j, L_{j+1}), found by
+    the same staircases as its levels.  A staircase's own cells add no
+    resonance."""
     bp, out = spec.breakpoints, []
     for j in range(1, spec.n_interior):
         if spec.zero_order_polys is not None:
             interval = PotentialSpec(bp[j : j + 2], (spec.heights[j],), (spec.zero_order_polys[j],))
-            out += _refined_crossings(interval, grid, xtol, series_m)[0].tolist()
+            out += find_eigenvalues(interval, e_lo, e_hi, scan=scan, xtol=xtol).energies
             continue
         h, width = spec.heights[j], bp[j + 1] - bp[j]
-        m = np.arange(1, width * math.sqrt(max(grid[-1] - h, 0.0)) / math.pi + 1)
+        m = np.arange(1, width * math.sqrt(max(e_hi - h, 0.0)) / math.pi + 1)
         e = h + (m * math.pi / width) ** 2
-        out += e[(e > grid[0]) & (e <= grid[-1])].tolist()
+        out += e[(e > e_lo) & (e <= e_hi)].tolist()
     return out
 
 
@@ -940,7 +906,6 @@ def find_eigenvalues(
     *,
     scan: ScanConfig = DEFAULT_SCAN,
     xtol: float = REFINE_XTOL,
-    series_m: int | None = None,
 ) -> EigenvalueScan:
     """Eigenvalues in (e_lo, e_hi), ascending, from the Pruefer angle alone.
 
@@ -958,6 +923,10 @@ def find_eigenvalues(
     The secular determinant is not evaluated; its other zeros, the overlap
     resonances, are listed as spurious.  If fewer than ``count`` levels
     exist in the window, complete=False.
+
+    A spec with zero_order_polys scans its staircases this way instead
+    and returns their extrapolated levels (_polynomial_levels); its
+    spurious entries are those of its own overlap intervals.
     """
     if not e_lo < e_hi:
         raise ValueError("energy window must satisfy e_lo < e_hi")
@@ -969,9 +938,15 @@ def find_eigenvalues(
     if not k_hi > k_lo:
         return EigenvalueScan((), count is None)
 
-    ks = np.linspace(k_lo, k_hi, scan.points)
-    grid = floor + ks * ks
-    roots, evaluations = _refined_crossings(spec, grid, xtol, series_m)
+    staircase = None
+    if spec.zero_order_polys is not None:
+        roots, evaluations, staircase = _polynomial_levels(spec, e_lo, e_hi, scan, xtol)
+        resonances = _overlap_resonances(spec, e_lo, e_hi, scan, xtol)
+    else:
+        ks = np.linspace(k_lo, k_hi, scan.points)
+        grid = floor + ks * ks
+        roots, evaluations, _ = _refined_crossings(spec, grid, xtol)
+        resonances = _overlap_resonances(spec, grid[0], grid[-1], scan, xtol)
     levels: list[float] = []
     merged = set()
     for root in roots.tolist():
@@ -980,7 +955,6 @@ def find_eigenvalues(
             merged.add(levels[-1])
         else:
             levels.append(root)
-    resonances = _overlap_resonances(spec, grid, xtol, series_m)
     spurious = sorted({e for e in resonances if _is_spurious_root(e, roots, xtol)})
     complete = count is None or len(levels) >= count
     if count is not None:
@@ -991,6 +965,7 @@ def find_eigenvalues(
         spurious=tuple(spurious),
         near_degenerate=tuple(e for e in levels if e in merged),
         angle_evaluations=evaluations,
+        staircase=staircase,
     )
 
 
@@ -1001,24 +976,24 @@ class MatchedState:
     coeffs[j - 1] = (c(j), d(j)) for domains j = 1..N, normalized to a unit
     Euclidean null vector with the first nonzero component positive.
     c(0) = c(N+1) = 0 are implicit.  residual is the largest row residual
-    of the row-normalized matching system, and series_m the truncation of
-    the power-series backend that match_coefficients was given.  The
-    domain bases and the overlap gap are built from these on first read.
-    Two states are equal, and hash alike, only if they are the same object.
+    of the row-normalized matching system.  The domain bases and the
+    overlap gap are built from these on first read; a spec with
+    zero_order_polys has no closed-form pieces, and reading them raises
+    SchemaError (build_domain_basis).  Two states are equal, and hash
+    alike, only if they are the same object.
     """
 
     spec: PotentialSpec
     energy: float
     coeffs: np.ndarray
     residual: float
-    series_m: int | None = None
 
     @cached_property
     def bases(self) -> tuple[DomainBasis, ...]:
         """Each domain's DomainBasis at the state's energy, built on first
         read: only the perturbation series, the Wronskian check and the
         state's pieces read them."""
-        return tuple(_domain_bases(self.spec, self.energy, self.series_m))
+        return tuple(_domain_bases(self.spec, self.energy))
 
     @cached_property
     def overlap_gap(self) -> float:
@@ -1091,12 +1066,7 @@ def overlap_gap(spec: PotentialSpec, domain_pieces) -> float:
     return float(gap / scale)
 
 
-def match_coefficients(
-    spec: PotentialSpec,
-    energy: float,
-    *,
-    series_m: int | None = None,
-) -> MatchedState:
+def match_coefficients(spec: PotentialSpec, energy: float) -> MatchedState:
     """Extract the matched coefficients at a determinant root.
 
     The null vector of the (row-normalized) matching system, with the
@@ -1114,7 +1084,7 @@ def match_coefficients(
             "a plain box has no matching coefficients; insert a fictitious "
             "breakpoint (see PotentialSpec.with_fictitious_breakpoint)"
         )
-    an = matching_matrix(spec, energy, series_m=series_m)
+    an = matching_matrix(spec, energy)
     _, svals, vt = np.linalg.svd(an)
     if len(svals) >= 2 and svals[-2] < 1e-8 * max(svals[0], 1e-300):
         raise DegeneracyParadoxError(
@@ -1132,4 +1102,4 @@ def match_coefficients(
         v = -v
     coeffs = v.reshape(-1, 2).copy()
     coeffs.setflags(write=False)
-    return MatchedState(spec, float(energy), coeffs, residual, series_m)
+    return MatchedState(spec, float(energy), coeffs, residual)

@@ -124,6 +124,22 @@ class TestScan:
         assert doc["skipped_reasons"] == [reason] * len(skipped)
         assert len(doc["rows"]) == points - len(skipped)
 
+    def test_polynomial_zero_order(self, tmp_path):
+        # the table reads extrapolated boundary values: its sign changes
+        # bracket the extrapolated levels of V = 2x on (0, pi)
+        from stepwell import PotentialSpec, find_eigenvalues
+
+        obj = {"breakpoints": [0, 1.5, PI], "heights": [0, 0], "zero_order_polys": [[0, 2], [0, 2]]}
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--spec", write_spec(tmp_path, obj), "--k-lo", "1", "--k-hi", "5", "--points", "200"]
+        assert main(argv + ["--out", str(out)]) == 0
+        k, det = np.array([ln.split(",") for ln in out.read_text().splitlines()[1:]], dtype=float).T
+        cells = np.flatnonzero(np.sign(det[1:]) != np.sign(det[:-1]))
+        spec = PotentialSpec(tuple(obj["breakpoints"]), (0.0, 0.0), ((0.0, 2.0), (0.0, 2.0)))
+        levels = np.sqrt(find_eigenvalues(spec, 1.0, 25.0).energies)
+        assert len(cells) == len(levels) == 4
+        assert np.all((k[cells] < levels) & (levels < k[cells + 1]))
+
     def test_resolution_validation(self, box_file):
         assert main(["scan", "--spec", box_file, "--k-lo", "0.5", "--k-hi", "3.5",
                      "--points", "1"]) == 2
@@ -214,16 +230,23 @@ class TestSpectrum:
         energies = [s["energy"] for s in doc["eigenvalues"]]
         assert all(abs(e - (10 + PI**2)) > 1e-3 for e in energies)
 
-    def test_overflowing_barrier_exits_3(self, tmp_path, capsys):
-        # cosh overflows behind this barrier; an empty spectrum with exit 0
-        # would hide it
-        spec = write_spec(tmp_path, {"breakpoints": [0, 1, 2, 3], "heights": [0, 1e6, 0]})
+    @pytest.mark.parametrize("barrier, count", [(1.6e5, 2), (1e6, None)])
+    def test_overflowing_barrier_keeps_its_levels(self, tmp_path, barrier, count):
+        # cosh overflows behind this barrier, so the matching system, its
+        # coefficients and its residual do; the levels come from the angle
+        # and are printed, the overflow named in a warning per level
+        spec = write_spec(tmp_path, {"breakpoints": [0, 1, 2, 3], "heights": [0, barrier, 0]})
         out = tmp_path / "s.json"
-        rc = main(["spectrum", "--spec", spec, "--e-lo", "0.05", "--e-hi", "40",
-                   "--out", str(out)])
-        assert rc == 3
-        assert not out.exists()
-        assert "not finite" in capsys.readouterr().err
+        argv = ["spectrum", "--spec", spec, "--e-lo", "0.05", "--e-hi", "40", "--out", str(out)]
+        assert main(argv + (["--count", str(count)] if count else [])) == 0
+        doc = json.loads(out.read_text())
+        levels = doc["eigenvalues"]
+        assert len(levels) == (count or 2)
+        # a well of width 1 between a hard wall and the barrier's tail
+        assert (PI / 2) ** 2 < levels[0]["energy"] < PI**2
+        assert all(s["coefficients"] is None and s["residual"] is None for s in levels)
+        assert len(doc["warnings"]) == len(levels)
+        assert all("not finite" in w and "interval 1 " in w for w in doc["warnings"])
 
 
 class TestPerturb:
@@ -331,6 +354,24 @@ class TestValidate:
         assert all(c["passed"] for c in checks)
         assert "psi0-smoothness" in {c["name"] for c in checks}
 
+    def test_polynomial_zero_order_runs_every_check(self, tmp_path):
+        # the piece checks read the finest staircase, and say so
+        spec = write_spec(
+            tmp_path,
+            {"breakpoints": [0, 1.5, PI], "heights": [0, 0], "zero_order_polys": [[0, 2], [0, 2]]},
+        )
+        out = tmp_path / "v.json"
+        rc = main(["validate", "--spec", spec, "--e-lo", "0.5", "--e-hi", "20", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert rc == 0, doc
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert set(checks) == {
+            "fd-oracle-agreement", "gauge-shift-invariance", "fictitious-breakpoint-invariance",
+            "psi0-smoothness", "wronskian-constancy",
+        }
+        for name in ("psi0-smoothness", "wronskian-constancy"):
+            assert checks[name]["detail"].startswith("on the finest staircase (")
+
     def test_corrupted_spec_exits_2(self, tmp_path):
         bad = write_spec(tmp_path, {"breakpoints": [0, 1, 2], "heights": [0]})
         assert main(["validate", "--spec", bad]) == 2
@@ -361,15 +402,15 @@ GOLDEN_SHA256 = {
     "box_scan": "a6c2f954ea1f144621f700b5e319bdfa53501e7b8fcc736cf36d630c51beb2d8",
     "box_spectrum": "49298a30c96eb59aea85d0dc07a21bd5a92f7804b37bbe78d57e2e7655b6e011",
     "box_perturb": "7b8c339728e6b29e965e8f7193bc75ef2ddfdef8861c0681e7af840e212e9f8a",
-    "box_validate": "e376de270b857b644f6bf4fd6a3120c43dae6895c5a17301ab2ccf261bc852f5",
+    "box_validate": "59a96e03d9317982b1a67f611a97b2337d88fd6a02491d65d9c1148ab3485548",
     "step_scan": "ce782efd078d10ca1e8639bd068e943daa3852b62c55bb9f01fc8b8a8ee7533e",
     "step_spectrum": "cca9e22c3d2ea4609254605085967ee696084f7d38881c6296d9db8d859e66a7",
     "step_perturb": "a8ef8474cdc24d3fbac544cf33b71ee1e62ec060f5f4c0fa84893f62f62d9498",
-    "step_validate": "8a0c388160cdd6f36054c1b39d152f1de5a717cea79ccf94e1642815d7b6bfb7",
+    "step_validate": "668bf9752c9755edfe197b4745e2d0aad07438b0768056fc89111905fa08801b",
     "double_well_scan": "2fe9d1882a0be2b0f2a860307c9c3fdbc6672c9a75e1a5772e1acddebbf3197a",
     "double_well_spectrum": "3f62b64436b5c56c40e8a5f0ca47e126e94e601a43256e6e23de12df27743c37",
     "double_well_perturb": "7a727ca06b36e94e2042f191f06ec97ec57d8e5229e9e168d847629ebfd6eda9",
-    "double_well_validate": "e76278dbf6ade8ae5d0a2681964161dbc0e04ad0ce6e9639345cce8564d7460e",
+    "double_well_validate": "abbe4acb4b724e15c543ee2595dad1244d98a38a67c20e133ff116fb0d0fe61e",
 }
 
 

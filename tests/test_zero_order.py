@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepwell import (
@@ -18,17 +18,16 @@ from stepwell import (
     TruncationError,
     build_domain_basis,
     fd_eigenvalues,
+    fd_eigenvector,
     find_eigenvalues,
     local_frequency,
     match_coefficients,
     matching_matrix,
     run_series,
     secular_determinant,
-    series_local_basis,
     sturm_count,
 )
 from stepwell import zero_order
-from stepwell import potential
 from stepwell.config import BETA_MIN, ScanConfig
 
 import golden_formulas as golden
@@ -362,13 +361,18 @@ class TestBatchedDeterminant:
         assert np.array_equal(secular_determinant(spec, energies), whole, equal_nan=True)
         assert secular_determinant(spec, energies[:0]).shape == (0,)
 
-    def test_series_backend_shares_the_path(self, n1_step_spec):
+    def test_polynomial_spec_shares_the_path(self, n1_step_spec):
+        # extrapolated boundary values go through the same kernel; the array
+        # form may take a finer staircase than one energy alone, so it
+        # agrees with the scalar form to the extrapolation's tolerance
         spec = PotentialSpec(
             n1_step_spec.breakpoints, n1_step_spec.heights, ((0.0, 0.2), (0.0, 0.2))
         )
         energies = np.linspace(1.0, 12.0, 7)
-        reference = [_scalar_reference(spec, e) for e in energies]
-        assert np.array_equal(secular_determinant(spec, energies), reference)
+        scalar = [secular_determinant(spec, e) for e in energies]
+        np.testing.assert_allclose(secular_determinant(spec, energies), scalar, rtol=1e-12, atol=1e-14)
+        for e, det in zip(energies, scalar):
+            assert np.linalg.det(matching_matrix(spec, e)) == det
 
     @pytest.mark.parametrize("barrier", [1.6e5, 1e6])
     def test_overflow_raises_instead_of_silence(self, barrier):
@@ -704,7 +708,6 @@ class TestOneMatchingKernel:
         PotentialSpec((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)),
         PotentialSpec((0.0, PI), (0.0,)).with_fictitious_breakpoint(PI / 2),
     ] + [w for w in _random_wells(seed=23, count=8) if w.n_interior][:5]
-    SERIES = PotentialSpec((0.0, 1.5, PI), (0.0, 0.0), zero_order_polys=((0.0, 2.0), (0.0, 2.0)))
 
     @staticmethod
     def levels(spec, **kwargs):
@@ -716,7 +719,7 @@ class TestOneMatchingKernel:
     @pytest.mark.parametrize("spec", WELLS)
     def test_match_uses_the_kernels_matrix(self, spec):
         for energy in self.levels(spec):
-            kernel = zero_order._matching_block(spec, np.array([energy]), None)[0][0]
+            kernel = zero_order._matching_block(spec, np.array([energy]))[0][0]
             assert np.array_equal(kernel, _reference_matrix(spec, energy))
             assert np.array_equal(matching_matrix(spec, energy), kernel)
             assert np.linalg.det(kernel) == secular_determinant(spec, energy)
@@ -745,7 +748,7 @@ class TestOneMatchingKernel:
     def test_determinant_masks_say_what_a_scalar_call_raises(self):
         spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, 1.6e5, 0.0))
         energies = np.array([9.85, 1.6e5, 1.6e5 + 10.0])
-        dets, degenerate, overflow = zero_order._determinants(spec, energies, None)
+        dets, degenerate, overflow = zero_order._determinants(spec, energies)
         assert degenerate.any(axis=1).tolist() == [False, True, False]
         assert overflow.any(axis=1).tolist() == [True, False, False]
         with pytest.raises(NonFiniteDeterminantError, match="interval 1 "):
@@ -768,13 +771,6 @@ class TestOneMatchingKernel:
             assert [args[2] for args, _ in builds] == list(range(1, spec.n_interior + 1))
             monkeypatch.undo()
 
-    def test_lazy_series_bases_keep_the_truncation(self):
-        energy = self.levels(self.SERIES, series_m=60)[0]
-        state = match_coefficients(self.SERIES, energy, series_m=60)
-        for j, basis in enumerate(state.bases, start=1):
-            assert len(basis.c_left.coeffs) == 71
-            assert _same_basis(basis, build_domain_basis(self.SERIES, energy, j, series_m=60))
-
     @pytest.mark.parametrize("spec", WELLS)
     def test_closed_form_match_builds_no_trigpoly(self, spec, monkeypatch):
         energies = self.levels(spec)
@@ -789,23 +785,21 @@ class TestOneMatchingKernel:
         state.domain_piece(1, "left")
         assert len(made) > 4 * spec.n_interior
 
-    def test_series_match_builds_each_basis_once(self, monkeypatch):
+    def test_polynomial_state_has_no_pieces(self):
+        # a polynomial zero order is matched on extrapolated values; it has
+        # no closed-form pieces, and everything that reads them says so
         spec = PotentialSpec(
-            (0.0, 0.8, 1.5, 2.2, PI), (0.0, 0.0, 1.0, 0.0),
-            zero_order_polys=((0.0, 2.0), (0.0, 2.0), (0.0, 2.0), (0.0, 2.0)),
+            (0.0, 0.8, 1.5, 2.2, PI), (0.0, 0.0, 1.0, 0.0), zero_order_polys=((0.0, 2.0),) * 4
         )
-        energy = self.levels(spec)[0]
-        state = match_coefficients(spec, energy)
-        builds = _counting(monkeypatch, zero_order, "series_local_basis")
-        state.domain_pieces()
-        list(state.bases)
-        assert [args[2] for args, _ in builds] == [1, 2, 3]
+        state = match_coefficients(spec, self.levels(spec)[0])
+        assert state.residual <= 1e-12
+        for read in (lambda: state.bases, lambda: state.overlap_gap, lambda: state.eval(1.0)):
+            with pytest.raises(SchemaError, match="no closed-form domain pieces"):
+                read()
+        with pytest.raises(SchemaError, match="no closed-form domain pieces"):
+            build_domain_basis(spec, state.energy, 1)
 
-    POLY_WELL = PotentialSpec(
-        (0.0, 0.8, 1.5, 2.2, PI), (0.0, 0.0, 1.0, 0.0), zero_order_polys=((0.0, 2.0),) * 4
-    )
-
-    @pytest.mark.parametrize("spec", WELLS + [POLY_WELL])
+    @pytest.mark.parametrize("spec", WELLS)
     def test_overlap_gap_is_evaluated_on_first_read_only(self, spec, monkeypatch):
         energies = self.levels(spec)
         gaps = _counting(monkeypatch, zero_order, "overlap_gap")
@@ -814,20 +808,6 @@ class TestOneMatchingKernel:
         for i, state in enumerate(states, start=1):
             assert state.overlap_gap == state.overlap_gap
             assert len(gaps) == i
-
-    def test_lazy_series_overlap_gap_keeps_the_truncation(self, monkeypatch):
-        spec = self.POLY_WELL
-        for energy in self.levels(spec, series_m=60):
-            state = match_coefficients(spec, energy, series_m=60)
-            read = _counting(monkeypatch, zero_order, "overlap_gap")
-            gap = state.overlap_gap
-            assert all(len(piece.coeffs) == 71 for pair in read[0][0][1] for piece in pair)
-            monkeypatch.undo()
-            pieces = []
-            for j, (c, d) in enumerate(state.coeffs, start=1):
-                basis = build_domain_basis(spec, energy, j, series_m=60)
-                pieces.append((c * basis.c_left + d * basis.s_left, c * basis.c_right + d * basis.s_right))
-            assert gap == zero_order.overlap_gap(spec, pieces)
 
     @pytest.mark.parametrize("spec", WELLS[:2])
     def test_match_near_a_height_is_degenerate(self, spec):
@@ -838,103 +818,167 @@ class TestOneMatchingKernel:
                 matching_matrix(spec, energy)
 
 
-class TestSeriesBackend:
+# the tilted well V = 2x on (0, pi): its levels are the roots of
+# Ai(z0) Bi(z1) - Ai(z1) Bi(z0) with z = 2^(1/3) (x - E/2) at x = 0 and pi,
+# found with mpmath at 40 digits
+TILTED = PotentialSpec((0.0, 1.5, PI), (0.0, 0.0), zero_order_polys=((0.0, 2.0), (0.0, 2.0)))
+TILTED_AIRY = [
+    3.7422529532612556769,
+    7.2420238793473071278,
+    12.216437193404589305,
+    19.188068759476154375,
+    28.17249891350020604,
+    39.1634805840238985,
+    52.157860377343491942,
+]
+
+
+class TestStaircases:
+    """A polynomial zero order is solved on piecewise-constant staircases
+    and Richardson-extrapolated in h^2."""
+
     def test_constant_polys_match_closed_form(self, n1_step_spec):
-        spec_series = PotentialSpec(
-            n1_step_spec.breakpoints,
-            n1_step_spec.heights,
-            zero_order_polys=((0.0,), (0.0,)),
-        )
-        e = 3.7
-        closed = build_domain_basis(n1_step_spec, e, 1)
-        series = series_local_basis(spec_series, e, 1, 60)
-        for attr in ("c_at_lo", "s_at_lo", "c_at_hi", "s_at_hi"):
-            assert getattr(series, attr) == pytest.approx(
-                getattr(closed, attr), rel=1e-10
-            )
-
-    def test_airy_type_solution(self):
-        # V = x on (0, 1) at E = 0: the recurrence below is written out
-        # independently of the library implementation
         spec = PotentialSpec(
-            (0.0, 0.5, 1.0), (0.0, 0.0), zero_order_polys=((0.0, 1.0), (0.0, 1.0))
+            n1_step_spec.breakpoints, n1_step_spec.heights, zero_order_polys=((0.0,), (0.0,))
         )
-        basis = series_local_basis(spec, 0.0, 1, 60)
-
-        def oracle_series(h0, h1, t, anchor=0.5, terms=90):
-            # psi'' = (anchor + s) psi around s = x - anchor
-            h = [h0, h1]
-            for n in range(terms):
-                nxt = (anchor * h[n] + (h[n - 1] if n >= 1 else 0.0)) / (
-                    (n + 2) * (n + 1)
-                )
-                h.append(nxt)
-            return sum(c * t**k for k, c in enumerate(h))
-
-        for x in (0.1, 0.35, 0.8, 0.95):
-            side = "left" if x < 0.5 else "right"
-            assert basis.piece("c", side).eval(x) == pytest.approx(
-                oracle_series(1.0, 0.0, x - 0.5), rel=1e-12
+        # below and above the step
+        for e in (3.7, 9.0):
+            np.testing.assert_allclose(
+                matching_matrix(spec, e), matching_matrix(n1_step_spec, e), rtol=1e-12, atol=1e-15
             )
-            assert basis.piece("s", side).eval(x) == pytest.approx(
-                oracle_series(0.0, 1.0, x - 0.5), rel=1e-12
-            )
+        energies = np.array([3.7, 9.0])
+        np.testing.assert_allclose(
+            secular_determinant(spec, energies), secular_determinant(n1_step_spec, energies), rtol=1e-12
+        )
 
-    def test_airy_against_scipy(self):
+    def test_matching_values_against_airy(self):
         from scipy.special import airy
 
-        spec = PotentialSpec(
-            (0.0, 0.5, 1.0), (0.0, 0.0), zero_order_polys=((0.0, 1.0), (0.0, 1.0))
-        )
-        basis = series_local_basis(spec, 0.0, 1, 60)
-        ai0, aip0, bi0, bip0 = airy(0.5)
-        wr = ai0 * bip0 - aip0 * bi0
-        a, b = bip0 / wr, -aip0 / wr
-        for x in (0.15, 0.5, 0.85):
-            aix, _, bix, _ = airy(x)
-            side = "left" if x < 0.5 else "right"
-            assert basis.piece("c", side).eval(x) == pytest.approx(
-                a * aix + b * bix, rel=1e-12
-            )
+        # V = x on (0, 1) at E = 0: psi'' = x psi, so the solutions with
+        # (value, slope) = (1, 0) and (0, 1) at the anchor 0.5 are
+        # combinations of Ai and Bi
+        spec = PotentialSpec((0.0, 0.5, 1.0), (0.0, 0.0), zero_order_polys=((0.0, 1.0), (0.0, 1.0)))
+        c, s = zero_order._staircase_values(spec, np.array([0.0]))
+        ai, aip, bi, bip = airy(0.5)
+        wr = ai * bip - aip * bi
 
-    def test_m_below_minimum_rejected(self):
-        spec = PotentialSpec(
-            (0.0, 0.5, 1.0), (0.0, 0.0), zero_order_polys=((0.0, 1.0), (0.0, 1.0))
-        )
-        with pytest.raises(TruncationError):
-            series_local_basis(spec, 0.0, 1, 4)
+        def solution(value, slope, x):
+            a, b = (value * bip - slope * bi) / wr, (slope * ai - value * aip) / wr
+            ax, _, bx, _ = airy(x)
+            return a * ax + b * bx
 
-    def test_nonconvergence_reported(self):
-        # wide domain and steep polynomial: low truncation cannot converge
-        spec = PotentialSpec(
-            (0.0, 6.0, 12.0),
-            (0.0, 0.0),
-            zero_order_polys=((0.0, 0.0, 9.0), (0.0, 0.0, 9.0)),
-        )
-        with pytest.raises(TruncationError) as info:
-            series_local_basis(spec, 1.0, 1, 14)
-        assert info.value.residual is None or info.value.residual > 0
+        for got, (value, slope) in ((c[0], (1.0, 0.0)), (s[0], (0.0, 1.0))):
+            np.testing.assert_allclose(got, [solution(value, slope, x) for x in (0.0, 1.0)], rtol=1e-12)
 
-    def test_every_series_sum_is_checked(self):
-        # V = 8x^2 on (0, 6): at m = 80 a series from a wall does not converge
-        # across the box.  Summed unchecked, the angle sum put levels at
-        # 30.77 and 42.65 (FD: 31.11 and 42.43) and the determinant was 3.9e20.
-        box = PotentialSpec((0.0, 6.0), (0.0,), zero_order_polys=((0.0, 0.0, 8.0),))
-        for spec in (box, box.with_fictitious_breakpoint(3.0)):
-            with pytest.raises(TruncationError):
-                find_eigenvalues(spec, 0.1, 60.0)
-            with pytest.raises(TruncationError):
-                secular_determinant(spec, 5.0)
+    def test_past_the_cell_cap_raises(self, monkeypatch):
+        # the tilted well converges at 480 cells; a cap of 240 lets the
+        # cells double once, and then the spread is still too wide
+        monkeypatch.setattr(zero_order, "STAIRCASE_CELLS_MAX", 240)
+        with pytest.raises(TruncationError, match="within 240 cells"):
+            find_eigenvalues(TILTED, 0.5, 60.0)
+        monkeypatch.setattr(zero_order, "STAIRCASE_CELLS_MAX", 8)
+        with pytest.raises(TruncationError, match="within 8 cells"):
+            secular_determinant(TILTED, 5.0)
 
     def test_eigenvalues_with_linear_tilt(self):
-        # V = 2x on (0, pi): series-backed scan against the fd oracle
-        spec = PotentialSpec(
-            (0.0, 1.5, PI), (0.0, 0.0), zero_order_polys=((0.0, 2.0), (0.0, 2.0))
-        )
-        scan = find_eigenvalues(spec, 0.5, 20.0, series_m=60)
-        fd = fd_eigenvalues(spec, m=2500, count=len(scan.energies))
+        # V = 2x on (0, pi): the extrapolated levels against the fd oracle
+        scan = find_eigenvalues(TILTED, 0.5, 20.0)
+        fd = fd_eigenvalues(TILTED, m=2500, count=len(scan.energies))
         for i, e in enumerate(scan.energies):
             assert abs(e - fd.values[i]) < max(fd.estimate[i], 1e-8)
+
+    def test_tilted_levels_against_airy(self):
+        levels = find_eigenvalues(TILTED, 0.5, 60.0).energies
+        np.testing.assert_allclose(levels, TILTED_AIRY, rtol=1e-14, atol=0)
+        # and within 1e-13 of the levels the power-series backend gave
+        series = [
+            3.7422529532612554, 7.2420238793473066, 12.216437193404579, 19.188068759476153,
+            28.17249891350044, 39.16348058402423, 52.157860377339105,
+        ]
+        np.testing.assert_allclose(levels, series, rtol=1e-13, atol=0)
+
+    def test_staircase_errors_fall_as_h_squared(self):
+        # the premise of the extrapolation: halving every cell divides the
+        # raw level error by 4 (the largest over the levels; one level's h^2
+        # coefficient happens to vanish), and three Richardson steps over
+        # the same four staircases remove all but about 1e-13
+        raw = np.array([
+            find_eigenvalues(zero_order._staircase(TILTED, [n, n]), 0.5, 60.0).energies
+            for n in (16, 32, 64, 128)
+        ])
+        worst = np.max(np.abs(raw - TILTED_AIRY), axis=1)
+        assert np.all((3.9 < worst[:-1] / worst[1:]) & (worst[:-1] / worst[1:] < 4.1)), worst
+        extrapolated, _ = zero_order._richardson(raw)
+        np.testing.assert_allclose(extrapolated, TILTED_AIRY, rtol=1e-12, atol=0)
+
+    def test_count_on_the_finest_staircase(self):
+        # between the levels the count is exact; near one it is the
+        # staircase's, whose levels sit within its h^2 error
+        levels = np.array(find_eigenvalues(TILTED, 0.5, 60.0).energies)
+        between = np.concatenate([[0.5], 0.5 * (levels[1:] + levels[:-1]), [60.0]])
+        assert sturm_count(TILTED, between).tolist() == list(range(8))
+        finest = zero_order._staircase(TILTED, 8 * zero_order._base_cells(TILTED))
+        assert np.array_equal(sturm_count(TILTED, levels), sturm_count(finest, levels))
+
+    def test_spurious_are_the_overlap_intervals_levels(self):
+        # N = 3 with V = x throughout: the Dirichlet levels of the two
+        # overlap intervals, each solved as its own polynomial problem;
+        # none of the staircase's many cells adds one
+        spec = PotentialSpec((0.0, 0.7, 1.5, 2.1, 3.0), (0.0, 12.0, 3.0, 20.0), ((0.0, 1.0),) * 4)
+        scan = find_eigenvalues(spec, 0.05, 60.0)
+        assert len(scan.energies) == 6
+        own = []
+        for j in (1, 2):
+            interval = PotentialSpec(spec.breakpoints[j : j + 2], (spec.heights[j],), ((0.0, 1.0),))
+            own += find_eigenvalues(interval, 0.05, 60.0).energies
+        assert scan.spurious == tuple(sorted(own))
+        # each is H_j + (pi / w_j)^2 shifted by about the mean of V = x there
+        shifted = [12 + (PI / 0.8) ** 2 + 1.1, 3 + (PI / 0.6) ** 2 + 1.8]
+        np.testing.assert_allclose(scan.spurious, shifted, rtol=1e-3)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_determinant_changes_sign_at_each_level(self, n):
+        # the extrapolated boundary values put the determinant's zeros on the
+        # extrapolated levels: a plain box with V = x^2, and the tilted well
+        spec = TILTED if n else PotentialSpec((0.0, PI), (0.0,), ((0.0, 0.0, 1.0),))
+        levels = np.array(find_eigenvalues(spec, 0.5, 40.0).energies)
+        assert len(levels) >= 5
+        below, above = secular_determinant(spec, levels - 1e-9), secular_determinant(spec, levels + 1e-9)
+        assert np.all(below * above < 0)
+
+    def test_coefficients_against_fd_eigenvector(self):
+        # c(j) = psi(L_j) up to one factor per state
+        spec = PotentialSpec(
+            (0.0, 0.8, 1.5, 2.2, PI), (0.0, 0.0, 1.0, 0.0), zero_order_polys=((0.0, 2.0),) * 4
+        )
+        levels = find_eigenvalues(spec, 0.05, 40.0).energies
+        for index in range(3):
+            state = match_coefficients(spec, levels[index])
+            x, psi = fd_eigenvector(spec, m=20000, index=index)
+            at_breakpoints = psi[np.searchsorted(x, spec.breakpoints[1:-1])]
+            ratio = state.coeffs[:, 0] / at_breakpoints
+            np.testing.assert_allclose(ratio, ratio[0], rtol=1e-6)
+
+    @settings(max_examples=15)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.3, 1.5),
+                st.floats(0.0, 20.0),
+                st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_levels_agree_with_fd(self, intervals):
+        # N <= 3, degree <= 2: FD reads exact cell averages of the
+        # polynomials and shares no code with the staircases
+        widths, heights, polys = zip(*intervals)
+        spec = PotentialSpec(tuple(np.concatenate([[0.0], np.cumsum(widths)])), heights, polys)
+        floor = zero_order.reference_floor(spec)
+        scan = find_eigenvalues(spec, floor, floor + 30.0)
+        _fd_levels_match(spec, floor, floor + 30.0, scan)
 
 
 def _fd_levels_match(spec, e_lo, e_hi, scan):
@@ -996,7 +1040,7 @@ class TestSturmCount:
         series = PotentialSpec(double_well_spec.breakpoints, double_well_spec.heights, polys)
         energies = np.linspace(0.3, 45.0, 149)
         assert np.array_equal(
-            sturm_count(series, energies, series_m=60), sturm_count(double_well_spec, energies)
+            sturm_count(series, energies), sturm_count(double_well_spec, energies)
         )
 
     @pytest.mark.parametrize(
@@ -1047,7 +1091,6 @@ class TestLevelsFromTheAngle:
 
     # N = 3: two overlap intervals, resonances 12 + (pi / 0.8)^2 and 3 + (pi / 0.6)^2
     N3_WELL = PotentialSpec((0.0, 0.7, 1.5, 2.1, 3.0), (0.0, 12.0, 3.0, 20.0))
-    TILTED = PotentialSpec((0.0, 1.5, PI), (0.0, 0.0), zero_order_polys=((0.0, 2.0), (0.0, 2.0)))
 
     def test_scan_evaluates_no_determinant(self, box_spec, n1_step_spec, double_well_spec, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -1055,8 +1098,8 @@ class TestLevelsFromTheAngle:
 
         monkeypatch.setattr(zero_order, "secular_determinant", forbidden)
         monkeypatch.setattr(zero_order, "_matching_block", forbidden)
-        for spec in (box_spec, n1_step_spec, double_well_spec, self.N3_WELL, self.TILTED):
-            assert len(find_eigenvalues(spec, 0.05, 40.0, series_m=60).energies) >= 3
+        for spec in (box_spec, n1_step_spec, double_well_spec, self.N3_WELL, TILTED):
+            assert len(find_eigenvalues(spec, 0.05, 40.0).energies) >= 3
 
     @pytest.mark.parametrize("name", ["double_well", "n3"])
     def test_series_twin_has_the_same_levels_and_resonances(self, name, double_well_spec):
@@ -1115,22 +1158,21 @@ class TestLevelsFromTheAngle:
     def test_paths_are_built_once_per_call(self, double_well_spec, monkeypatch):
         # not once per angle evaluation: the refinement takes many steps
         shots = _counting(monkeypatch, zero_order, "_shots")
-        reanchored = _counting(monkeypatch, zero_order, "_reanchored")
-        steps = _counting(monkeypatch, zero_order, "_series_angle")
         assert len(find_eigenvalues(double_well_spec, 0.05, 40.0).energies) >= 5
         sturm_count(double_well_spec, np.linspace(1.0, 40.0, 5))
         assert len(shots) == 2
-        assert len(find_eigenvalues(self.TILTED, 0.5, 60.0, series_m=60).energies) == 7
-        assert len(shots) == 3
-        # one re-expansion per leg: (0, mid) from the left, (pi, 1.5) and (1.5, mid) from the right
-        assert len(reanchored) == 3
-        assert len(steps) > 10
+        # once per staircase and matching point
+        del shots[:]
+        assert len(find_eigenvalues(TILTED, 0.5, 60.0).energies) == 7
+        built = [(id(args[0]), args[1]) for args, _ in shots]
+        assert len(set(built)) == len(built) >= 5
 
     def test_angle_is_a_function_of_the_energy(self, double_well_spec):
         # a grid call and a refinement step must read the same float at an energy
         energies = np.linspace(0.3, 45.0, 37)
-        for spec, m in ((double_well_spec, None), (self.TILTED, 60)):
-            half_turns = zero_order._angle_sum(spec, m)
+        finest = zero_order._staircase(TILTED, 8 * zero_order._base_cells(TILTED))
+        for spec in (double_well_spec, finest):
+            half_turns = zero_order._angle_sum(spec)
             together = half_turns(energies)
             alone = [half_turns(energies[i : i + 1])[0] for i in range(37)]
             assert together.tolist() == alone
@@ -1138,58 +1180,33 @@ class TestLevelsFromTheAngle:
     def test_three_point_window_around_each_series_level(self):
         # the window of oracle.exact_perturbed_energy: the middle grid point
         # sits on the level, where the count must agree with the refinement
-        levels = find_eigenvalues(self.TILTED, 0.5, 60.0, xtol=1e-14, series_m=60).energies
+        levels = find_eigenvalues(TILTED, 0.5, 60.0, xtol=1e-14).energies
         assert len(levels) == 7
         for e in levels:
             window = find_eigenvalues(
-                self.TILTED, e - 1e-6, e + 1e-6, scan=ScanConfig(points=3), xtol=1e-14, series_m=60
+                TILTED, e - 1e-6, e + 1e-6, scan=ScanConfig(points=3), xtol=1e-14
             )
             assert len(window.energies) == 1
             assert abs(window.energies[0] - e) < 1e-11 * e
 
-    def test_finished_brackets_cost_no_series_sweep(self, monkeypatch):
-        # lock-step brentq repeats each finished bracket's root; the angle
-        # sum remembers every (matching point, energy) it swept, so only new
-        # energies reach _series_angle: 1200 for the grid's two shots, 90
-        # for the refinement steps
-        steps = _counting(monkeypatch, zero_order, "_series_angle")
-        levels = find_eigenvalues(self.TILTED, 0.5, 60.0, series_m=60).energies
-        assert sum(len(args[0]) for args, _ in steps) == 1290
-        assert list(levels) == [
-            3.7422529532612554,
-            7.2420238793473066,
-            12.216437193404579,
-            19.188068759476153,
-            28.17249891350044,
-            39.16348058402423,
-            52.157860377339105,
-        ]
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="_series_angle expands each interval's series once, where the "
-        "path enters it, and loses digits to cancellation where V - E falls "
-        "along the leg: the levels are off by 1.5e-13, -2.2e-11, 1.5e-8, "
-        "-2.8e-7 and 3.4e-5, the same at series_m = 240, 320 and 400",
-    )
     def test_series_levels_of_the_harmonic_box(self):
         # V = 8 x^2 on (0, 6): the oscillator 2 sqrt(2) (2n + 1) with only its
         # odd states, since psi(0) = 0, while the wall at 6 sits far out in
         # the tail of every level below 60
         box = PotentialSpec((0.0, 6.0), (0.0,), ((0.0, 0.0, 8.0),))
-        levels = find_eigenvalues(box, 0.1, 60.0, series_m=240).energies
+        levels = find_eigenvalues(box, 0.1, 60.0).energies
         if len(levels) != 5:
             pytest.fail(f"expected 5 levels below 60, got {len(levels)}")
         exact = 2 * math.sqrt(2) * (4 * np.arange(5) + 3)
         np.testing.assert_allclose(levels, exact, rtol=0, atol=1e-9)
 
 
-def _fixed_point_crossings(spec, grid, xtol, series_m):
+def _fixed_point_crossings(spec, grid, xtol, points=None):
     """The refinement matched in the lowest interval alone, brentq evaluating
     the bracket ends itself: the reference for find_eigenvalues' matching
-    point per level.  Returns the roots and the angle evaluations."""
-    half_turns = zero_order._angle_sum(spec, series_m)
+    point per level.  Returns the roots, the angle evaluations and the
+    first level's index."""
+    half_turns = zero_order._angle_sum(spec)
     calls = []
 
     def f(energies):
@@ -1202,7 +1219,7 @@ def _fixed_point_crossings(spec, grid, xtol, series_m):
     roots = zero_order.brentq(
         f, grid[hi - 1], grid[hi], xtol=xtol, rtol=zero_order._REFINE_RTOL, target=n + 1.0
     )
-    return np.sort(roots), len(calls)
+    return np.sort(roots), len(calls), int(counts[0])
 
 
 def _fixed_point_scan(spec, e_lo, e_hi, **kwargs):
@@ -1272,31 +1289,27 @@ class TestMatchingPointPerLevel:
         np.testing.assert_allclose(scan.energies, ref.energies, rtol=1e-14, atol=0)
         assert (scan.angle_evaluations, ref.angle_evaluations) == (8, 55)
 
-    @pytest.mark.parametrize("series", [False, True], ids=["trig", "series"])
-    def test_one_brentq_call_refines_every_matching_point(self, series, monkeypatch):
+    def test_one_brentq_call_refines_every_matching_point(self, monkeypatch):
         # the levels of the barrier well above use several matching points;
         # one lock-step brentq call refines them all, its f called with one
         # matching point per bracket
         spec = PotentialSpec(
             (0.0, 0.4548, 2.7205, 4.4634, 6.4099, 8.9611), (6.146, 22.458, 36.366, 47.372, 12.319)
         )
-        spec = _series_twin(spec) if series else spec
         refines = _counting(monkeypatch, zero_order, "brentq")
         points = []
         angle_sum = zero_order._angle_sum
 
-        def recorded(of, series_m):
-            half_turns = angle_sum(of, series_m)
+        def recorded(of):
+            half_turns = angle_sum(of)
             if of is not spec:
                 return half_turns
             return lambda energies, *c: points.append(c) or half_turns(energies, *c)
 
         monkeypatch.setattr(zero_order, "_angle_sum", recorded)
-        scan = find_eigenvalues(spec, 6.146, 46.146, series_m=80 if series else None)
+        scan = find_eigenvalues(spec, 6.146, 46.146)
         assert len(scan.energies) == 11
-        # the power-series backend finds the overlap resonances as the levels
-        # of each overlap interval, one scan of its own each
-        assert len(refines) == (spec.n_interior if series else 1)
+        assert len(refines) == 1
         assert len(refines[0][0][1]) == 11
         # the grid, the other intervals at the steep cells' ends, the steps
         assert points[0] == () and len(points) == scan.angle_evaluations
@@ -1317,31 +1330,6 @@ class TestMatchingPointPerLevel:
             legs = (heights[-len(path):, row:row + 1], widths[-len(path):, row:row + 1])
             alone = zero_order._trig_angle(energies, legs)
             assert np.array_equal(both[row], alone[0])
-
-    def test_series_backend_shares_the_expansions(self, monkeypatch):
-        # the three-point window of oracle.exact_perturbed_energy around the
-        # ground state of the wider right well, matched in the left one by
-        # default; each interval's range and re-expansions are built once
-        spec = _series_twin(PotentialSpec((0.0, 1.0, 2.0, PI), (0.0, 10.0, 0.0)))
-        ranges = _counting(monkeypatch, potential, "_value_range")
-        levels = find_eigenvalues(spec, 0.05, 40.0, xtol=1e-14, series_m=60).energies
-        reanchored = _counting(monkeypatch, zero_order, "_reanchored")
-        shots = _counting(monkeypatch, zero_order, "_shots")
-        window = find_eigenvalues(
-            spec, levels[0] - 0.2, levels[0] + 0.2, scan=ScanConfig(points=3), xtol=1e-14, series_m=60
-        )
-        assert len(window.energies) == 1
-        assert abs(window.energies[0] - levels[0]) < 1e-12 * levels[0]
-        # the overlap resonances' own one-interval problem aside: the two
-        # wells as matching points (the barrier is no candidate), one range
-        # per interval of the spec, shared by the floor and the angle sum of
-        # both calls, and at most two anchors per interval, one from each side
-        def of_spec(calls):
-            return [args[1:] for args, _ in calls if args[0] is spec]
-
-        assert sorted(of_spec(shots)) == [(0,), (2,)]
-        assert sorted(of_spec(ranges)) == [(0,), (1,), (2,)]
-        assert len(set(of_spec(reanchored))) == len(of_spec(reanchored)) <= 2 * 3
 
 
 def test_matched_states_compare_by_identity(double_well_spec):
