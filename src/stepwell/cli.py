@@ -286,11 +286,10 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
     # matched-state smoothness (needs at least one interior breakpoint): the
     # ground state, matched on the fictitious-breakpoint copy for a plain box.
     # A polynomial zero order has no closed-form pieces: both piece checks
-    # read the level of its finest staircase nearest the ground state.
+    # read its finest staircase's level with the ground state's Sturm index.
     detail = ""
     if spec.zero_order_polys is not None:
-        base = scan.staircase
-        ground = min(find_eigenvalues(base, e_lo, e_hi).energies, key=lambda e: abs(e - energies[0]))
+        base, ground = scan.staircase, scan.staircase_energies[0]
         detail = f"on the finest staircase ({base.n_intervals} cells) at E = {_fmt(ground)}"
     elif spec.n_interior == 0:
         base, ground = aug, scan3.energies[0]

@@ -266,7 +266,8 @@ def _determinants(spec, energies):
     energy whose determinant is not finite has one marked (interval 0 if
     none overflows).  For N >= 1, and for a polynomial zero order, the
     energies go through the kernel in blocks that keep the stacked
-    matrices near 8 MB, or the transfer products near 20 MB."""
+    matrices near 8 MB, or the transfer products near 20 MB; a value does
+    not depend on the block it falls in."""
     n = spec.n_interior
     polynomial = spec.zero_order_polys is not None
     degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
@@ -339,17 +340,20 @@ def reference_floor(spec: PotentialSpec) -> float:
 
 
 # coarsest staircase: this many cells per unit of sqrt(max V - min V) on an
-# interval, and at least one
+# interval, and at least _CELLS_MIN where the polynomial varies
 _CELLS_PER_ROOT_VARIATION = 4.0
+_CELLS_MIN = 8
 
 
 def _base_cells(spec: PotentialSpec) -> np.ndarray:
     """Cells per interval of the coarsest staircase of a spec with
     zero_order_polys, from each polynomial's variation on its interval: a
     flat interval needs one cell, and the level error of a staircase grows
-    with the variation each cell leaves out."""
+    with the variation each cell leaves out.  Below _CELLS_MIN cells the
+    errors need not fall as h^2 yet: small tilts took six or seven
+    staircases from one cell per interval, and take four from eight."""
     return np.array([
-        max(1, math.ceil(_CELLS_PER_ROOT_VARIATION * math.sqrt(hi - lo)))
+        max(_CELLS_MIN, math.ceil(_CELLS_PER_ROOT_VARIATION * math.sqrt(hi - lo))) if hi > lo else 1
         for lo, hi in spec.value_ranges
     ])
 
@@ -391,31 +395,41 @@ def _richardson(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _extrapolated(spec: PotentialSpec, evaluate, scale=np.abs):
-    """Richardson extrapolation of ``evaluate(cells)``, which returns
-    (first, values): values numbered first, first + 1, ... on the
-    staircase of ``cells`` cells per interval.  The staircases start at
-    _base_cells times 1, 2, 4 and 8; the values all four number are
-    extrapolated, and while any finite one spreads by more than
-    STAIRCASE_RTOL max(1, scale), ``scale`` of the extrapolants (their
-    magnitude by default), the cells double (one new staircase a round).
-    Past STAIRCASE_CELLS_MAX cells on the finest staircase,
-    TruncationError.  Returns the extrapolants, in order, and the finest
-    cells."""
-    base, factor, runs = _base_cells(spec), 1, []
+    """Richardson extrapolation, key by key, of ``evaluate(cells, wanted)``:
+    a dict from keys to values (arrays of one shape) on the staircase of
+    ``cells`` cells per interval.  The first four staircases, _base_cells
+    times 1, 2, 4 and 8, are evaluated with ``wanted`` None; the keys all
+    four hold are extrapolated (_richardson), and a key converges once each
+    finite extrapolant spreads by at most STAIRCASE_RTOL max(1, scale),
+    ``scale`` of the extrapolants (their magnitude by default).  The cells
+    double, one new staircase a round, for the keys that have not, passed
+    as ``wanted``; so each key's extrapolant depends on its own values
+    alone.  A key the newest staircase lacks is dropped.  Past
+    STAIRCASE_CELLS_MAX cells, TruncationError.  Returns the extrapolants,
+    the finest cells and the finest staircase's values, by key."""
+    base, factor, runs, wanted, done = _base_cells(spec), 1, [], None, {}
     while True:
         if base.sum() * factor > STAIRCASE_CELLS_MAX:
             raise TruncationError(
                 f"staircase extrapolation did not converge within {STAIRCASE_CELLS_MAX} "
                 f"cells (coarsest cells per interval {base.tolist()})"
             )
-        runs = runs[-3:] + [evaluate(base * factor)]
+        runs = runs[-3:] + [evaluate(base * factor, wanted)]
         if len(runs) == 4:
-            first = max(f for f, _ in runs)
-            stop = max(first, min(f + len(v) for f, v in runs))
-            value, spread = _richardson(np.array([v[first - f : stop - f] for f, v in runs]))
-            tolerance = STAIRCASE_RTOL * np.maximum(1.0, scale(value))
-            if np.all((spread <= tolerance) | ~np.isfinite(value)):
-                return value, base * factor
+            held = set(runs[-1]).intersection(*runs[:-1])
+            keys = sorted(held if wanted is None else held & wanted)
+            wanted = set()
+            if keys:
+                value, spread = _richardson(np.array([[run[k] for k in keys] for run in runs]))
+                tolerance = STAIRCASE_RTOL * np.maximum(1.0, scale(value))
+                ok = (spread <= tolerance) | ~np.isfinite(value)
+                for k, v, good in zip(keys, value, ok.reshape(len(keys), -1).all(axis=1)):
+                    if good:
+                        done[k] = v
+                    else:
+                        wanted.add(k)
+            if not wanted:
+                return done, base * factor, runs[-1]
         factor *= 2
 
 
@@ -440,11 +454,11 @@ def _transfer_product(heights, widths, energies) -> np.ndarray:
 
 def _staircase_values(spec: PotentialSpec, energies):
     """The matching values of a spec with zero_order_polys at a 1-D array
-    of energies, extrapolated from staircases (_extrapolated): for N >= 1,
-    C_j and S_j at L_{j-1} and at L_{j+1}, as the (M, 2N) arrays c and s
-    that _stacked_matrices takes, each the first row of the transfer
-    product across the half-domain, from L_j; for N = 0, the sine-like
-    value from the left wall at the right wall, shape (M,).
+    of energies, extrapolated from staircases (_extrapolated) energy by
+    energy: for N >= 1, C_j and S_j at L_{j-1} and at L_{j+1}, as the
+    (M, 2N) arrays c and s that _stacked_matrices takes, each the first row
+    of the transfer product across the half-domain, from L_j; for N = 0,
+    the sine-like value from the left wall at the right wall, shape (M,).
 
     C and S at one end are converged relative to the larger of the two,
     the norm that the matching row is scaled by: near a level S across a
@@ -452,42 +466,46 @@ def _staircase_values(spec: PotentialSpec, energies):
     fraction of itself."""
     n = spec.n_interior
 
-    def values(cells):
+    def values(cells, wanted):
+        at = range(len(energies)) if wanted is None else sorted(wanted)
+        e = energies[at]
         stair = _staircase(spec, cells)
         heights, widths = np.array(stair.heights), np.diff(stair.breakpoints)
         bounds = np.concatenate([[0], np.cumsum(cells)])
         cells_of = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         if n == 0:
-            ends = [_transfer_product(heights, widths, energies)]
+            ends = [_transfer_product(heights, widths, e)]
         else:
             # interval j - 1 leftward from L_j, then interval j rightward
-            ends = [_transfer_product(heights[i][::-1], -widths[i][::-1], energies) for i in cells_of[:-1]]
-            ends += [_transfer_product(heights[i], widths[i], energies) for i in cells_of[1:]]
+            ends = [_transfer_product(heights[i][::-1], -widths[i][::-1], e) for i in cells_of[:-1]]
+            ends += [_transfer_product(heights[i], widths[i], e) for i in cells_of[1:]]
         rows = np.stack(ends, axis=-1)[:, 0]  # (M, 2, ends): C then S
-        return 0, np.moveaxis(rows, 1, 0).ravel()
+        return dict(zip(at, rows))
 
     def row_size(values):
-        c_and_s = np.abs(values.reshape(2, -1))
-        return np.tile(np.max(c_and_s, axis=0), 2)
+        return np.max(np.abs(values), axis=1, keepdims=True)
 
-    c, s = _extrapolated(spec, values, row_size)[0].reshape(2, len(energies), -1)
-    return s[:, 0] if n == 0 else (c, s)
+    done = _extrapolated(spec, values, row_size)[0]
+    rows = np.array([done[i] for i in range(len(energies))]).reshape(len(energies), 2, -1)
+    return rows[:, 1, 0] if n == 0 else (rows[:, 0], rows[:, 1])
 
 
-def _polynomial_levels(spec, e_lo, e_hi, scan, xtol) -> tuple[np.ndarray, int, PotentialSpec]:
+def _polynomial_levels(spec, e_lo, e_hi, scan, xtol):
     """The levels in (e_lo, e_hi) of a spec with zero_order_polys,
-    ascending, the angle evaluations and the finest staircase.
+    ascending, the angle evaluations, the finest staircase and its levels
+    with the same Sturm indices.
 
     Each staircase is scanned as a piecewise-constant spec, on the grid of
     find_eigenvalues over the window widened by its _height_error, so that
     it holds every level of the window.  Its levels are numbered by their
-    Sturm index and extrapolated (_extrapolated).  A level whose angle sum
-    steps across its cell may be matched in the lowest cell of any
-    interval of ``spec``, not in every cell."""
+    Sturm index and extrapolated (_extrapolated), each on as many
+    staircases as it needs.  A level whose angle sum steps across its cell
+    may be matched in the lowest cell of any interval of ``spec``, not in
+    every cell."""
     floor = reference_floor(spec)
     evaluations = 0
 
-    def levels(cells):
+    def levels(cells, wanted):
         nonlocal evaluations
         stair = _staircase(spec, cells)
         margin = _height_error(spec, cells)
@@ -497,12 +515,14 @@ def _polynomial_levels(spec, e_lo, e_hi, scan, xtol) -> tuple[np.ndarray, int, P
         points = [lo + int(np.argmin(stair.heights[lo:hi])) for lo, hi in zip(starts, starts[1:])]
         roots, used, first = _refined_crossings(stair, floor + ks * ks, xtol, points)
         evaluations += used
-        return first, roots
+        return dict(enumerate(roots.tolist(), start=first))
 
-    roots, cells = _extrapolated(spec, levels)
+    done, cells, finest = _extrapolated(spec, levels)
+    # the finest staircase puts a level it lacks outside the window, and
     # a pair split below the extrapolation's error may come out swapped
-    roots = np.sort(roots[(roots > e_lo) & (roots < e_hi)])
-    return roots, evaluations, _staircase(spec, cells)
+    keys = [k for k in sorted(done) if e_lo < done[k] < e_hi and k in finest]
+    roots = np.sort([done[k] for k in keys])
+    return roots, evaluations, _staircase(spec, cells), tuple(finest[k] for k in keys)
 
 
 def _shots(spec: PotentialSpec, c: int) -> tuple[list, list]:
@@ -682,7 +702,9 @@ class EigenvalueScan:
     points at the ends of steep cells, and the brentq steps (summed over
     the staircases of a spec with zero_order_polys).  ``staircase`` is,
     for such a spec, the finest staircase its levels were extrapolated
-    from, and None otherwise.
+    from, and None otherwise; ``staircase_energies`` are that staircase's
+    levels with the Sturm indices of those in the window, ascending in
+    index (empty otherwise).
     """
 
     energies: tuple[float, ...]
@@ -692,6 +714,7 @@ class EigenvalueScan:
     near_degenerate: tuple[float, ...] = ()
     angle_evaluations: int = 0
     staircase: PotentialSpec | None = None
+    staircase_energies: tuple[float, ...] = ()
 
 
 # smallest relative tolerance brentq accepts: four ulps
@@ -938,9 +961,11 @@ def find_eigenvalues(
     if not k_hi > k_lo:
         return EigenvalueScan((), count is None)
 
-    staircase = None
+    staircase, staircase_energies = None, ()
     if spec.zero_order_polys is not None:
-        roots, evaluations, staircase = _polynomial_levels(spec, e_lo, e_hi, scan, xtol)
+        roots, evaluations, staircase, staircase_energies = _polynomial_levels(
+            spec, e_lo, e_hi, scan, xtol
+        )
         resonances = _overlap_resonances(spec, e_lo, e_hi, scan, xtol)
     else:
         ks = np.linspace(k_lo, k_hi, scan.points)
@@ -966,6 +991,7 @@ def find_eigenvalues(
         near_degenerate=tuple(e for e in levels if e in merged),
         angle_evaluations=evaluations,
         staircase=staircase,
+        staircase_energies=staircase_energies,
     )
 
 

@@ -354,12 +354,14 @@ class TestValidate:
         assert all(c["passed"] for c in checks)
         assert "psi0-smoothness" in {c["name"] for c in checks}
 
-    def test_polynomial_zero_order_runs_every_check(self, tmp_path):
+    @pytest.mark.parametrize("geometry", [
+        {"breakpoints": [0, 1.5, PI], "heights": [0, 0], "zero_order_polys": [[0, 2], [0, 2]]},
+        # a barrier: every cell of its staircase lies above the ground state
+        {"breakpoints": [0, 1, 2, PI], "heights": [0, 10, 0], "zero_order_polys": [[0, 1]] * 3},
+    ])
+    def test_polynomial_zero_order_runs_every_check(self, tmp_path, geometry):
         # the piece checks read the finest staircase, and say so
-        spec = write_spec(
-            tmp_path,
-            {"breakpoints": [0, 1.5, PI], "heights": [0, 0], "zero_order_polys": [[0, 2], [0, 2]]},
-        )
+        spec = write_spec(tmp_path, geometry)
         out = tmp_path / "v.json"
         rc = main(["validate", "--spec", spec, "--e-lo", "0.5", "--e-hi", "20", "--out", str(out)])
         doc = json.loads(out.read_text())
@@ -402,7 +404,7 @@ GOLDEN_SHA256 = {
     "box_scan": "a6c2f954ea1f144621f700b5e319bdfa53501e7b8fcc736cf36d630c51beb2d8",
     "box_spectrum": "49298a30c96eb59aea85d0dc07a21bd5a92f7804b37bbe78d57e2e7655b6e011",
     "box_perturb": "7b8c339728e6b29e965e8f7193bc75ef2ddfdef8861c0681e7af840e212e9f8a",
-    "box_validate": "59a96e03d9317982b1a67f611a97b2337d88fd6a02491d65d9c1148ab3485548",
+    "box_validate": "be974bff10e4efc70e7fbc95ceb46e6f00361a0d743ad0bc94e1275ac63daa8f",
     "step_scan": "ce782efd078d10ca1e8639bd068e943daa3852b62c55bb9f01fc8b8a8ee7533e",
     "step_spectrum": "cca9e22c3d2ea4609254605085967ee696084f7d38881c6296d9db8d859e66a7",
     "step_perturb": "a8ef8474cdc24d3fbac544cf33b71ee1e62ec060f5f4c0fa84893f62f62d9498",
@@ -410,7 +412,7 @@ GOLDEN_SHA256 = {
     "double_well_scan": "2fe9d1882a0be2b0f2a860307c9c3fdbc6672c9a75e1a5772e1acddebbf3197a",
     "double_well_spectrum": "3f62b64436b5c56c40e8a5f0ca47e126e94e601a43256e6e23de12df27743c37",
     "double_well_perturb": "7a727ca06b36e94e2042f191f06ec97ec57d8e5229e9e168d847629ebfd6eda9",
-    "double_well_validate": "abbe4acb4b724e15c543ee2595dad1244d98a38a67c20e133ff116fb0d0fe61e",
+    "double_well_validate": "e21c773c833ebc0f1eded46e3d50ef40dd9c523f9519bf179ebe29d88e510a56",
 }
 
 

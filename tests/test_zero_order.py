@@ -361,18 +361,23 @@ class TestBatchedDeterminant:
         assert np.array_equal(secular_determinant(spec, energies), whole, equal_nan=True)
         assert secular_determinant(spec, energies[:0]).shape == (0,)
 
-    def test_polynomial_spec_shares_the_path(self, n1_step_spec):
-        # extrapolated boundary values go through the same kernel; the array
-        # form may take a finer staircase than one energy alone, so it
-        # agrees with the scalar form to the extrapolation's tolerance
-        spec = PotentialSpec(
-            n1_step_spec.breakpoints, n1_step_spec.heights, ((0.0, 0.2), (0.0, 0.2))
-        )
-        energies = np.linspace(1.0, 12.0, 7)
+    @pytest.mark.parametrize("n_interior", [0, 1])
+    def test_polynomial_spec_shares_the_path(self, n1_step_spec, monkeypatch, n_interior):
+        # extrapolated boundary values go through the same kernel, energy by
+        # energy: the array form, in blocks of any size, is the scalar form
+        if n_interior:
+            spec = PotentialSpec(n1_step_spec.breakpoints, n1_step_spec.heights, ((0.0, 0.2),) * 2)
+        else:
+            spec = PotentialSpec((0.0, 2.0), (0.0,), ((0.0, 0.0, 1.5),))
+        # the energies take from four to six staircases
+        energies = np.linspace(1.0, 60.0, 23)
         scalar = [secular_determinant(spec, e) for e in energies]
-        np.testing.assert_allclose(secular_determinant(spec, energies), scalar, rtol=1e-12, atol=1e-14)
-        for e, det in zip(energies, scalar):
-            assert np.linalg.det(matching_matrix(spec, e)) == det
+        assert np.array_equal(secular_determinant(spec, energies), scalar)
+        monkeypatch.setattr(zero_order, "_STAIRCASE_BLOCK", 5)
+        assert np.array_equal(secular_determinant(spec, energies), scalar)
+        if n_interior:
+            for e, det in zip(energies, scalar):
+                assert np.linalg.det(matching_matrix(spec, e)) == det
 
     @pytest.mark.parametrize("barrier", [1.6e5, 1e6])
     def test_overflow_raises_instead_of_silence(self, barrier):
@@ -871,10 +876,10 @@ class TestStaircases:
             np.testing.assert_allclose(got, [solution(value, slope, x) for x in (0.0, 1.0)], rtol=1e-12)
 
     def test_past_the_cell_cap_raises(self, monkeypatch):
-        # the tilted well converges at 480 cells; a cap of 240 lets the
+        # the tilted well converges at 512 cells; a cap of 300 lets the
         # cells double once, and then the spread is still too wide
-        monkeypatch.setattr(zero_order, "STAIRCASE_CELLS_MAX", 240)
-        with pytest.raises(TruncationError, match="within 240 cells"):
+        monkeypatch.setattr(zero_order, "STAIRCASE_CELLS_MAX", 300)
+        with pytest.raises(TruncationError, match="within 300 cells"):
             find_eigenvalues(TILTED, 0.5, 60.0)
         monkeypatch.setattr(zero_order, "STAIRCASE_CELLS_MAX", 8)
         with pytest.raises(TruncationError, match="within 8 cells"):
