@@ -4,7 +4,6 @@ polynomial perturbations."""
 
 from .config import DEFAULT_SCAN, ScanConfig
 from .errors import (
-    DegenerateEnergyError,
     DegenerateFrequencyError,
     DegeneracyParadoxError,
     FrequencyMismatchError,

@@ -123,10 +123,8 @@ def cmd_scan(args) -> int:
     floor = reference_floor(spec)
     ks = np.linspace(args.k_lo, args.k_hi, args.points)
     energies = floor + ks * ks
-    dets, degenerate, overflow = _determinants(spec, energies)
-    reasons = np.where(
-        degenerate.any(axis=1), "degenerate", np.where(overflow.any(axis=1), "non-finite", "")
-    ).tolist()
+    dets, overflow = _determinants(spec, energies)
+    reasons = np.where(overflow.any(axis=1), "non-finite", "").tolist()
     rows = [(k, None if why else d, why) for k, d, why in zip(ks.tolist(), dets.tolist(), reasons)]
     skipped = [(k, why) for k, d, why in rows if d is None]
     if args.format == "json":

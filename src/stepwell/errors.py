@@ -9,18 +9,8 @@ class SchemaError(SolverError):
     """Input document failed validation; the message carries the field path."""
 
 
-class DegenerateEnergyError(SolverError):
-    """Energy coincides with an interval height within the degeneracy floor.
-
-    The local frequency vanishes there and the trigonometric basis breaks
-    down.  Move the energy (the window or the scan grid) off the height; a
-    common shift of all heights and the window moves nothing, because it
-    leaves E - H_i unchanged.
-    """
-
-
 class NonFiniteDeterminantError(SolverError):
-    """Matching determinant is NaN or infinite at a non-degenerate energy.
+    """Matching determinant is NaN or infinite.
 
     Happens when a boundary value overflows, e.g. cosh(kappa w) for
     kappa w above about 710 behind a tall, wide barrier; the message names

@@ -46,7 +46,7 @@ from .trigbasis import (
 from .zero_order import (
     EigenvalueScan,
     MatchedState,
-    _boundary_values,
+    _matching_values,
     _stacked_matrices,
     cover,
     find_eigenvalues,
@@ -180,7 +180,7 @@ def build_omega(state: MatchedState) -> OmegaSet:
     pieces, at_lo, at_hi = _zero_data_solutions(state, psi0)
     n = state.n_domains
     a = np.zeros((2 * n + 1, 2 * n + 1))
-    a[:-1, :-1] = _stacked_matrices(*_boundary_values([state.bases]))[0]
+    a[:-1, :-1] = _stacked_matrices(*_matching_values(state.spec, np.array([state.energy])))[0]
     a[:-1:2, -1] = at_lo
     a[1:-1:2, -1] = at_hi
     a[-1, :-1] = state.coeffs.ravel()

@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import BETA_MIN
-from .errors import DegenerateEnergyError, SchemaError
+from .errors import SchemaError
 
 __all__ = [
     "PotentialSpec",
@@ -208,52 +207,27 @@ def potential_value(spec: PotentialSpec, x) -> np.ndarray:
     return out if np.ndim(x) else float(out[0])
 
 
-def degenerate_energy_error(
-    spec: PotentialSpec, interval: int, energy: float
-) -> DegenerateEnergyError:
-    """The error for an energy within BETA_MIN^2 of an interval height."""
-    return DegenerateEnergyError(
-        f"E = {energy} degenerate with height {spec.heights[interval]} on interval "
-        f"{interval}; move the energy window (or scan grid) off this height "
-        "(a gauge shift cannot help: it leaves E - H unchanged)"
-    )
-
-
 def local_frequency(spec: PotentialSpec, interval: int, energy: float) -> complex:
-    """Principal square root beta_i = sqrt(E - H_i) for one interval.
+    """Principal square root beta_i = sqrt(E - H_i + 0j) for one interval.
 
     Real and positive above the height, purely imaginary with positive
-    imaginary part below it: the principal root of E - H_i + 0j is already
-    so, and needs no sign flip.  Energies within BETA_MIN^2 of the height
-    are rejected with DegenerateEnergyError; move the energy off the height
-    (a gauge shift of heights and window together moves nothing, because
-    E - H_i is unchanged).
+    imaginary part below it, and 0 at it: the principal root is already
+    so, and needs no sign flip.  The matching values (unit_solutions) are
+    defined at every energy, beta = 0 included; only the series pieces
+    (TrigPoly) reject |beta| <= BETA_MIN.
     """
-    diff = energy - spec.heights[interval]
-    if abs(diff) <= BETA_MIN**2:
-        raise degenerate_energy_error(spec, interval, energy)
-    return complex(np.sqrt(complex(diff)))
+    return complex(np.sqrt(complex(energy - spec.heights[interval])))
 
 
-def local_frequencies(
-    spec: PotentialSpec, energies: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """local_frequency for every interval at each energy of a 1-D array.
+def local_frequencies(spec: PotentialSpec, energies: np.ndarray) -> np.ndarray:
+    """local_frequency for every interval at each energy of a 1-D array,
+    shape (M, n_intervals).
 
     The same rule, vectorised; the scalar form stays for the per-energy
     bases and is the reference the batched determinant is tested against.
-    Each beta is the principal root of E - H_i + 0j: real and positive, or
-    purely imaginary with positive imaginary part.  Returns beta, shape
-    (M, n_intervals), and the mask of entries within BETA_MIN^2 of their
-    height, where local_frequency would raise; beta is set to 1 there so
-    that callers can evaluate without warnings and discard those energies
-    afterwards.
     """
     diff = np.asarray(energies, dtype=float)[:, None] - np.asarray(spec.heights)
-    degenerate = np.abs(diff) <= BETA_MIN**2
-    beta = np.sqrt(diff.astype(complex))
-    beta[degenerate] = 1.0
-    return beta, degenerate
+    return np.sqrt(diff.astype(complex))
 
 
 # -- input document handling ------------------------------------------

@@ -178,6 +178,9 @@ def unit_solutions(freq, t) -> tuple[np.ndarray, np.ndarray]:
     The values of TrigPoly.cosine(a, beta) and TrigPoly.sine_unit_slope(a,
     beta) at x = a + t, from the same complex expressions (so the same bits
     wherever they are finite), for a whole array of frequencies at once.
+    Both are entire in beta^2; at beta = 0, an energy on a height, they
+    take their limits 1 and t (Ixaru's eta_-1 and t eta_0; Ixaru, De
+    Meyer & Vanden Berghe, J. Comput. Appl. Math. 88 (1998) 289).
     Only the real parts are returned, with no reality check, because for
     real t and beta real or purely imaginary (local_frequencies) the
     imaginary parts are exactly +-0, or NaN where cosh or sinh overflows,
@@ -186,8 +189,12 @@ def unit_solutions(freq, t) -> tuple[np.ndarray, np.ndarray]:
     and cos(bt) sinh(+-0); with beta = 0 + ik, cos(ikt) = cosh(kt) - i
     sin(0) sinh(kt) and sin(ikt) / (ik) = sinh(kt) / k + i 0 sinh(kt).
     """
-    arg = freq * t
-    return np.cos(arg).real, (np.sin(arg) * (1.0 / freq)).real
+    if np.all(freq):
+        arg = freq * t
+        return np.cos(arg).real, (np.sin(arg) * (1.0 / freq)).real
+    zero = freq == 0
+    c, s = unit_solutions(np.where(zero, 1.0, freq), t)
+    return np.where(zero, 1.0, c), np.where(zero, t, s)
 
 
 def derivative(f: TrigPoly) -> TrigPoly:

@@ -45,12 +45,7 @@ from .errors import (
     SchemaError,
     TruncationError,
 )
-from .potential import (
-    PotentialSpec,
-    degenerate_energy_error,
-    local_frequencies,
-    local_frequency,
-)
+from .potential import PotentialSpec, local_frequencies, local_frequency
 from .trigbasis import TrigPoly, unit_solutions
 
 __all__ = [
@@ -73,11 +68,10 @@ class DomainBasis:
     """Local solution pair on the double interval (x_lo, x_hi) anchored at L_j.
 
     c_* pieces have (value, slope) = (1, 0) at the anchor, s_* pieces (0, 1);
-    the left piece lives on (x_lo, anchor), the right piece on (anchor, x_hi),
-    and the four boundary values at x_lo and x_hi are cached.  The matching
-    kernel takes those values from unit_solutions itself and no basis is
-    built to find or match a level; a MatchedState builds its bases on
-    first access, for the perturbation series.
+    the left piece lives on (x_lo, anchor), the right piece on (anchor,
+    x_hi).  The matching values at x_lo and x_hi come from _matching_values
+    alone, and no basis is built to find or match a level; a MatchedState
+    builds its bases on first access, for the perturbation series.
     """
 
     j: int
@@ -88,10 +82,6 @@ class DomainBasis:
     s_left: TrigPoly
     c_right: TrigPoly
     s_right: TrigPoly
-    c_at_lo: float
-    s_at_lo: float
-    c_at_hi: float
-    s_at_hi: float
 
     def piece(self, kind: str, side: str):
         return getattr(self, f"{kind}_{side}")
@@ -115,9 +105,6 @@ def build_domain_basis(spec: PotentialSpec, energy: float, j: int) -> DomainBasi
     x_hi = spec.breakpoints[j + 1]
     beta_l = local_frequency(spec, j - 1, energy)
     beta_r = local_frequency(spec, j, energy)
-    c_ends, s_ends = unit_solutions(
-        np.array([beta_l, beta_r]), np.array([x_lo - anchor, x_hi - anchor])
-    )
     return DomainBasis(
         j,
         anchor,
@@ -127,22 +114,11 @@ def build_domain_basis(spec: PotentialSpec, energy: float, j: int) -> DomainBasi
         TrigPoly.sine_unit_slope(anchor, beta_l),
         TrigPoly.cosine(anchor, beta_r),
         TrigPoly.sine_unit_slope(anchor, beta_r),
-        c_at_lo=float(c_ends[0]),
-        s_at_lo=float(s_ends[0]),
-        c_at_hi=float(c_ends[1]),
-        s_at_hi=float(s_ends[1]),
     )
 
 
 def _domain_bases(spec, energy) -> list[DomainBasis]:
     return [build_domain_basis(spec, energy, j) for j in range(1, spec.n_interior + 1)]
-
-
-def _boundary_values(bases_per_energy) -> tuple[np.ndarray, np.ndarray]:
-    """_stacked_matrices' C and S values from M lists of N bases."""
-    c = [[b.c_at_lo for b in bases] + [b.c_at_hi for b in bases] for bases in bases_per_energy]
-    s = [[b.s_at_lo for b in bases] + [b.s_at_hi for b in bases] for bases in bases_per_energy]
-    return np.array(c), np.array(s)
 
 
 @cache
@@ -195,15 +171,12 @@ def _stacked_matrices(c, s) -> np.ndarray:
 
 def matching_matrix(spec: PotentialSpec, energy: float) -> np.ndarray:
     """The homogeneous matching system with rows scaled to unit length;
-    singular exactly at eigenvalues.  DegenerateEnergyError at an energy
-    degenerate with an interval height, NonFiniteDeterminantError where the
+    singular exactly at eigenvalues.  NonFiniteDeterminantError where the
     boundary values overflow."""
     if spec.n_interior < 1:
         raise ValueError("matching matrix needs at least one interior breakpoint")
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices, degenerate, overflow = _matching_block(spec, np.array([float(energy)]))
-    if degenerate[0].any():
-        raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
+        matrices, overflow = _matching_block(spec, np.array([float(energy)]))
     if overflow[0].any():
         raise _non_finite_error(energy, overflow[0])
     return matrices[0]
@@ -217,27 +190,30 @@ _BLOCK_BYTES = 8 * 2**20
 _STAIRCASE_BLOCK = 16
 
 
+def _matching_values(spec, energies) -> tuple[np.ndarray, np.ndarray]:
+    """The matching values at a 1-D array of energies (N >= 1), the one
+    place they are computed: C_j and S_j at L_{j-1} and at L_{j+1}, as the
+    (M, 2N) arrays c and s that _stacked_matrices takes.  Closed-form specs
+    take them from the local frequencies (unit_solutions, defined at every
+    energy, a height included); a spec with zero_order_polys extrapolates
+    them from staircases (_staircase_values)."""
+    if spec.zero_order_polys is not None:
+        return _staircase_values(spec, energies)
+    beta = local_frequencies(spec, energies)
+    return unit_solutions(beta[:, _assembly(spec.n_interior)[0]], _end_offsets(spec.breakpoints))
+
+
 def _matching_block(spec, energies):
     """The matching kernel: row-normalized matching matrices at a block of
     energies (N >= 1), the one place such a matrix is built.
 
-    Returns the (M, 2N, 2N) matrices and two (M, N + 1) masks: the
-    intervals whose height an energy is degenerate with (its entries are
-    meaningless) and the intervals whose boundary values overflow the row
-    normalization (an inf or NaN row norm).  Rows are scaled to unit
-    length, so the determinant stays in [-1, 1] and keeps its zeros.
-    Closed-form specs take the boundary values from the local frequencies;
-    a spec with zero_order_polys extrapolates them from staircases
-    (_staircase_values) and has no degenerate energy.
+    Returns the (M, 2N, 2N) matrices and the (M, N + 1) mask of the
+    intervals whose matching values overflow the row normalization (an inf
+    or NaN row norm).  Rows are scaled to unit length, so the determinant
+    stays in [-1, 1] and keeps its zeros.
     """
     n = spec.n_interior
-    if spec.zero_order_polys is not None:
-        degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
-        c, s = _staircase_values(spec, energies)
-    else:
-        beta, degenerate = local_frequencies(spec, energies)
-        c, s = unit_solutions(beta[:, _assembly(n)[0]], _end_offsets(spec.breakpoints))
-    a = _stacked_matrices(c, s)
+    a = _stacked_matrices(*_matching_values(spec, energies))
     # the row norms, summed as np.linalg.norm sums them
     norms = np.sqrt(np.add.reduce(a * a, axis=-1))
     # row 2j - 2 holds domain j's values on interval j - 1, row 2j - 1 on interval j
@@ -245,7 +221,7 @@ def _matching_block(spec, energies):
     overflow = np.zeros((len(energies), n + 1), dtype=bool)
     overflow[:, :-1] = bad[:, 0::2]
     overflow[:, 1:] |= bad[:, 1::2]
-    return a / norms[..., None], degenerate, overflow
+    return a / norms[..., None], overflow
 
 
 def _non_finite_error(energy, overflow) -> NonFiniteDeterminantError:
@@ -260,21 +236,18 @@ def _non_finite_error(energy, overflow) -> NonFiniteDeterminantError:
 
 def _determinants(spec, energies):
     """secular_determinant's values at a 1-D array of energies, with the
-    kernel's two masks, one row per energy: the intervals whose height the
-    energy is degenerate with, and the intervals whose boundary values
-    overflow.  A degenerate energy's overflow row is all False; any other
-    energy whose determinant is not finite has one marked (interval 0 if
-    none overflows).  For N >= 1, and for a polynomial zero order, the
-    energies go through the kernel in blocks that keep the stacked
-    matrices near 8 MB, or the transfer products near 20 MB; a value does
-    not depend on the block it falls in."""
+    kernel's mask of the intervals whose boundary values overflow, one row
+    per energy: an energy whose determinant is not finite has one marked
+    (interval 0 if none overflows).  For N >= 1, and for a polynomial zero
+    order, the energies go through the kernel in blocks that keep the
+    stacked matrices near 8 MB, or the transfer products near 20 MB; a
+    value does not depend on the block it falls in."""
     n = spec.n_interior
     polynomial = spec.zero_order_polys is not None
-    degenerate = np.zeros((len(energies), spec.n_intervals), dtype=bool)
-    overflow = np.zeros_like(degenerate)
+    overflow = np.zeros((len(energies), spec.n_intervals), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if n == 0 and not polynomial:
-            beta, degenerate = local_frequencies(spec, energies)
+            beta = local_frequencies(spec, energies)
             dets = unit_solutions(beta[:, 0], spec.x_max - spec.x_min)[1]
         else:
             step = _STAIRCASE_BLOCK if polynomial else max(1, _BLOCK_BYTES // (32 * n * n))
@@ -284,13 +257,10 @@ def _determinants(spec, energies):
                 if n == 0:
                     dets[block] = _staircase_values(spec, energies[block])
                     continue
-                matrices, degenerate[block], overflow[block] = _matching_block(
-                    spec, energies[block]
-                )
+                matrices, overflow[block] = _matching_block(spec, energies[block])
                 dets[block] = np.linalg.det(matrices)
     overflow[:, 0] |= ~np.isfinite(dets) & ~overflow.any(axis=1)
-    overflow[degenerate.any(axis=1)] = False
-    return dets, degenerate, overflow
+    return dets, overflow
 
 
 def secular_determinant(
@@ -301,37 +271,31 @@ def secular_determinant(
 ) -> float | np.ndarray:
     """Row-normalized determinant of the matching system.
 
-    Continuous in E between height degeneracies; its sign changes bracket
-    the eigenvalues.  Row normalization keeps the value in [-1, 1] without
-    moving any zero.  For N = 0 the matching degenerates to the boundary
-    condition and the sine-like wall-to-wall value is returned instead.
-    A spec with zero_order_polys builds the same matrix from extrapolated
+    Continuous in E, an interval height included (unit_solutions); its
+    sign changes bracket the eigenvalues.  Row normalization keeps the
+    value in [-1, 1] without moving any zero.  For N = 0 the matching
+    degenerates to the boundary condition and the sine-like wall-to-wall
+    value is returned instead.  A spec with zero_order_polys builds the same matrix from extrapolated
     boundary values (_staircase_values).  ``series_m`` is accepted and
     ignored; it is kept only for callers written for an earlier backend.
 
     ``energy`` is a scalar or a 1-D array.  The array form evaluates every
     energy in one vectorised pass (blocked so that the stacked matrices stay
-    near 8 MB) and returns an array, NaN at energies degenerate with an
-    interval height; a scalar call there raises DegenerateEnergyError.
-    Either form raises NonFiniteDeterminantError at a non-degenerate energy
-    whose boundary values overflow: the determinant there is NaN, or an
-    exact 0 from rows normalized by an infinite norm.
+    near 8 MB) and returns an array.  Either form raises
+    NonFiniteDeterminantError at an energy whose boundary values overflow:
+    the determinant there is NaN, or an exact 0 from rows normalized by an
+    infinite norm.
     """
     e = np.asarray(energy, dtype=float)
     if e.ndim > 1:
         raise ValueError("energy must be a scalar or a one-dimensional array")
     energies = np.atleast_1d(e)
-    dets, degenerate, overflow = _determinants(spec, energies)
+    dets, overflow = _determinants(spec, energies)
     bad = overflow.any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise _non_finite_error(energies[i], overflow[i])
-    if e.ndim == 0:
-        if degenerate[0].any():
-            raise degenerate_energy_error(spec, int(np.argmax(degenerate[0])), energy)
-        return float(dets[0])
-    dets[degenerate.any(axis=1)] = np.nan
-    return dets
+    return float(dets[0]) if e.ndim == 0 else dets
 
 
 def reference_floor(spec: PotentialSpec) -> float:
@@ -437,13 +401,11 @@ def _transfer_product(heights, widths, energies) -> np.ndarray:
     """The product M_last ... M_first of the cells' transfer matrices at
     each energy, shape (M, 2, 2).  Cell k maps (psi, psi') across its
     signed width t: [[C, S], [(H - E) S, C]] with C = cos(beta t) and
-    S = sin(beta t) / beta (unit_solutions), or the flat limit C = 1, S = t
-    where E is within BETA_MIN^2 of the cell's height H.  The product is
-    taken in pairs, so in log2(cells) array steps."""
+    S = sin(beta t) / beta (unit_solutions, which gives C = 1, S = t on the
+    cell's height H).  The product is taken in pairs, so in log2(cells)
+    array steps."""
     q = energies[:, None] - heights
-    flat = np.abs(q) <= BETA_MIN**2
-    c, s = unit_solutions(np.sqrt(np.where(flat, 1.0, q).astype(complex)), widths)
-    c, s = np.where(flat, 1.0, c), np.where(flat, widths, s)
+    c, s = unit_solutions(np.sqrt(q.astype(complex)), widths)
     m = np.stack([np.stack([c, s], axis=-1), np.stack([-q * s, c], axis=-1)], axis=-2)
     while m.shape[1] > 1:
         if m.shape[1] % 2:
@@ -578,7 +540,7 @@ def _trig_angle(energies, legs) -> np.ndarray:
 
     tan(theta) = S psi / psi', psi' taken along the path, with the scale
     S = sqrt|E - H_i| on interval i (1 where E is within BETA_MIN^2 of
-    H_i, the rule of local_frequency); theta = 0 at the wall and passes each
+    H_i, a choice of scale); theta = 0 at the wall and passes each
     multiple of pi upward at a zero of psi.  Each interval has a closed form
     that cannot overflow: an oscillatory one advances theta by beta w, an
     evanescent one shrinks tan(theta - pi/4) (mod pi) by exp(-2 kappa w)
@@ -739,9 +701,7 @@ def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0, f_ends=Non
     per bracket, a finished bracket repeating its root, so that f may pair
     each entry with data of its bracket.  Each bracket takes the same steps,
     and returns the same float, as it would alone.  ``target`` is then a
-    scalar or one value per bracket.  A NaN at an unfinished bracket is
-    evaluated again as a scalar, so that f raises there what its scalar
-    form raises.
+    scalar or one value per bracket.
 
     ``f_ends = (f(a), f(b))``, values already known (of f, not f - target,
     shaped like ``a`` and ``b``), take the place of the first two calls;
@@ -771,8 +731,6 @@ def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0, f_ends=Non
         still = []
         for i in running:
             fx = float(fxs[i])
-            if math.isnan(fx) and not scalar:
-                fx = float(f(xs[i]))
             if math.isnan(fx):
                 raise ValueError(f"f({xs[i]!r}) is NaN; the root cannot be refined")
             try:

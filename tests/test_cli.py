@@ -99,30 +99,30 @@ class TestScan:
         assert doc["rows"][0][0] == 0.5
         assert doc["skipped_k"] == [] and "skipped_reasons" not in doc
 
-    @pytest.mark.parametrize(
-        "heights, k_hi, points, skipped, reason",
-        [
-            # k = 1 puts E exactly on the barrier height
-            ([0, 1, 0], 1.5, 3, [1.0], "degenerate"),
-            # cosh(1000) overflows at every grid energy
-            ([0, 1e6, 0], 3.5, 4, [0.5, 1.5, 2.5, 3.5], "non-finite"),
-        ],
-    )
-    def test_skipped_points_name_their_reason(
-        self, tmp_path, heights, k_hi, points, skipped, reason
-    ):
-        spec = write_spec(tmp_path, {"breakpoints": [0, 1, 2, 3], "heights": heights})
-        flags = ["--k-lo", "0.5", "--k-hi", str(k_hi), "--points", str(points)]
+    def test_skipped_points_name_their_reason(self, tmp_path):
+        # cosh(1000) overflows at every grid energy, the only reason a
+        # point is skipped
+        spec = write_spec(tmp_path, {"breakpoints": [0, 1, 2, 3], "heights": [0, 1e6, 0]})
+        flags = ["--k-lo", "0.5", "--k-hi", "3.5", "--points", "4"]
+        skipped = [0.5, 1.5, 2.5, 3.5]
         csv, js = tmp_path / "scan.csv", tmp_path / "scan.json"
         assert main(["scan", "--spec", spec, *flags, "--out", str(csv)]) == 0
         flags += ["--format", "json"]
         assert main(["scan", "--spec", spec, *flags, "--out", str(js)]) == 0
         comments = [ln for ln in csv.read_text().splitlines() if ln.startswith("#")]
-        assert comments == [f"# skipped {reason} k={k:.17g}" for k in skipped]
+        assert comments == [f"# skipped non-finite k={k:.17g}" for k in skipped]
         doc = json.loads(js.read_text())
         assert doc["skipped_k"] == skipped
-        assert doc["skipped_reasons"] == [reason] * len(skipped)
-        assert len(doc["rows"]) == points - len(skipped)
+        assert doc["skipped_reasons"] == ["non-finite"] * len(skipped)
+        assert doc["rows"] == []
+
+    def test_energy_on_a_height_is_a_row(self, tmp_path, box_file):
+        # k = 0 puts E on the box's floor: beta = 0, and the wall-to-wall
+        # sine-like value is its limit, the width
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--spec", box_file, "--k-lo", "0", "--k-hi", "1", "--points", "3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text().splitlines()[:2] == ["k,determinant", f"0,{PI:.17g}"]
 
     def test_polynomial_zero_order(self, tmp_path):
         # the table reads extrapolated boundary values: its sign changes
@@ -247,6 +247,40 @@ class TestSpectrum:
         assert all(s["coefficients"] is None and s["residual"] is None for s in levels)
         assert len(doc["warnings"]) == len(levels)
         assert all("not finite" in w and "interval 1 " in w for w in doc["warnings"])
+
+
+# tan k = -k: on the step (0, 1, 2)/(0, k^2) a level sits on the step's
+# height, where psi is proportional to 2 - x, and the window (3, 5)
+# refines it onto the height exactly
+ON_HEIGHT_K = 2.028757838110434
+
+
+class TestLevelOnAHeight:
+    @pytest.fixture
+    def step_file(self, tmp_path):
+        doc = {
+            "breakpoints": [0, 1, 2],
+            "heights": [0, ON_HEIGHT_K**2],
+            "perturbation": {"global_poly": [0, 1]},
+        }
+        return write_spec(tmp_path, doc)
+
+    def test_spectrum_matches_the_level(self, tmp_path, step_file):
+        out = tmp_path / "s.json"
+        argv = ["spectrum", "--spec", step_file, "--e-lo", "3", "--e-hi", "5", "--out", str(out)]
+        assert main(argv) == 0
+        (level,) = json.loads(out.read_text())["eigenvalues"]
+        assert level["energy"] == ON_HEIGHT_K**2
+        assert level["residual"] <= 1e-15
+        assert level["coefficients"] == [[0.70710678118654746, -0.70710678118654757]]
+
+    def test_series_pieces_still_reject_the_height(self, tmp_path, step_file, capsys):
+        # the series pieces divide by beta (BETA_MIN), the matching does not
+        argv = ["--spec", step_file, "--e-lo", "3", "--e-hi", "5", "--out", str(tmp_path / "o")]
+        assert main(["perturb", *argv]) == 3
+        assert "[S3:omega]" in capsys.readouterr().err
+        assert main(["validate", *argv]) == 3
+        assert "degeneracy floor" in capsys.readouterr().err
 
 
 class TestPerturb:

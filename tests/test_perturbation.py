@@ -188,8 +188,8 @@ class TestSolveOrder:
         c, d = state.coeffs[0]
         a = np.array(
             [
-                [zero.c_at_lo, zero.s_at_lo, omega.pieces[0][0].eval(zero.x_lo)],
-                [zero.c_at_hi, zero.s_at_hi, omega.pieces[0][1].eval(zero.x_hi)],
+                [zero.c_left.eval(zero.x_lo), zero.s_left.eval(zero.x_lo), omega.pieces[0][0].eval(zero.x_lo)],
+                [zero.c_right.eval(zero.x_hi), zero.s_right.eval(zero.x_hi), omega.pieces[0][1].eval(zero.x_hi)],
                 [c, d, 0.0],
             ]
         )

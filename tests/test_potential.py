@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepwell import (
-    DegenerateEnergyError,
     PerturbationSpec,
     PotentialSpec,
     SchemaError,
@@ -16,6 +15,7 @@ from stepwell import (
     spec_document,
 )
 from stepwell.potential import local_frequencies, potential_value
+from stepwell.trigbasis import unit_solutions
 
 PI = math.pi
 
@@ -162,10 +162,11 @@ class TestLocalFrequency:
         assert beta == pytest.approx(1j)
         assert beta.imag > 0
 
-    def test_degenerate_energy(self):
+    def test_zero_at_the_height(self):
+        # an energy on a height is an ordinary energy: beta = 0, no error
         spec = PotentialSpec((0.0, 1.0), (10.0,))
-        with pytest.raises(DegenerateEnergyError, match="gauge"):
-            local_frequency(spec, 0, 10.0)
+        assert local_frequency(spec, 0, 10.0) == 0
+        assert local_frequencies(spec, np.array([10.0])).tolist() == [[0j]]
 
     def test_square_consistency(self):
         spec = PotentialSpec((0.0, 1.0, 2.0), (1.5, 7.25))
@@ -196,24 +197,31 @@ class TestLocalFrequency:
         # unchecked: beta = b + 0j or 0 + i k from local_frequencies makes the
         # imaginary parts of cos(beta t) and sin(beta t) / beta exactly +-0,
         # or NaN where cosh and sinh overflow (every spec has a barrier of
-        # 1e9, which overflows from kappa t of about 710 on)
+        # 1e9, which overflows from kappa t of about 710 on); at a height,
+        # beta = 0 and unit_solutions gives the limits (1, t)
         heights = heights + [1e9]
         energies = energies + [
             e for h in heights for e in (math.nextafter(h, -math.inf), h, math.nextafter(h, math.inf))
         ]
         spec = PotentialSpec(tuple(float(i) for i in range(len(heights) + 1)), tuple(heights))
-        beta, degenerate = local_frequencies(spec, np.array(energies))
+        beta = local_frequencies(spec, np.array(energies))
         assert not np.any((beta.real < 0) | ((beta.real == 0) & (beta.imag < 0)))
-        t = np.array(offsets)[:, None, None]
+        t = np.array(offsets)[:, None]
+        zero = beta == 0
+        assert zero.any()
         with np.errstate(over="ignore", invalid="ignore"):
-            arg = beta * t
-            values = np.cos(arg), np.sin(arg) * (1.0 / beta)
+            arg = beta[~zero] * t
+            values = np.cos(arg), np.sin(arg) * (1.0 / beta[~zero])
+            c, s = unit_solutions(beta, t[:, :, None])
         for v in values:
             assert np.all((v.imag == 0) | np.isnan(v.imag))
+        assert np.array_equal(c[:, ~zero], values[0].real, equal_nan=True)
+        assert np.array_equal(s[:, ~zero], values[1].real, equal_nan=True)
+        assert np.all(c[:, zero] == 1.0)
+        assert np.array_equal(s[:, zero], np.broadcast_to(t, (len(offsets), zero.sum())))
         # the scalar rule gives the same beta without a sign flip
         for (k, i), b in np.ndenumerate(beta):
-            if not degenerate[k, i]:
-                assert local_frequency(spec, i, energies[k]) == b
+            assert local_frequency(spec, i, energies[k]) == b
 
 
 def test_potential_value_piecewise():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepwell import (
-    DegenerateEnergyError,
+    DegenerateFrequencyError,
     NonFiniteDeterminantError,
     NotARootError,
     PerturbationSpec,
@@ -28,7 +28,7 @@ from stepwell import (
     sturm_count,
 )
 from stepwell import zero_order
-from stepwell.config import BETA_MIN, ScanConfig
+from stepwell.config import ScanConfig
 
 import golden_formulas as golden
 
@@ -94,7 +94,8 @@ class TestDomainBasis:
         spec = PotentialSpec((0.0, 1.0, 2.5), (0.0, h1))
         try:
             basis = build_domain_basis(spec, energy, 1)
-        except DegenerateEnergyError:
+        except DegenerateFrequencyError:
+            # the series pieces divide by beta; the matching values do not
             return
         for side, lo, hi in (("left", 0.0, 1.0), ("right", 1.0, 2.5)):
             c = basis.piece("c", side)
@@ -280,7 +281,7 @@ class TestScanBehaviour:
 
     def test_degenerate_grid_points_skipped(self):
         spec = PotentialSpec((0.0, 1.0, 2.0), (0.0, 5.0))
-        # window straddles the height 5, some grid energies may be degenerate
+        # a window around the height 5, with no level in it
         scan = find_eigenvalues(spec, 4.9999999, 5.0000001)
         assert scan.energies == ()
 
@@ -291,16 +292,25 @@ class TestScanBehaviour:
             find_eigenvalues(box_spec, 0.0, 10.0, count=0)
 
 
+def _unit_values(spec, energy, interval, anchor, x):
+    """C and S from the anchor to x across one interval, by TrigPoly.eval of
+    the pieces, or their beta = 0 limits (1, x - anchor) on the height."""
+    beta = local_frequency(spec, interval, energy)
+    if beta == 0:
+        return 1.0, x - anchor
+    return TrigPoly.cosine(anchor, beta).eval(x), TrigPoly.sine_unit_slope(anchor, beta).eval(x)
+
+
 def _reference_matrix(spec, energy):
-    """Row-normalized matching matrix rebuilt from build_domain_basis at one
-    energy, one domain at a time."""
+    """Row-normalized matching matrix rebuilt one domain at a time from the
+    values of the pieces at one energy."""
     n = spec.n_interior
+    bp = spec.breakpoints
     a = np.zeros((2 * n, 2 * n))
     for j in range(1, n + 1):
-        b = build_domain_basis(spec, energy, j)
         r = 2 * (j - 1)
-        a[r, r], a[r, r + 1] = b.c_at_lo, b.s_at_lo
-        a[r + 1, r], a[r + 1, r + 1] = b.c_at_hi, b.s_at_hi
+        a[r, r : r + 2] = _unit_values(spec, energy, j - 1, bp[j], bp[j - 1])
+        a[r + 1, r : r + 2] = _unit_values(spec, energy, j, bp[j], bp[j + 1])
         if j >= 2:
             a[r, r - 2] = -1.0
         if j <= n - 1:
@@ -309,16 +319,11 @@ def _reference_matrix(spec, energy):
 
 
 def _scalar_reference(spec, energy):
-    """Row-normalized determinant rebuilt from build_domain_basis at one
-    energy (the wall-to-wall sine value for a plain box); NaN when the
-    energy is degenerate with a height."""
-    try:
-        if spec.n_interior == 0:
-            beta = local_frequency(spec, 0, energy)
-            return TrigPoly.sine_unit_slope(spec.x_min, beta).eval(spec.x_max)
-        return float(np.linalg.det(_reference_matrix(spec, energy)))
-    except DegenerateEnergyError:
-        return np.nan
+    """Row-normalized determinant rebuilt from the pieces at one energy (the
+    wall-to-wall sine value for a plain box)."""
+    if spec.n_interior == 0:
+        return _unit_values(spec, energy, 0, spec.x_min, spec.x_max)[1]
+    return float(np.linalg.det(_reference_matrix(spec, energy)))
 
 
 class TestBatchedDeterminant:
@@ -345,12 +350,11 @@ class TestBatchedDeterminant:
         batched = secular_determinant(spec, energies)
         reference = np.array([_scalar_reference(spec, e) for e in energies])
         assert batched.shape == (600,)
-        assert np.array_equal(batched, reference, equal_nan=True)
-        assert np.isnan(batched[137])
-        assert np.isnan(batched).sum() == 1
-        with pytest.raises(DegenerateEnergyError):
-            secular_determinant(spec, energies[137])
-        assert secular_determinant(spec, energies[5]) == batched[5]
+        assert np.array_equal(batched, reference)
+        # on the height the reference is built from (1, t)
+        assert local_frequency(spec, spec.n_intervals - 1, energies[137]) == 0
+        for i in (5, 137):
+            assert secular_determinant(spec, energies[i]) == batched[i]
 
     def test_blocks_change_nothing(self, monkeypatch):
         spec = PotentialSpec(*self.SPECS["n4_evanescent"])
@@ -411,6 +415,32 @@ def _random_wells(seed: int, count: int) -> list[PotentialSpec]:
         bp = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, n))])
         wells.append(PotentialSpec(tuple(bp), tuple(rng.uniform(0.0, 20.0, n))))
     return wells
+
+
+@st.composite
+def _height_wells(draw):
+    """Wells with up to four interior breakpoints, heights 0 to 50 and
+    widths 0.3 to 2."""
+    n = draw(st.integers(0, 4))
+    widths = draw(st.lists(st.floats(0.3, 2.0), min_size=n + 1, max_size=n + 1))
+    heights = draw(st.lists(st.floats(0.0, 50.0), min_size=n + 1, max_size=n + 1))
+    return PotentialSpec(tuple(np.cumsum([0.0] + widths).tolist()), tuple(heights))
+
+
+@settings(max_examples=200)
+@given(_height_wells())
+def test_determinant_is_continuous_at_every_height(spec):
+    # the matching values are entire in E - H, so a height is an ordinary
+    # energy: a finite determinant, the same in both forms, and within
+    # 100 delta of its neighbours delta away (the row-normalized
+    # determinant's slope there stays below 100)
+    for height in spec.heights:
+        delta = 1e-12 * max(1.0, height)
+        at = secular_determinant(spec, height)
+        assert math.isfinite(at)
+        near = secular_determinant(spec, np.array([height - delta, height, height + delta]))
+        assert near[1] == at
+        assert np.all(np.abs(near[[0, 2]] - at) <= 100 * delta)
 
 
 class TestBrentq:
@@ -551,22 +581,29 @@ class TestLockStepBrentq:
         with pytest.raises(ValueError):
             zero_order.brentq(lambda x: x, np.zeros((2, 2)), np.ones((2, 2)), xtol=1e-14)
 
-    def test_degenerate_trial_raises_the_scalar_error(self, n1_step_spec):
-        # the array kernel gives NaN at the height 5; the lane is evaluated
-        # again as a scalar, which raises, as refinement one at a time did
+    def test_bracket_ending_on_a_height(self, n1_step_spec):
+        # the determinant is finite at the height 5, so a lane may end or
+        # step there and refines as it would alone
         def det(energies):
             return secular_determinant(n1_step_spec, energies)
 
-        assert np.isnan(det(np.array([5.0]))[0])
-        with pytest.raises(DegenerateEnergyError):
-            zero_order.brentq(det, np.array([3.0, 5.0]), np.array([4.0, 6.0]), xtol=1e-14)
+        assert np.isfinite(det(5.0))
+        lo, hi = np.array([4.0, 4.2]), np.array([5.0, 5.0])
+        roots = zero_order.brentq(det, lo, hi, xtol=1e-14)
+        assert roots.tolist() == [zero_order.brentq(det, x, y, xtol=1e-14) for x, y in zip(lo, hi)]
+        assert roots == pytest.approx(N1_STEP_GROUND, abs=1e-12)
 
     def test_nan_and_same_sign_raise_value_error(self):
+        calls = []
+
         def f(xs):
+            calls.append(xs)
             return np.where(np.asarray(xs) > 2.5, np.nan, np.asarray(xs) - 1.0)
 
         with pytest.raises(ValueError, match="NaN"):
             zero_order.brentq(f, np.array([0.0, 2.0]), np.array([2.0, 3.0]), xtol=1e-14)
+        # a NaN lane raises at once, with no scalar evaluation of its own
+        assert len(calls) == 2
         with pytest.raises(ValueError, match="different signs"):
             zero_order.brentq(f, np.array([0.0, 1.5]), np.array([2.0, 2.0]), xtol=1e-14)
 
@@ -652,16 +689,16 @@ class TestMatchWithoutTrigPolyEvals:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_boundary_values_equal_trigpoly_eval(self, spec):
-        for energy in np.linspace(min(spec.heights) + 0.1, max(spec.heights) + 25.0, 97):
-            for j in range(1, spec.n_interior + 1):
-                try:
-                    basis = build_domain_basis(spec, energy, j)
-                except DegenerateEnergyError:
-                    continue
-                assert basis.c_at_lo == basis.c_left.eval(basis.x_lo)
-                assert basis.s_at_lo == basis.s_left.eval(basis.x_lo)
-                assert basis.c_at_hi == basis.c_right.eval(basis.x_hi)
-                assert basis.s_at_hi == basis.s_right.eval(basis.x_hi)
+        energies = np.linspace(min(spec.heights) + 0.1, max(spec.heights) + 25.0, 97)
+        c, s = zero_order._matching_values(spec, energies)
+        n = spec.n_interior
+        for m, energy in enumerate(energies):
+            for j in range(1, n + 1):
+                basis = build_domain_basis(spec, energy, j)
+                assert c[m, j - 1] == basis.c_left.eval(basis.x_lo)
+                assert s[m, j - 1] == basis.s_left.eval(basis.x_lo)
+                assert c[m, n + j - 1] == basis.c_right.eval(basis.x_hi)
+                assert s[m, n + j - 1] == basis.s_right.eval(basis.x_hi)
 
     WELLS = SPECS + [spec for spec in _random_wells(seed=11, count=12) if spec.n_interior > 1]
 
@@ -696,7 +733,7 @@ def _same_piece(a, b):
 
 
 def _same_basis(a, b):
-    fields = ("j", "anchor", "x_lo", "x_hi", "c_at_lo", "s_at_lo", "c_at_hi", "s_at_hi")
+    fields = ("j", "anchor", "x_lo", "x_hi")
     pieces = ("c_left", "s_left", "c_right", "s_right")
     return all(getattr(a, f) == getattr(b, f) for f in fields) and all(
         _same_piece(getattr(a, f), getattr(b, f)) for f in pieces
@@ -750,17 +787,17 @@ class TestOneMatchingKernel:
             with pytest.raises(NotARootError, match="matching residual"):
                 match_coefficients(spec, energy)
 
-    def test_determinant_masks_say_what_a_scalar_call_raises(self):
+    def test_overflow_mask_says_what_a_scalar_call_raises(self):
+        # the barrier's own height is an ordinary energy: (C, S) = (1, t) there
         spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, 1.6e5, 0.0))
         energies = np.array([9.85, 1.6e5, 1.6e5 + 10.0])
-        dets, degenerate, overflow = zero_order._determinants(spec, energies)
-        assert degenerate.any(axis=1).tolist() == [False, True, False]
+        dets, overflow = zero_order._determinants(spec, energies)
         assert overflow.any(axis=1).tolist() == [True, False, False]
         with pytest.raises(NonFiniteDeterminantError, match="interval 1 "):
             secular_determinant(spec, energies[0])
-        with pytest.raises(DegenerateEnergyError):
-            secular_determinant(spec, energies[1])
-        assert secular_determinant(spec, energies[2]) == dets[2]
+        for i in (1, 2):
+            assert np.isfinite(dets[i])
+            assert secular_determinant(spec, energies[i]) == dets[i]
         with pytest.raises(NonFiniteDeterminantError, match="interval 1 "):
             secular_determinant(spec, energies)
 
@@ -815,12 +852,17 @@ class TestOneMatchingKernel:
             assert len(gaps) == i
 
     @pytest.mark.parametrize("spec", WELLS[:2])
-    def test_match_near_a_height_is_degenerate(self, spec):
-        for energy in (spec.heights[1], spec.heights[1] + 0.5 * BETA_MIN**2):
-            with pytest.raises(DegenerateEnergyError):
+    def test_match_near_a_height_is_an_ordinary_energy(self, spec):
+        # on the height the matrix is the reference's, and an ulp away it
+        # barely moves; no level sits there, so the match fails on its
+        # residual, not on the energy
+        height = spec.heights[1]
+        at = matching_matrix(spec, height)
+        assert np.array_equal(at, _reference_matrix(spec, height))
+        for energy in (math.nextafter(height, -math.inf), height, math.nextafter(height, math.inf)):
+            assert np.max(np.abs(matching_matrix(spec, energy) - at)) <= 1e-14
+            with pytest.raises(NotARootError, match="matching residual"):
                 match_coefficients(spec, energy)
-            with pytest.raises(DegenerateEnergyError):
-                matching_matrix(spec, energy)
 
 
 # the tilted well V = 2x on (0, pi): its levels are the roots of
