@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .config import ScanConfig
 from .errors import SolverError
@@ -44,6 +43,7 @@ __all__ = [
 def _poly_cell_integral(coeffs, a, b):
     """Exact integral of a global-coordinate polynomial over [a, b],
     elementwise over arrays of ends."""
+    npoly = np.polynomial.polynomial
     anti = npoly.polyint(np.asarray(coeffs, dtype=float))
     return npoly.polyval(b, anti) - npoly.polyval(a, anti)
 
@@ -410,7 +410,7 @@ def rs_first_order(state, pert: PerturbationSpec) -> float:
         nodes, weights = np.polynomial.legendre.leggauss(n)
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         psi2 = 0.5 * (b - a) * weights * piece.eval(xs) ** 2
-        num += float(np.dot(psi2, npoly.polyval(xs, poly)))
+        num += float(np.dot(psi2, np.polynomial.polynomial.polyval(xs, poly)))
         den += float(np.sum(psi2))
     return num / den
 
@@ -463,14 +463,14 @@ def exact_perturbed_energy(
 
     The perturbation is folded into the zero order as interval polynomials,
     whose levels find_eigenvalues extrapolates from staircases.  The window
-    guess +- 0.05 max(1, |guess|) doubles until find_eigenvalues, on a
-    three-point grid, finds a level in it; it brackets each staircase's
-    levels by the Sturm count and refines them to 1e-14.
+    guess +- 0.05 max(1, |guess|), then doubled up to +- 1e3, is searched
+    until find_eigenvalues, on a three-point grid, finds a level in it; it
+    brackets each staircase's levels by the Sturm count and refines to 1e-14.
     """
     polys = tuple(tuple(lam * c for c in poly) for poly in pert.interval_polys)
     pspec = PotentialSpec(spec.breakpoints, spec.heights, polys)
     span = 0.05 * max(1.0, abs(guess))
-    while span <= 1e3:
+    while span <= max(1e3, 0.05 * abs(guess)):
         levels = find_eigenvalues(
             pspec, guess - span, guess + span, scan=ScanConfig(points=3), xtol=1e-14
         ).energies

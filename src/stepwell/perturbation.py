@@ -365,7 +365,7 @@ class SeriesResult:
 
 # quad's node counts repeat across pieces and orders; the rule is built once
 # per count.  Callers must not write to the cached arrays.
-_leggauss = cache(np.polynomial.legendre.leggauss)
+_leggauss = cache(lambda n: np.polynomial.legendre.leggauss(n))
 
 
 def quad(pa: TrigPoly, pb: TrigPoly, a: float, b: float) -> float:

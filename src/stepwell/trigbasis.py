@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .config import BETA_MIN, FREQ_MATCH_RTOL
 from .errors import DegenerateFrequencyError, FrequencyMismatchError
@@ -158,9 +157,8 @@ class TrigPoly:
         """Complex value(s) at x."""
         t = np.asarray(x, dtype=float) - self.anchor
         arg = self.freq * t
-        return npoly.polyval(t, self.cos_coeffs) * np.cos(arg) + npoly.polyval(
-            t, self.sin_coeffs
-        ) * np.sin(arg)
+        polyval = np.polynomial.polynomial.polyval
+        return polyval(t, self.cos_coeffs) * np.cos(arg) + polyval(t, self.sin_coeffs) * np.sin(arg)
 
     def eval(self, x):
         """Real value(s) at x: a float for a scalar x, else an array."""

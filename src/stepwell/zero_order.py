@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .config import (
     BETA_MIN,
@@ -327,10 +326,11 @@ def _staircase(spec: PotentialSpec, cells) -> PotentialSpec:
     cells[i] equal cells, each at H_i + p_i(its midpoint); the breakpoints
     of ``spec`` stay cell edges."""
     bp, heights = [spec.x_min], []
+    polyval = np.polynomial.polynomial.polyval
     for i, n in enumerate(np.asarray(cells).tolist()):
         edges = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], n + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        heights += (spec.heights[i] + npoly.polyval(mids, spec.zero_order_polys[i])).tolist()
+        heights += (spec.heights[i] + polyval(mids, spec.zero_order_polys[i])).tolist()
         bp += edges[1:].tolist()
     return PotentialSpec(tuple(bp), tuple(heights))
 
@@ -341,6 +341,7 @@ def _height_error(spec: PotentialSpec, cells) -> float:
     it, for the samples' sake.  By min-max, every level of the staircase
     lies within it of the same level of ``spec``."""
     bound = 0.0
+    npoly = np.polynomial.polynomial
     for i, n in enumerate(np.asarray(cells).tolist()):
         a, b = spec.breakpoints[i], spec.breakpoints[i + 1]
         slope = npoly.polyval(np.linspace(a, b, 201), npoly.polyder(spec.zero_order_polys[i]))
@@ -487,127 +488,122 @@ def _polynomial_levels(spec, e_lo, e_hi, scan, xtol):
     return roots, evaluations, _staircase(spec, cells), tuple(finest[k] for k in keys)
 
 
-def _shots(spec: PotentialSpec, c: int) -> tuple[list, list]:
-    """Paths from the left and the right wall to the matching point, the
-    middle of interval c, as (interval, x_from, x_to) in order.  The angle
-    sum is smooth at a level where its state is large at the matching
-    point; a state that decays toward it through a barrier kappa w makes
-    the sum step by pi over a range of order exp(-2 kappa w), which
-    refinement can only bisect.  The lowest interval is the default, and
-    find_eigenvalues moves a level whose sum steps to another interval."""
-    bp = spec.breakpoints
-    mid = 0.5 * (bp[c] + bp[c + 1])
-    left = [(i, bp[i], bp[i + 1]) for i in range(c)] + [(c, bp[c], mid)]
-    right = [(i, bp[i + 1], bp[i]) for i in range(spec.n_intervals - 1, c, -1)]
-    return left, right + [(c, bp[c + 1], mid)]
+def _legs(spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Heights and widths (n, 2, 1) and half widths to the middle (n, 2) of the legs: leg j
+    of row 0 crosses interval j from the left wall, leg j of row 1 interval n - 1 - j."""
+    lo, hi = np.array(spec.breakpoints[:-1]), np.array(spec.breakpoints[1:])
+    mid = 0.5 * (lo + hi)
+    legs = np.empty((3, len(lo), 2))
+    legs[:, :, 0] = spec.heights, hi - lo, mid - lo
+    legs[:, ::-1, 1] = spec.heights, hi - lo, hi - mid
+    return legs[0, :, :, None], legs[1, :, :, None], legs[2]
 
 
-# height of a zero-width leg that pads the shorter shot in front: below any
-# energy, so the leg is oscillatory and keeps theta = 0 exactly
-_PAD_HEIGHT = -1e300
+def _advance(theta, sw, below, flat, some_below, some_flat) -> np.ndarray:
+    """``theta`` across an interval by its closed form, sw = S w: oscillatory, evanescent
+    where ``below``, flat where ``flat`` (S = 1); ``some_*``: does the mask hold anywhere."""
+    advanced = theta + sw
+    if some_below:
+        t = theta[below]
+        k = np.floor(t / np.pi + 0.25) * np.pi + np.pi / 4
+        r = t - k
+        advanced[below] = k + np.arctan2(np.sin(r) * np.exp(-2 * sw[below]), np.cos(r))
+    if some_flat:
+        t = theta[flat]
+        k = np.floor(t / np.pi + 0.5) * np.pi
+        r = t - k
+        advanced[flat] = k + np.arctan2(np.sin(r) + sw[flat] * np.cos(r), np.cos(r))
+    return advanced
 
 
-def _trig_legs(spec, c) -> tuple[np.ndarray, np.ndarray]:
-    """_trig_angle's heights and widths of both shots to matching point c,
-    each of shape (legs, 2, 1), the shorter shot padded in front."""
-    paths = _shots(spec, c)
-    n = max(len(path) for path in paths)
-    heights = np.full((n, 2, 1), _PAD_HEIGHT)
-    widths = np.zeros((n, 2, 1))
-    for row, path in enumerate(paths):
-        for j, (i, x0, x1) in enumerate(path, start=n - len(path)):
-            heights[j, row], widths[j, row] = spec.heights[i], abs(x1 - x0)
-    return heights, widths
-
-
-def _lane_legs(each) -> tuple[np.ndarray, np.ndarray]:
-    """Legs of shape (legs, 2, lanes) from each lane's _trig_legs, the
-    shorter ones padded in front like the shorter shot."""
-    n = max(len(heights) for heights, _ in each)
-    heights = np.full((n, 2, len(each)), _PAD_HEIGHT)
-    widths = np.zeros((n, 2, len(each)))
-    for k, (h, w) in enumerate(each):
-        heights[n - len(h) :, :, k] = h[:, :, 0]
-        widths[n - len(w) :, :, k] = w[:, :, 0]
-    return heights, widths
-
-
-def _trig_angle(energies, legs) -> np.ndarray:
-    """Modified Pruefer angles at the matching point, one row per shot of
-    ``legs`` (_trig_legs: row 0 from the left wall, row 1 from the right;
-    last axis 1, or one lane per energy as _lane_legs stacks them), the
-    shots swept together leg by leg.
-
+def _trig_angle(energies, legs, c, n) -> np.ndarray:
+    """theta_L + theta_R at the middle of interval c (an int, or ints whose
+    last axis runs along the energies): modified Pruefer angles,
     tan(theta) = S psi / psi', psi' taken along the path, with the scale
     S = sqrt|E - H_i| on interval i (1 where E is within BETA_MIN^2 of
     H_i, a choice of scale); theta = 0 at the wall and passes each
     multiple of pi upward at a zero of psi.  Each interval has a closed form
-    that cannot overflow: an oscillatory one advances theta by beta w, an
-    evanescent one shrinks tan(theta - pi/4) (mod pi) by exp(-2 kappa w)
-    toward the growing solution, and a flat one adds w to tan(theta).
-    What does not depend on theta is computed for every leg at once.
+    that cannot overflow (_advance): an oscillatory one advances theta by
+    beta w, an evanescent one shrinks tan(theta - pi/4) (mod pi) by
+    exp(-2 kappa w) toward the growing solution, and a flat one adds w to
+    tan(theta).  Both walls are swept across the first n ``legs`` (_legs),
+    keeping the angle where each leg starts; c reads theta_L at leg c and
+    theta_R at leg N - 1 - c of N, and crosses half that leg: the float of a
+    shot to the middle.  What does not depend on theta is computed at once.
     """
-    heights, widths = legs
-    q = energies - heights
-    size = np.abs(q)
-    flat = size <= BETA_MIN**2
-    s = np.sqrt(size)
-    some_flat = flat.any(axis=(1, 2)).tolist()
-    if any(some_flat):
-        s[flat] = 1.0
-    sw = s * widths
+    heights, widths, halves = legs
+    ends = (c, len(heights) - 1 - c)
+    q = energies - heights[:n]
     below = q < 0
-    some_below = below.any(axis=(1, 2)).tolist()
-    theta = np.zeros(q.shape[1:])
-    for leg in range(len(q)):
-        if leg:
-            # a change of scale keeps every multiple of pi / 2 in place
-            k = np.floor(theta / np.pi) * np.pi
-            r = theta - k
-            theta = k + np.arctan2(s[leg] * np.sin(r), s[leg - 1] * np.cos(r))
-        advanced = theta + sw[leg]
-        if some_below[leg]:
-            at = below[leg]
-            t = theta[at]
-            k = np.floor(t / np.pi + 0.25) * np.pi + np.pi / 4
-            r = t - k
-            advanced[at] = k + np.arctan2(np.sin(r) * np.exp(-2 * sw[leg][at]), np.cos(r))
-        if some_flat[leg]:
-            k = np.floor(theta / np.pi + 0.5) * np.pi
-            r = theta - k
-            linear = k + np.arctan2(np.sin(r) + widths[leg] * np.cos(r), np.cos(r))
-            advanced = np.where(flat[leg], linear, advanced)
-        theta = advanced
-    return theta
+    s = np.abs(q, out=q)
+    flat = s <= BETA_MIN**2
+    np.sqrt(s, out=s)
+    some_flat = flat.any(axis=2).tolist()
+    if any(map(any, some_flat)):
+        s[flat] = 1.0
+    if isinstance(c, int):  # past its read a row's angle is not needed: skip the evanescent forms
+        below[c + 1 :, 0] = below[ends[1] + 1 :, 1] = False
+    some_below = below.any(axis=2).tolist()
+    sw = s[:-1] * widths[: n - 1]
+    starts = [np.zeros(s.shape[1:])]
+    for leg in range(n - 1):
+        theta = _advance(
+            starts[-1], sw[leg], below[leg], flat[leg], any(some_below[leg]), any(some_flat[leg])
+        )
+        # a change of scale keeps every multiple of pi / 2 in place
+        k = np.floor(theta / np.pi) * np.pi
+        r = theta - k
+        starts.append(k + np.arctan2(s[leg + 1] * np.sin(r), s[leg] * np.cos(r)))
+    if isinstance(c, int):
+        return np.add(*(
+            _advance(starts[j][row], s[j, row] * halves[j, row], below[j, row], flat[j, row],
+                     some_below[j][row], some_flat[j][row])
+            for row, j in enumerate(ends)
+        ))
+    # flat indices of the reads into the (legs, 2, energies) arrays
+    pairs = np.array((2 * ends[0], 2 * ends[1] + 1))
+    at = pairs * len(energies) + np.arange(len(energies))
+    theta, below, flat = np.array(starts).take(at), below.take(at), flat.take(at)
+    sw = s.take(at) * halves.take(pairs)
+    del starts, s  # the reads take as much room again as the sweep
+    theta = _advance(theta, sw, below, flat, below.any(), flat.any())
+    return theta[0] + theta[1]
 
 
-# legs times energies that one _trig_angle call sweeps at most, at one matching point
+# legs, or matching points, times energies that one sweep takes at most
 _SWEEP_SIZE = 2**20
 
 
 def _angle_sum(spec):
     """The function half_turns(energies, c) that gives (theta_L + theta_R)
-    / pi at a 1-D array of energies, matched in the middle of interval c:
-    the lowest by default, or an int for every energy, or an int array of
-    one matching point per energy.  That is the angle sum that sturm_count
-    floors and find_eigenvalues refines.  Nothing but the angles depends on
-    the energy: each matching point's legs are built on its first use, and
-    the stack of per-energy legs once per array of matching points.  The
-    energies are swept at once, the shorter legs padded, in blocks of
-    _SWEEP_SIZE legs times energies at one matching point (one block but
-    for a staircase of many cells)."""
-    legs = cache(lambda c: _trig_legs(spec, c))
-    lanes = cache(lambda cs: _lane_legs([legs(c) for c in cs]))
+    / pi at a 1-D array of M energies, matched in the middle of interval c:
+    the lowest by default, or an int for every energy, an int array of one
+    matching point per energy, or a (K, M) or (K, 1) int array of K
+    matching points at each energy, the result (K, M).  That is the angle
+    sum that sturm_count floors and find_eigenvalues refines.  It is smooth
+    at a level where its state is large at the matching point; a state
+    that decays toward it through a barrier kappa w makes the sum step by
+    pi over a range of order exp(-2 kappa w), which refinement can only
+    bisect, so find_eigenvalues moves such a level to another interval.
+    Blocks of _SWEEP_SIZE legs, or points, times energies are swept once
+    from each wall (_trig_angle)."""
+    legs = _legs(spec)
+    last = spec.n_intervals - 1
     lowest = int(np.argmin(spec.heights))
 
     def half_turns(energies, c=lowest):
-        if np.ndim(c):
-            theta = _trig_angle(energies, lanes(tuple(c.tolist())))
+        if isinstance(c, int):
+            n, k, lanes = max(c, last - c) + 1, 1, False
         else:
-            step = max(1, _SWEEP_SIZE // len(legs(c)[0]))
-            blocks = [energies[lo : lo + step] for lo in range(0, max(len(energies), 1), step)]
-            theta = np.concatenate([_trig_angle(e, legs(c)) for e in blocks], axis=-1)
-        return (theta[0] + theta[1]) / np.pi
+            c = np.asarray(c)
+            n, k = max(c.max(), last - c.min()) + 1, (len(c) if c.ndim > 1 else 1)
+            lanes = c.shape[-1] > 1
+        step = max(1, _SWEEP_SIZE // max(n, k))
+        parts = [
+            _trig_angle(energies[lo : lo + step], legs, c[..., lo : lo + step] if lanes else c, n)
+            for lo in range(0, max(len(energies), 1), step)
+        ]
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)) / np.pi
 
     return half_turns
 
@@ -623,7 +619,7 @@ def sturm_count(spec: PotentialSpec, energies: float | np.ndarray) -> int | np.n
     (Pruess & Fulton, ACM TOMS 19 (1993) 360); find_eigenvalues refines the
     crossings of the same angle sum, each at a matching point of its own.
     Any matching point gives the same count in exact arithmetic, and every
-    one crosses (n + 1) pi at level n itself (see _shots).  A pair split
+    one crosses (n + 1) pi at level n itself (see _angle_sum).  A pair split
     below double precision steps by one twice, rounding apart.
     ``energies`` is a scalar or a 1-D array; the result is an int or an int
     array.
@@ -661,8 +657,9 @@ class EigenvalueScan:
     is defined at every energy, an interval height included.
     ``angle_evaluations`` counts the levels' calls of the angle sum, each
     at an array of energies: the grid, one call of the other matching
-    points at the ends of steep cells, and the brentq steps (summed over
-    the staircases of a spec with zero_order_polys).  ``staircase`` is,
+    points at the ends of steep cells, off one sweep per end, and the brentq
+    steps (summed over the staircases of a spec with zero_order_polys).
+    ``staircase`` is,
     for such a spec, the finest staircase its levels were extrapolated
     from, and None otherwise; ``staircase_energies`` are that staircase's
     levels with the Sturm indices of those in the window, ascending in
@@ -810,11 +807,11 @@ def _refined_crossings(spec, grid, xtol, points=None) -> tuple[np.ndarray, int, 
     itself, so a level whose sum rises steeply across its cell, a state
     small at the lowest interval, takes the interval where the sum rises
     least, if that is under a quarter of the default's rise and brackets
-    n + 1 too; one call evaluates each other interval below the top of some
-    such cell at both ends of every such cell; ``points`` narrows the
-    intervals tried to those listed.  One brentq call refines every level
-    in lock-step, each at its own matching point, from the values at the
-    ends of its cell, with per-lane targets n + 1."""
+    n + 1 too; one call reads each other interval below the top of some
+    such cell off one sweep per end of every such cell; ``points`` narrows
+    the intervals tried to those listed.  One brentq call refines every
+    level in lock-step, each at its own matching point, from the values at
+    the ends of its cell, with per-lane targets n + 1."""
     half_turns = _angle_sum(spec)
     sums = half_turns(grid)
     evaluations = 1
@@ -832,7 +829,7 @@ def _refined_crossings(spec, grid, xtol, points=None) -> tuple[np.ndarray, int, 
     others = [c for c in tried if c != lowest and spec.heights[c] < top]
     if others:
         ends = np.concatenate([e_lo[steep], e_hi[steep]])
-        values = half_turns(np.tile(ends, len(others)), np.repeat(others, len(ends)))
+        values = half_turns(ends, np.array(others)[:, None])
         evaluations += 1
         least, crossed = 0.25 * (f_hi - f_lo)[steep], target[steep]
         for c, (a, b) in zip(others, values.reshape(len(others), 2, len(steep))):
@@ -841,10 +838,13 @@ def _refined_crossings(spec, grid, xtol, points=None) -> tuple[np.ndarray, int, 
             moved = steep[better]
             match[moved], f_lo[moved], f_hi[moved] = c, a[better], b[better]
 
+    # one int matching point is read by slicing, an array by gathering
+    point = match if (match != lowest).any() else lowest
+
     def f(energies):
         nonlocal evaluations
         evaluations += 1
-        return half_turns(energies, match)
+        return half_turns(energies, point)
 
     roots = brentq(
         f, e_lo, e_hi, xtol=xtol, rtol=_REFINE_RTOL, target=target, f_ends=(f_lo, f_hi)

@@ -2,8 +2,11 @@
 
 Neither `import stepwell` nor any command (scan, spectrum, perturb,
 validate) loads a scipy module, or numpy.ma (about 5 ms and 1.8 MB a
-process; np.unique loads it).  Checked in a fresh interpreter, because the
-test process itself imports both.
+process; np.unique loads it).  `import stepwell`, scan and spectrum load
+no numpy.polynomial either (3-7 ms and 0.75 MB a process), which numpy 2
+loads on first use; perturb and validate use it.  Checked in a fresh
+interpreter per command, because the test process itself imports all
+three, and one command's imports would hide the next one's.
 """
 
 import json
@@ -19,7 +22,10 @@ PROBE = """
 import json, sys
 
 def unwanted_modules():
-    return sorted(m for m in sys.modules if m in ("scipy", "numpy.ma") or m.startswith("scipy."))
+    return sorted(
+        m for m in sys.modules
+        if m in ("scipy", "numpy.ma", "numpy.polynomial") or m.startswith("scipy.")
+    )
 
 import stepwell
 from stepwell.cli import main
@@ -38,24 +44,27 @@ FIXTURES = {
 
 
 def test_no_command_loads_scipy(tmp_path):
-    runs = []
+    commands = {"scan": [], "spectrum": [], "perturb": [], "validate": []}
     for name, (bp, heights) in FIXTURES.items():
         spec = tmp_path / f"{name}.json"
         tilt = {"global_poly": [0.0, 0.5]}
         spec.write_text(json.dumps({"breakpoints": bp, "heights": heights, "perturbation": tilt}))
         out = str(tmp_path / f"{name}.out")
-        runs += [
-            ["scan", "--spec", str(spec), "--k-lo", "0.5", "--k-hi", "3.5", "--out", out],
-            ["spectrum", "--spec", str(spec), "--out", out],
-            ["perturb", "--spec", str(spec), "--orders", "4", "--out", out],
-        ]
-    runs += [["validate", "--spec", str(tmp_path / f"{n}.json"), "--out", out] for n in FIXTURES]
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(runs)],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, check=True, timeout=120,
-    )
-    report = json.loads(proc.stdout)
-    assert report.pop("import") == []
-    for argv in runs:
-        assert report[" ".join(argv[:3])] == [0, []], argv
+        commands["scan"].append(["scan", "--spec", str(spec), "--k-lo", "0.5", "--k-hi", "3.5", "--out", out])
+        commands["spectrum"].append(["spectrum", "--spec", str(spec), "--out", out])
+        commands["perturb"].append(["perturb", "--spec", str(spec), "--orders", "4", "--out", out])
+        commands["validate"].append(["validate", "--spec", str(spec), "--out", out])
+    for command, runs in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE, json.dumps(runs)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        report = json.loads(proc.stdout)
+        assert report.pop("import") == []
+        # the series and the exact energies evaluate polynomials
+        allowed = ["numpy.polynomial"] if command in ("perturb", "validate") else []
+        for argv in runs:
+            code, loaded = report[" ".join(argv[:3])]
+            assert code == 0, argv
+            assert [m for m in loaded if m not in allowed] == [], (argv, loaded)

@@ -398,3 +398,14 @@ class TestExactPerturbedEnergy:
         energy = exact_perturbed_energy(spec, pert, 0.01, 11.440968901466423)
         fd = fd_eigenvalues(spec, pert, 0.01, m=3000, count=2)
         assert abs(energy - fd.values[1]) < fd.estimate[1]
+
+    @pytest.mark.parametrize("n", [140, 150])
+    def test_guess_past_2e4_is_searched(self, n):
+        # the box (0, pi) with V1 = x: E_n(lam) = n^2 + lam pi / 2 + O(lam^2),
+        # the second-order term 1e-6 lam^2 for n = 150; the first window,
+        # 0.05 |guess| wide, once exceeded the 1e3 cap for |guess| > 2e4, so
+        # level 150 raised SolverError without a single search
+        spec = PotentialSpec((0.0, math.pi), (0.0,))
+        pert = PerturbationSpec(((0.0, 1.0),))
+        energy = exact_perturbed_energy(spec, pert, 1e-3, float(n * n))
+        assert abs(energy - (n * n + 1e-3 * math.pi / 2)) < 1e-9 * n * n

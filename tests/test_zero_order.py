@@ -1,5 +1,7 @@
 import math
+import runpy
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from stepwell import (
     sturm_count,
 )
 from stepwell import zero_order
-from stepwell.config import ScanConfig
+from stepwell.config import BETA_MIN, ScanConfig
 
 import golden_formulas as golden
 
@@ -1041,6 +1043,21 @@ def _fd_levels_match(spec, e_lo, e_hi, scan):
     assert np.all(np.abs(np.array(levels) - ref) <= tol), (levels, ref, tol)
 
 
+LONG_WELLS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "long_wells.py"))
+
+
+class TestLongWells:
+    """The random wells of scripts/long_wells.py, N = 64 and 256."""
+
+    def test_bounded_memory_and_fd_levels(self, capsys):
+        # the steep-cell step once swept every other interval at every steep
+        # cell's ends, one lane each: 2.8 GB of traced memory at N = 256
+        assert LONG_WELLS["main"](["--n", "256", "--max-mib", "64"]) == 0
+        assert "N=256 levels=254 sturm_count=254 " in capsys.readouterr().out
+        spec = LONG_WELLS["long_well"](64)
+        _fd_levels_match(spec, 0.0, 40.0, find_eigenvalues(spec, 0.0, 40.0))
+
+
 class TestSturmCount:
     @given(
         st.lists(
@@ -1202,16 +1219,17 @@ class TestLevelsFromTheAngle:
         assert len(find_eigenvalues(spec, 0.05, 30.0).energies) == 5
         assert len(evaluations) <= 8
 
-    def test_paths_are_built_once_per_call(self, double_well_spec, monkeypatch):
-        # not once per angle evaluation: the refinement takes many steps
-        shots = _counting(monkeypatch, zero_order, "_shots")
+    def test_legs_are_built_once_per_spec(self, double_well_spec, monkeypatch):
+        # not once per angle evaluation or matching point: the refinement
+        # takes many steps, and reads several matching points
+        legs = _counting(monkeypatch, zero_order, "_legs")
         assert len(find_eigenvalues(double_well_spec, 0.05, 40.0).energies) >= 5
         sturm_count(double_well_spec, np.linspace(1.0, 40.0, 5))
-        assert len(shots) == 2
-        # once per staircase and matching point
-        del shots[:]
+        assert len(legs) == 2
+        # once per staircase
+        del legs[:]
         assert len(find_eigenvalues(TILTED, 0.5, 60.0).energies) == 7
-        built = [(id(args[0]), args[1]) for args, _ in shots]
+        built = [id(args[0]) for args, _ in legs]
         assert len(set(built)) == len(built) >= 5
 
     def test_angle_is_a_function_of_the_energy(self, double_well_spec):
@@ -1364,19 +1382,65 @@ class TestMatchingPointPerLevel:
         assert len(set(steps[0])) >= 2
         assert all(c == steps[0] and len(c) == 11 for c in steps)
 
-    @pytest.mark.parametrize("c", [0, 1, 2, 3, 4])
-    def test_one_sweep_equals_each_shot_alone(self, c):
-        # the shorter shot's zero-width padding keeps theta = 0 exactly
-        spec = PotentialSpec(
-            (0.0, 0.4548, 2.7205, 4.4634, 6.4099, 8.9611), (6.146, 22.458, 36.366, 47.372, 12.319)
-        )
+    @pytest.mark.parametrize(
+        "name, sweep_size", [("barrier_well", None), ("barrier_well", 64), ("staircase", None)]
+    )
+    def test_every_matching_point_reads_its_shot(self, name, sweep_size, monkeypatch):
+        # one sweep per wall gives, hex for hex, what one shot per wall to the
+        # middle of each interval gives, whatever form the points come in and
+        # however the energies are blocked
+        if name == "barrier_well":
+            spec = PotentialSpec(
+                (0.0, 0.4548, 2.7205, 4.4634, 6.4099, 8.9611), (6.146, 22.458, 36.366, 47.372, 12.319)
+            )
+        else:
+            spec = zero_order._staircase(TILTED, 8 * zero_order._base_cells(TILTED))
+        if sweep_size:
+            monkeypatch.setattr(zero_order, "_SWEEP_SIZE", sweep_size)
         energies = np.concatenate([np.linspace(-5.0, 60.0, 97), spec.heights])
-        heights, widths = zero_order._trig_legs(spec, c)
-        both = zero_order._trig_angle(energies, (heights, widths))
-        for row, path in enumerate(zero_order._shots(spec, c)):
-            legs = (heights[-len(path):, row:row + 1], widths[-len(path):, row:row + 1])
-            alone = zero_order._trig_angle(energies, legs)
-            assert np.array_equal(both[row], alone[0])
+        half_turns = zero_order._angle_sum(spec)
+        points = np.arange(spec.n_intervals)
+        shots = np.array([_shot_half_turns(spec, energies, c) for c in points])
+        for c in points.tolist():
+            assert half_turns(energies, c).tobytes() == shots[c].tobytes()
+        each = np.random.default_rng(0).integers(0, spec.n_intervals, len(energies))
+        lanes = np.arange(len(energies))
+        assert half_turns(energies, each).tobytes() == shots[each, lanes].tobytes()
+        assert half_turns(energies, points[:, None]).tobytes() == shots.tobytes()
+        assert half_turns(energies, points[::-1, None] + 0 * each).tobytes() == shots[::-1].tobytes()
+
+
+def _shot_half_turns(spec, energies, c):
+    """The reference for half_turns(energies, c): one shot from each wall
+    to the middle of interval c, leg by leg, with the closed forms of the
+    modified Pruefer angle written out on every energy (zero_order's
+    _trig_angle and _advance)."""
+    bp = spec.breakpoints
+    mid = 0.5 * (bp[c] + bp[c + 1])
+    left = [(i, bp[i + 1] - bp[i]) for i in range(c)] + [(c, mid - bp[c])]
+    right = [(i, bp[i + 1] - bp[i]) for i in range(spec.n_intervals - 1, c, -1)]
+    ends = []
+    for path in (left, right + [(c, bp[c + 1] - mid)]):
+        theta, scale = np.zeros(len(energies)), None
+        for i, width in path:
+            q = energies - spec.heights[i]
+            flat = np.abs(q) <= BETA_MIN**2
+            s = np.where(flat, 1.0, np.sqrt(np.abs(q)))
+            if scale is not None:
+                k = np.floor(theta / np.pi) * np.pi
+                r = theta - k
+                theta = k + np.arctan2(s * np.sin(r), scale * np.cos(r))
+            sw = s * width
+            k = np.floor(theta / np.pi + 0.25) * np.pi + np.pi / 4
+            r = theta - k
+            evanescent = k + np.arctan2(np.sin(r) * np.exp(-2 * sw), np.cos(r))
+            k = np.floor(theta / np.pi + 0.5) * np.pi
+            r = theta - k
+            linear = k + np.arctan2(np.sin(r) + width * np.cos(r), np.cos(r))
+            theta = np.where(flat, linear, np.where(q < 0, evanescent, theta + sw))
+            scale = s
+        ends.append(theta)
+    return (ends[0] + ends[1]) / np.pi
 
 
 def test_matched_states_compare_by_identity(double_well_spec):
