@@ -6,14 +6,12 @@ from .config import DEFAULT_SCAN, ScanConfig
 from .errors import (
     DegenerateFrequencyError,
     DegeneracyParadoxError,
-    FrequencyMismatchError,
     NonFiniteDeterminantError,
     NormalizationObstructionError,
     NotARootError,
     PipelineError,
     RootNotConvergedError,
     SchemaError,
-    SequencingError,
     SolverError,
     TruncationError,
 )

@@ -31,6 +31,7 @@ from .zero_order import (
     match_coefficients,
     reference_floor,
     secular_determinant,
+    sturm_count,
 )
 
 __all__ = ["main"]
@@ -247,12 +248,14 @@ def _validate_checks(spec, pert, e_lo, e_hi, orders) -> list[dict]:
         record("spectrum-nonempty", 1.0, 0.0, "no eigenvalues in window")
         return checks
 
-    # solver vs finite-difference oracle, each eigenvalue within its estimate;
-    # moderate grid keeps the Richardson residual well under the estimate
-    # (finer grids hit the eps/h^2 eigensolver floor)
-    fd = oracle.fd_eigenvalues(spec, None, 0.0, m=3000, count=len(energies))
+    # solver vs finite-difference oracle, each eigenvalue within its estimate
+    # of the FD level with its Sturm index; moderate grid keeps the Richardson
+    # residual well under the estimate (finer grids hit the eps/h^2
+    # eigensolver floor)
+    first = sturm_count(spec, e_lo)
+    fd = oracle.fd_eigenvalues(spec, None, 0.0, m=3000, count=first + len(energies))
     worst = 0.0
-    for i, e in enumerate(energies):
+    for i, e in enumerate(energies, start=first):
         if i < len(fd.values):
             ratio = abs(e - fd.values[i]) / fd.estimate[i]
             worst = max(worst, ratio)

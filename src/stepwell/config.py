@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 BETA_MIN = 1e-8                # degeneracy floor on |beta|
-FREQ_MATCH_RTOL = 1e-10        # agreement of V - E with -beta^2 in the operator
 REFINE_XTOL = 1e-13            # root refinement tolerance on E
 MATCHING_RESIDUAL = 1e-10
 CONDITION_LIMIT = 1e12         # order-k system condition number triggering the paradox flag

@@ -27,10 +27,6 @@ class DegenerateFrequencyError(SolverError):
     """Local frequency below the degeneracy floor; resonant algebra undefined."""
 
 
-class FrequencyMismatchError(SolverError):
-    """Operator offset inconsistent with the trig polynomial's frequency."""
-
-
 class NotARootError(SolverError):
     """Coefficient extraction requested at an energy that is not a determinant root."""
 
@@ -48,10 +44,6 @@ class TruncationError(SolverError):
     """The staircase extrapolation of a polynomial zero order did not
     converge: the spread of its last two extrapolants stayed above
     STAIRCASE_RTOL up to STAIRCASE_CELLS_MAX cells."""
-
-
-class SequencingError(SolverError):
-    """Perturbation orders must be built consecutively from complete history."""
 
 
 class PipelineError(SolverError):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
     NonFiniteDeterminantError,
     PipelineError,
     SchemaError,
-    SequencingError,
     SolverError,
 )
 from .potential import PerturbationSpec, PotentialSpec
@@ -187,32 +186,27 @@ def build_omega(state: MatchedState) -> OmegaSet:
     return OmegaSet(pieces, psi0, norm2, a, float(np.linalg.cond(a)))
 
 
-def build_tau(
-    k: int,
-    omega: OmegaSet,
-    history: list[OrderResult],
-    pert: PerturbationSpec,
-) -> TauSet:
-    """Order-k right-hand side tau_(k-1) = -V1 psi_(k-1) + sum_i E_i psi_(k-i).
+# V1's polynomial on an interval, re-expanded at a domain anchor, is the
+# same at every order; callers must not write to the cached arrays.
+_local_poly = lru_cache(lambda poly, anchor: reanchor_poly(poly, anchor))
+
+
+def build_tau(omega: OmegaSet, history: list[OrderResult], pert: PerturbationSpec) -> TauSet:
+    """Right-hand side tau_(k-1) = -V1 psi_(k-1) + sum_i E_i psi_(k-i) of
+    the order k = len(history) + 1 that follows the orders in ``history``.
 
     The sum runs over i = 1..k-1 (standard Rayleigh-Schroedinger
     bookkeeping); it is empty at first order.  Each domain keeps its own
     local frequency, so the result stays inside the resonant algebra.
     """
-    if k < 1:
-        raise ValueError("tau is defined for orders k >= 1")
-    if len(history) < k - 1:
-        raise SequencingError(
-            f"order {k} needs history through order {k - 1}, have {len(history)}"
-        )
+    k = len(history) + 1
     pieces = []
     for j, pair0 in enumerate(omega.psi0):
         pair = []
         for s in (0, 1):
             # domain j + 1 spans intervals j (left) and j + 1 (right)
-            prev = pair0[s] if k == 1 else history[k - 2].domain_pieces[j][s]
-            local_poly = reanchor_poly(pert.interval_polys[j + s], prev.anchor)
-            tau = -1.0 * mul_polynomial(prev, local_poly)
+            prev = history[-1].domain_pieces[j][s] if history else pair0[s]
+            tau = -1.0 * mul_polynomial(prev, _local_poly(pert.interval_polys[j + s], prev.anchor))
             for i in range(1, k):
                 # psi_(k-i) with k-i >= 1 throughout the sum
                 tau = tau + history[i - 1].energy * history[k - i - 1].domain_pieces[j][s]
@@ -307,11 +301,7 @@ def equation_residual(
     worst = 0.0
     pieces = zip(result.global_pieces, cover(tau.pieces), cover(omega.psi0))
     for i, (piece, rhs, psi0) in enumerate(pieces):
-        res_poly = (
-            apply_hamiltonian(piece, -piece.freq * piece.freq)
-            - rhs
-            - result.energy * psi0
-        )
+        res_poly = apply_hamiltonian(piece) - rhs - result.energy * psi0
         xs = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], _RESIDUAL_SAMPLES)
         worst = max(worst, float(np.max(np.abs(res_poly.value(xs)))))
     return worst
@@ -403,7 +393,7 @@ def _series_for_state(spec, pert, e0, order_max) -> StateSeries:
     taus: list[TauSet] = []
     for k in range(1, order_max + 1):
         try:
-            tau = build_tau(k, omega, history, pert)
+            tau = build_tau(omega, history, pert)
             basis = build_order_basis(state, tau)
         except SolverError as exc:
             raise PipelineError(f"S4:order-{k}", exc) from exc

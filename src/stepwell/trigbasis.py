@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BETA_MIN, FREQ_MATCH_RTOL
-from .errors import DegenerateFrequencyError, FrequencyMismatchError
+from .config import BETA_MIN
+from .errors import DegenerateFrequencyError
 
 __all__ = [
     "TrigPoly",
@@ -49,7 +49,9 @@ class TrigPoly:
     """Finite trigonometric polynomial anchored at ``anchor`` with frequency ``freq``.
 
     Immutable; all operations return new instances.  Coefficient arrays are
-    padded to a common length on construction.
+    padded to a common length on construction.  The frequency is the
+    piece's own, beta^2 = E - V, so it fixes the operator that
+    apply_hamiltonian and particular_solution act with.
 
     Structure contract, which cosine and sine_unit_slope set up and sums,
     real scalar multiples, products with real polynomials, derivative,
@@ -211,8 +213,14 @@ def derivative(f: TrigPoly) -> TrigPoly:
     return TrigPoly(f.anchor, f.freq, dp, dq)
 
 
-def _apply_shifted(f: TrigPoly) -> TrigPoly:
-    """H f with H = -d^2/dx^2 - beta^2 on the piece's own frequency."""
+def apply_hamiltonian(f: TrigPoly) -> TrigPoly:
+    """H f with H = -d^2/dx^2 - beta^2 on the piece's own frequency beta,
+    V - E = -beta^2 on the piece.
+
+    The result is in the same anchored representation; cos and sin
+    themselves map to zero, and a monomial of degree k >= 1 drops to
+    degree k - 1.
+    """
     p, q = f.cos_coeffs, f.sin_coeffs
     beta = f.freq
     deg = len(p) - 1
@@ -227,32 +235,6 @@ def _apply_shifted(f: TrigPoly) -> TrigPoly:
         out_p[m] -= 2.0 * (m + 1) * beta * q[m + 1]
         out_q[m] += 2.0 * (m + 1) * beta * p[m + 1]
     return TrigPoly(f.anchor, f.freq, out_p, out_q).trimmed()
-
-
-def apply_hamiltonian(f: TrigPoly, local_offset: complex) -> TrigPoly:
-    """Apply H = -d^2/dx^2 + (V - E) to f, with local_offset = V - E.
-
-    The piece's frequency must satisfy beta^2 = -(V - E); anything else is a
-    contract violation, because the resonant algebra below is only valid on
-    the piece's own frequency.
-
-    Args:
-        f: the trig polynomial to act on.
-        local_offset: constant V - E on the piece; it must match -beta^2
-            to FREQ_MATCH_RTOL.
-
-    Returns:
-        H f in the same anchored representation (degree drops by one for
-        pure monomial inputs of degree >= 1; cos and sin themselves map
-        to zero).
-    """
-    beta = f.freq
-    mismatch = abs(beta * beta + local_offset)
-    if mismatch > FREQ_MATCH_RTOL * max(1.0, abs(beta) ** 2):
-        raise FrequencyMismatchError(
-            f"local offset {local_offset} does not equal -beta^2 = {-beta * beta}"
-        )
-    return _apply_shifted(f)
 
 
 def particular_solution(rhs: TrigPoly) -> TrigPoly:

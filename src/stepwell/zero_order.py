@@ -681,29 +681,27 @@ _RTOL_MIN = 4 * math.ulp(1.0)
 _BRENT_MAXITER = 100
 
 
-def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0, f_ends=None):
-    """Root of f(x) = target in [a, b] by the Brent-Dekker method (Brent
-    1973, ch. 4).
+def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, f_ends=None):
+    """Root of f in [a, b] by the Brent-Dekker method (Brent 1973, ch. 4).
 
-    The iteration of scipy.optimize.brentq on f - target, step for step:
-    inverse quadratic (or secant) interpolation when it falls well inside
-    the bracket, bisection otherwise, and at least delta = (xtol + rtol |x|)
-    / 2 per step; the bracket half-width below delta ends it.  Same inputs
-    give the same float, and with target 0 the float scipy gives.  Raises
-    ValueError when f - target has one sign at a and b or f returns NaN,
-    RootNotConvergedError after 100 steps.
+    The iteration of scipy.optimize.brentq, step for step: inverse
+    quadratic (or secant) interpolation when it falls well inside the
+    bracket, bisection otherwise, and at least delta = (xtol + rtol |x|) / 2
+    per step; the bracket half-width below delta ends it.  Same inputs give
+    the float scipy gives.  Raises ValueError when f has one sign at a and
+    b or returns NaN, RootNotConvergedError after 100 steps.
 
     ``a`` and ``b`` are scalars, or 1-D arrays of brackets refined in
-    lock-step: f is called once per step with an array of one trial point
-    per bracket, a finished bracket repeating its root, so that f may pair
-    each entry with data of its bracket.  Each bracket takes the same steps,
-    and returns the same float, as it would alone.  ``target`` is then a
-    scalar or one value per bracket.
+    lock-step: f(x, lanes) is then called once per step with the trial
+    points x of the brackets still running and their indices ``lanes``, an
+    int array, so that f may read per-bracket data through them; a finished
+    bracket is not evaluated again.  Each bracket takes the same steps, and
+    returns the same float, as it would alone.
 
-    ``f_ends = (f(a), f(b))``, values already known (of f, not f - target,
-    shaped like ``a`` and ``b``), take the place of the first two calls;
-    the steps and the root are those that evaluating them would give.
-    Otherwise f is evaluated at the ends first, then once a step.
+    ``f_ends = (f(a), f(b))``, values already known (shaped like ``a`` and
+    ``b``), take the place of the first two calls; the steps and the root
+    are those that evaluating them would give.  Otherwise f is evaluated at
+    the ends first, then once a step.
     """
     if xtol <= 0 or rtol < _RTOL_MIN:
         raise ValueError(f"tolerances too small: xtol={xtol!r}, rtol={rtol!r}")
@@ -712,26 +710,28 @@ def brentq(f, a, b, xtol: float, rtol: float = _RTOL_MIN, target=0.0, f_ends=Non
     hi = np.atleast_1d(np.asarray(b, dtype=float))
     if lo.ndim > 1 or lo.shape != hi.shape:
         raise ValueError("brackets must be two scalars or two 1-D arrays of one length")
-    goal = np.broadcast_to(np.asarray(target, dtype=float), lo.shape).tolist()
     ends = () if f_ends is None else f_ends
     known = [np.broadcast_to(np.asarray(v, dtype=float), lo.shape).tolist() for v in ends]
     lanes = [_brent(x, y, xtol, rtol) for x, y in zip(lo.tolist(), hi.tolist())]
     # each lane's trial point while it runs, its root once it has finished
     xs = [next(lane) for lane in lanes]
-    running = range(len(lanes))
+    running = list(range(len(lanes)))
     while running:
         if known:
             # every lane asks for f(a), then f(b), before its first step
             fxs = known.pop(0)
+        elif scalar:
+            fxs = [f(xs[0])]
         else:
-            fxs = [f(xs[0])] if scalar else np.asarray(f(np.array(xs)), dtype=float).tolist()
+            at = np.array(running)
+            fxs = np.asarray(f(np.array(xs)[at], at), dtype=float).tolist()
         still = []
-        for i in running:
-            fx = float(fxs[i])
+        for i, fx in zip(running, fxs):
+            fx = float(fx)
             if math.isnan(fx):
                 raise ValueError(f"f({xs[i]!r}) is NaN; the root cannot be refined")
             try:
-                xs[i] = lanes[i].send(fx - goal[i])
+                xs[i] = lanes[i].send(fx)
                 still.append(i)
             except StopIteration as done:
                 xs[i] = done.value
@@ -810,8 +810,8 @@ def _refined_crossings(spec, grid, xtol, points=None) -> tuple[np.ndarray, int, 
     n + 1 too; one call reads each other interval below the top of some
     such cell off one sweep per end of every such cell; ``points`` narrows
     the intervals tried to those listed.  One brentq call refines every
-    level in lock-step, each at its own matching point, from the values at
-    the ends of its cell, with per-lane targets n + 1."""
+    level in lock-step, each at its own matching point, on the sum minus
+    n + 1, starting from the values at the ends of its cell."""
     half_turns = _angle_sum(spec)
     sums = half_turns(grid)
     evaluations = 1
@@ -839,16 +839,15 @@ def _refined_crossings(spec, grid, xtol, points=None) -> tuple[np.ndarray, int, 
             match[moved], f_lo[moved], f_hi[moved] = c, a[better], b[better]
 
     # one int matching point is read by slicing, an array by gathering
-    point = match if (match != lowest).any() else lowest
+    gather = (match != lowest).any()
 
-    def f(energies):
+    def f(energies, lanes):
         nonlocal evaluations
         evaluations += 1
-        return half_turns(energies, point)
+        return half_turns(energies, match[lanes] if gather else lowest) - target[lanes]
 
-    roots = brentq(
-        f, e_lo, e_hi, xtol=xtol, rtol=_REFINE_RTOL, target=target, f_ends=(f_lo, f_hi)
-    )
+    ends = (f_lo - target, f_hi - target)
+    roots = brentq(f, e_lo, e_hi, xtol=xtol, rtol=_REFINE_RTOL, f_ends=ends)
     return np.sort(roots), evaluations, int(counts[0])
 
 

@@ -100,7 +100,7 @@ def test_criterion_2_operator_identity_suite():
     worst = 0.0
     for b in betas:
         for f, expected in _identity_pairs(b):
-            hf = apply_hamiltonian(f, -b * b)
+            hf = apply_hamiltonian(f)
             ev = expected.value(xs)
             scale = max(1.0, float(np.max(np.abs(ev))))
             worst = max(worst, float(np.max(np.abs(hf.value(xs) - ev))) / scale)

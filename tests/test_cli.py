@@ -408,6 +408,15 @@ class TestValidate:
         for name in ("psi0-smoothness", "wronskian-constancy"):
             assert checks[name]["detail"].startswith("on the finest staircase (")
 
+    def test_fd_oracle_pairs_levels_by_sturm_index(self):
+        # far above the ground state the window's one level, 150^2, is the
+        # box's level 149: the FD level with that index, not the lowest
+        from stepwell import PotentialSpec, cli
+
+        checks = cli._validate_checks(PotentialSpec((0.0, PI), (0.0,)), None, 22400.0, 22600.0, 0)
+        fd = next(c for c in checks if c["name"] == "fd-oracle-agreement")
+        assert fd["passed"] and fd["measured"] < 1e-2, fd
+
     def test_corrupted_spec_exits_2(self, tmp_path):
         bad = write_spec(tmp_path, {"breakpoints": [0, 1, 2], "heights": [0]})
         assert main(["validate", "--spec", bad]) == 2

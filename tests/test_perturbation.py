@@ -11,7 +11,6 @@ from stepwell import (
     PipelineError,
     PotentialSpec,
     SchemaError,
-    SequencingError,
     apply_hamiltonian,
     build_omega,
     build_order_basis,
@@ -52,7 +51,7 @@ class TestOmega:
             # H omega = psi0 on each side, checked pointwise
             for side, piece in (("left", left), ("right", right)):
                 rhs = state.domain_piece(j, side)
-                out = apply_hamiltonian(piece, -piece.freq * piece.freq)
+                out = apply_hamiltonian(piece)
                 lo = state.bases[j - 1].x_lo if side == "left" else anchor
                 hi = anchor if side == "left" else state.bases[j - 1].x_hi
                 xs = np.linspace(lo, hi, 50)
@@ -79,7 +78,7 @@ class TestTau:
     def test_first_order_is_minus_v1_psi0(self):
         state = box_state()
         pert = PerturbationSpec(((1.0,), (1.0,)))  # V1 = 1
-        tau = build_tau(1, build_omega(state), [], pert)
+        tau = build_tau(build_omega(state), [], pert)
         for j, (left, right) in enumerate(tau.pieces, start=1):
             for side, piece in (("left", left), ("right", right)):
                 rhs = state.domain_piece(j, side)
@@ -88,25 +87,39 @@ class TestTau:
                     piece.value(xs), -rhs.value(xs), atol=1e-14
                 )
 
-    def test_missing_history_rejected(self):
-        state = box_state()
-        pert = PerturbationSpec(((1.0,), (1.0,)))
-        with pytest.raises(SequencingError):
-            build_tau(3, build_omega(state), [], pert)
-
     def test_second_order_tau_vanishes_for_constant_shift(self):
         # E1 = Omega and psi1 proportional to psi0 make tau(1) identically zero
         state = box_state()
         pert = PerturbationSpec(((0.4,), (0.4,)))
         omega = build_omega(state)
-        tau1 = build_tau(1, omega, [], pert)
+        tau1 = build_tau(omega, [], pert)
         basis1 = build_order_basis(state, tau1)
         first = solve_order(state, omega, basis1)
-        tau2 = build_tau(2, omega, [first], pert)
+        tau2 = build_tau(omega, [first], pert)
         xs = np.linspace(0.1, 3.0, 25)
         for left, right in tau2.pieces:
             assert np.max(np.abs(left.value(xs))) < 1e-13
             assert np.max(np.abs(right.value(xs))) < 1e-13
+
+
+    def test_v1_is_reexpanded_once_per_domain_anchor(self, double_well_spec, monkeypatch):
+        # V1 at a domain's anchor does not depend on the order: a 4-order
+        # series re-expands each (polynomial, anchor) pair once
+        pert = PerturbationSpec(((0.0, 1.0), (0.5, 0.0, 1.0), (0.0, -1.0)))
+        calls = []
+        original = perturbation.reanchor_poly
+
+        def counted(poly, anchor):
+            calls.append((poly, anchor))
+            return original(poly, anchor)
+
+        monkeypatch.setattr(perturbation, "reanchor_poly", counted)
+        perturbation._local_poly.cache_clear()
+        result = run_series(double_well_spec, pert, (0.05, 40.0), 4, max_states=1)
+        assert len(result.states[0].orders) == 4
+        polys, (l1, l2) = pert.interval_polys, double_well_spec.breakpoints[1:-1]
+        expected = [(polys[0], l1), (polys[1], l1), (polys[1], l2), (polys[2], l2)]
+        assert sorted(calls) == sorted(expected)
 
 
 class TestOrderBasis:
@@ -116,7 +129,7 @@ class TestOrderBasis:
         e0 = find_eigenvalues(n1_step_spec, 0.05, 10.0, count=1).energies[0]
         state = match_coefficients(n1_step_spec, e0)
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
-        tau = build_tau(1, build_omega(state), [], pert)
+        tau = build_tau(build_omega(state), [], pert)
         basis = build_order_basis(state, tau)
         for j, (left, right) in enumerate(basis.pieces, start=1):
             zero = state.bases[j - 1]
@@ -124,7 +137,7 @@ class TestOrderBasis:
                 assert piece.eval(zero.anchor) == pytest.approx(0.0, abs=1e-14)
                 assert piece.eval_deriv(zero.anchor) == pytest.approx(0.0, abs=1e-14)
                 # H P = tau on each side, checked pointwise
-                out = apply_hamiltonian(piece, -piece.freq * piece.freq)
+                out = apply_hamiltonian(piece)
                 lo, hi = (zero.x_lo, zero.anchor) if s == 0 else (zero.anchor, zero.x_hi)
                 xs = np.linspace(lo, hi, 25)
                 rhs = tau.pieces[j - 1][s]
@@ -168,7 +181,7 @@ class TestSolveOrder:
         state = box_state()
         pert = PerturbationSpec(((0.3,), (0.3,)))
         omega = build_omega(state)
-        tau = build_tau(1, omega, [], pert)
+        tau = build_tau(omega, [], pert)
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
         assert result.energy == pytest.approx(0.3, abs=1e-12)
@@ -181,7 +194,7 @@ class TestSolveOrder:
         state = box_state(0.37)
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         omega = build_omega(state)
-        tau = build_tau(1, omega, [], pert)
+        tau = build_tau(omega, [], pert)
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
         zero = state.bases[0]
@@ -208,7 +221,7 @@ class TestSolveOrder:
         state = box_state()
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         omega = build_omega(state)
-        tau = build_tau(1, omega, [], pert)
+        tau = build_tau(omega, [], pert)
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
         assert result.energy == pytest.approx(PI / 2, abs=1e-10)
@@ -243,7 +256,7 @@ class TestSolveOrder:
         state = box_state()
         pert = PerturbationSpec(((0.3,), (0.3,)))
         omega = build_omega(state)
-        tau = build_tau(1, omega, [], pert)
+        tau = build_tau(omega, [], pert)
         basis = build_order_basis(state, tau)
         monkeypatch.setattr(perturbation, "CONDITION_LIMIT", 1.0)
         with pytest.raises(DegeneracyParadoxError):
@@ -336,8 +349,8 @@ class TestRunSeries:
         for st in (state, flipped):
             omega = build_omega(st)
             history = []
-            for k in (1, 2):
-                tau = build_tau(k, omega, history, pert)
+            for _ in range(2):
+                tau = build_tau(omega, history, pert)
                 basis = build_order_basis(st, tau)
                 history.append(solve_order(st, omega, basis))
             energies.append([h.energy for h in history])
@@ -595,7 +608,7 @@ class TestEquationResidualHelper:
         state = box_state()
         pert = PerturbationSpec(((0.0, 1.0), (0.0, 1.0)))
         omega = build_omega(state)
-        tau = build_tau(1, omega, [], pert)
+        tau = build_tau(omega, [], pert)
         basis = build_order_basis(state, tau)
         result = solve_order(state, omega, basis)
         assert equation_residual(state.spec, omega, result, tau) < 1e-12

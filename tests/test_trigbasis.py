@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from stepwell import (
     BandedOperator,
     DegenerateFrequencyError,
-    FrequencyMismatchError,
     PotentialSpec,
     TrigPoly,
     apply_hamiltonian,
@@ -111,28 +110,22 @@ def operator_identities(beta):
 @pytest.mark.parametrize("beta", BETAS)
 def test_operator_identities(beta):
     for f, expected in operator_identities(beta):
-        hf = apply_hamiltonian(f, -beta * beta)
+        hf = apply_hamiltonian(f)
         assert_pointwise_close(hf, expected, rtol=1e-12)
 
 
 def test_kernel_annihilated_exactly():
     for beta in (1.3, 2.0, 0.7j):
         for kind in ("cos", "sin"):
-            out = apply_hamiltonian(monomial(beta, 0, kind), -beta * beta)
+            out = apply_hamiltonian(monomial(beta, 0, kind))
             assert np.all(out.cos_coeffs == 0)
             assert np.all(out.sin_coeffs == 0)
 
 
 def test_degree_drops_by_one_on_monomials():
     for k in range(1, 6):
-        out = apply_hamiltonian(monomial(1.7, k, "cos"), -1.7**2)
+        out = apply_hamiltonian(monomial(1.7, k, "cos"))
         assert out.degree == k - 1
-
-
-def test_offset_mismatch_rejected():
-    f = monomial(2.0, 1, "cos")
-    with pytest.raises(FrequencyMismatchError):
-        apply_hamiltonian(f, -3.9)
 
 
 def test_degenerate_frequency_rejected():
@@ -161,7 +154,7 @@ def test_particular_solution_x_sin_closed_form():
     u = particular_solution(rhs)
     expected = TrigPoly(0.0, b, [0, 0, b / (4 * b * b)], [0, -1.0 / (4 * b * b)])
     assert_pointwise_close(u, expected, rtol=1e-14)
-    assert_pointwise_close(apply_hamiltonian(u, -b * b), rhs, rtol=1e-13)
+    assert_pointwise_close(apply_hamiltonian(u), rhs, rtol=1e-13)
 
 
 def trig_polys(max_degree=6):
@@ -185,7 +178,7 @@ def trig_polys(max_degree=6):
 @given(trig_polys())
 def test_roundtrip_particular_then_apply(f):
     u = particular_solution(f)
-    back = apply_hamiltonian(u, -f.freq * f.freq)
+    back = apply_hamiltonian(u)
     xs = sample_points(100)
     fv = f.value(xs)
     bv = back.value(xs)
@@ -198,9 +191,8 @@ def test_linearity(f, g, alpha):
     if abs(f.freq - g.freq) > 1e-12:
         g = TrigPoly(g.anchor, f.freq, g.cos_coeffs, g.sin_coeffs)
     combo = f + alpha * g
-    offset = -f.freq * f.freq
-    lhs = apply_hamiltonian(combo, offset)
-    rhs = apply_hamiltonian(f, offset) + alpha * apply_hamiltonian(g, offset)
+    lhs = apply_hamiltonian(combo)
+    rhs = apply_hamiltonian(f) + alpha * apply_hamiltonian(g)
     xs = sample_points(40)
     assert np.max(np.abs(lhs.value(xs) - rhs.value(xs))) <= 1e-10 * max(
         1.0, float(np.max(np.abs(rhs.value(xs))))
@@ -219,7 +211,7 @@ def test_apply_hamiltonian_matches_numeric_second_derivative():
         p = rng.uniform(-1, 1, 4)
         q = rng.uniform(-1, 1, 4) * (1j if beta == 0.8j else 1.0)
         f = TrigPoly(0.0, beta, p, q)
-        hf = apply_hamiltonian(f, -beta * beta)
+        hf = apply_hamiltonian(f)
         for x in (0.3, 0.9, 1.4):
             h = 1e-3
             def d2(step):
@@ -304,7 +296,7 @@ def pipeline_pieces(draw):
         elif op == "derivative":
             piece = derivative(piece)
         elif op == "apply_hamiltonian":
-            piece = apply_hamiltonian(piece, height - energy)
+            piece = apply_hamiltonian(piece)
         elif op == "sum":
             piece = piece + draw(reals) * draw(st.sampled_from(bases))
         else:
@@ -382,7 +374,7 @@ class TestBandedOperator:
         s = rng.uniform(-1, 1, 7) * (1j if not isinstance(beta, float) else 1.0)
         f = TrigPoly(0.0, beta, p, s)
         image = q @ coeff_vector(f, 12)
-        hf = apply_hamiltonian(f, -beta * beta)
+        hf = apply_hamiltonian(f)
         np.testing.assert_allclose(image, coeff_vector(hf, 12), atol=1e-13)
 
     @pytest.mark.parametrize("beta", [1.3, 2.4, 0.9j, 1.5j])

@@ -515,8 +515,8 @@ class TestBrentq:
 
 
 def _per_lane(g):
-    """An array function that applies the scalar g to each element."""
-    return lambda xs: [g(x) for x in xs]
+    """An array function f(xs, lanes) that applies the scalar g to each element."""
+    return lambda xs, lanes: [g(x) for x in xs]
 
 
 def _scan_brackets(spec):
@@ -539,7 +539,7 @@ class TestLockStepBrentq:
         for spec in self.SPECS:
             calls = []
 
-            def det(energies):
+            def det(energies, lanes):
                 calls.append(len(energies))
                 return secular_determinant(spec, energies)
 
@@ -586,7 +586,7 @@ class TestLockStepBrentq:
     def test_bracket_ending_on_a_height(self, n1_step_spec):
         # the determinant is finite at the height 5, so a lane may end or
         # step there and refines as it would alone
-        def det(energies):
+        def det(energies, lanes=None):
             return secular_determinant(n1_step_spec, energies)
 
         assert np.isfinite(det(5.0))
@@ -598,7 +598,7 @@ class TestLockStepBrentq:
     def test_nan_and_same_sign_raise_value_error(self):
         calls = []
 
-        def f(xs):
+        def f(xs, lanes):
             calls.append(xs)
             return np.where(np.asarray(xs) > 2.5, np.nan, np.asarray(xs) - 1.0)
 
@@ -610,7 +610,7 @@ class TestLockStepBrentq:
             zero_order.brentq(f, np.array([0.0, 1.5]), np.array([2.0, 2.0]), xtol=1e-14)
 
     def test_no_convergence_with_array_brackets(self):
-        def step(xs):
+        def step(xs, lanes):
             return np.where(np.asarray(xs) < 0.3, -1.0, 1.0)
 
         with pytest.raises(RootNotConvergedError):
@@ -622,7 +622,7 @@ class TestLockStepBrentq:
         for spec in self.SPECS:
             calls = []
 
-            def det(energies):
+            def det(energies, lanes=None):
                 calls.append(np.size(energies))
                 return secular_determinant(spec, energies)
 
@@ -638,31 +638,66 @@ class TestLockStepBrentq:
                 ends = (secular_determinant(spec, ea), secular_determinant(spec, eb))
                 assert zero_order.brentq(det, ea, eb, xtol=xtol, rtol=8.9e-16, f_ends=ends) == root
 
-    def test_known_end_values_are_of_f_not_f_minus_target(self):
-        def g(x):
-            return math.sin(x) + x
+    def test_known_end_values_of_a_per_lane_function(self):
+        # f reads each bracket's target through its lanes; the known ends are
+        # f's own values, differences included
+        targets = np.array([2.5, 2.0])
+
+        def f(xs, lanes):
+            return np.sin(xs) + xs - targets[lanes]
 
         lo, hi = np.array([0.0, 1.0]), np.array([3.0, 2.0])
-        targets = np.array([2.5, 2.0])
-        ends = ([g(x) for x in lo], [g(x) for x in hi])
-        roots = zero_order.brentq(_per_lane(g), lo, hi, xtol=1e-14, target=targets, f_ends=ends)
-        assert roots.tolist() == zero_order.brentq(_per_lane(g), lo, hi, xtol=1e-14, target=targets).tolist()
+        ends = (f(lo, np.arange(2)), f(hi, np.arange(2)))
+        roots = zero_order.brentq(f, lo, hi, xtol=1e-14, f_ends=ends)
+        assert roots.tolist() == zero_order.brentq(f, lo, hi, xtol=1e-14).tolist()
 
     def test_per_lane_targets(self):
         # lanes sharing one bracket refine different crossings, as a doublet
-        # inside one grid cell does
+        # inside one grid cell does: f subtracts each lane's target
         def g(x):
             return math.sin(x) + x
 
         lo, hi = np.array([0.0, 0.0, 1.0]), np.array([3.0, 3.0, 2.0])
         targets = np.array([1.0, 2.5, 2.0])
-        roots = zero_order.brentq(_per_lane(g), lo, hi, xtol=1e-14, target=targets)
+
+        def f(xs, lanes):
+            return [g(x) - t for x, t in zip(xs, targets[lanes])]
+
+        roots = zero_order.brentq(f, lo, hi, xtol=1e-14)
         assert roots.tolist() == [
             zero_order.brentq(lambda x, t=t: g(x) - t, a, b, xtol=1e-14)
             for a, b, t in zip(lo, hi, targets)
         ]
         assert np.allclose([g(r) for r in roots], targets, rtol=0, atol=1e-13)
-        assert zero_order.brentq(g, 0.0, 3.0, xtol=1e-14, target=1.0) == roots[0]
+
+    @pytest.mark.parametrize("xtol", [1e-13, 1e-15])
+    def test_finished_brackets_are_not_evaluated(self, xtol):
+        # each lane's trial points, in order, are those of its bracket alone:
+        # the same steps, and no point once it has finished
+        uneven = 0
+        for spec in self.SPECS:
+            a, b = _scan_brackets(spec)
+            alone, roots = [], []
+            for ea, eb in zip(a, b):
+                points = []
+                roots.append(zero_order.brentq(
+                    lambda e: points.append(e) or secular_determinant(spec, e),
+                    ea, eb, xtol=xtol, rtol=8.9e-16,
+                ))
+                alone.append(points)
+            seen = [[] for _ in a]
+
+            def det(energies, lanes):
+                assert lanes.tolist() == sorted(set(lanes.tolist()))
+                for x, i in zip(energies.tolist(), lanes.tolist()):
+                    seen[i].append(x)
+                return secular_determinant(spec, energies)
+
+            assert zero_order.brentq(det, a, b, xtol=xtol, rtol=8.9e-16).tolist() == roots
+            assert seen == alone
+            uneven += len({len(points) for points in alone}) > 1
+        # some brackets do finish before others
+        assert uneven
 
     def test_find_eigenvalues_refines_through_brentq(self, double_well_spec, monkeypatch):
         # perfbench times refinement by wrapping zero_order.brentq; a rename
@@ -1213,7 +1248,7 @@ class TestLevelsFromTheAngle:
         original = zero_order.brentq
 
         def counted(f, a, b, **kwargs):
-            return original(lambda es: evaluations.append(len(es)) or f(es), a, b, **kwargs)
+            return original(lambda es, lanes: evaluations.append(len(es)) or f(es, lanes), a, b, **kwargs)
 
         monkeypatch.setattr(zero_order, "brentq", counted)
         assert len(find_eigenvalues(spec, 0.05, 30.0).energies) == 5
@@ -1272,18 +1307,16 @@ def _fixed_point_crossings(spec, grid, xtol, points=None):
     point per level.  Returns the roots, the angle evaluations and the
     first level's index."""
     half_turns = zero_order._angle_sum(spec)
-    calls = []
-
-    def f(energies):
-        calls.append(len(energies))
-        return half_turns(energies)
-
-    counts = np.floor(f(grid)).astype(int)
+    counts = np.floor(half_turns(grid)).astype(int)
     n = np.arange(counts[0], counts[-1])
     hi = np.searchsorted(np.maximum.accumulate(counts), n, side="right")
-    roots = zero_order.brentq(
-        f, grid[hi - 1], grid[hi], xtol=xtol, rtol=zero_order._REFINE_RTOL, target=n + 1.0
-    )
+    calls = [len(grid)]
+
+    def f(energies, lanes):
+        calls.append(len(energies))
+        return half_turns(energies) - (n[lanes] + 1.0)
+
+    roots = zero_order.brentq(f, grid[hi - 1], grid[hi], xtol=xtol, rtol=zero_order._REFINE_RTOL)
     return np.sort(roots), len(calls), int(counts[0])
 
 
@@ -1357,11 +1390,18 @@ class TestMatchingPointPerLevel:
     def test_one_brentq_call_refines_every_matching_point(self, monkeypatch):
         # the levels of the barrier well above use several matching points;
         # one lock-step brentq call refines them all, its f called with one
-        # matching point per bracket
+        # matching point per running bracket
         spec = PotentialSpec(
             (0.0, 0.4548, 2.7205, 4.4634, 6.4099, 8.9611), (6.146, 22.458, 36.366, 47.372, 12.319)
         )
-        refines = _counting(monkeypatch, zero_order, "brentq")
+        refines, lanes = [], []
+        brentq = zero_order.brentq
+
+        def refine(f, a, b, **kwargs):
+            refines.append(a)
+            return brentq(lambda es, at: lanes.append(at.tolist()) or f(es, at), a, b, **kwargs)
+
+        monkeypatch.setattr(zero_order, "brentq", refine)
         points = []
         angle_sum = zero_order._angle_sum
 
@@ -1375,12 +1415,13 @@ class TestMatchingPointPerLevel:
         scan = find_eigenvalues(spec, 6.146, 46.146)
         assert len(scan.energies) == 11
         assert len(refines) == 1
-        assert len(refines[0][0][1]) == 11
+        assert len(refines[0]) == 11
         # the grid, the other intervals at the steep cells' ends, the steps
         assert points[0] == () and len(points) == scan.angle_evaluations
         steps = [np.asarray(c[0]).tolist() for c in points[2:]]
+        assert lanes[0] == list(range(11)) and len(lanes[-1]) < 11
         assert len(set(steps[0])) >= 2
-        assert all(c == steps[0] and len(c) == 11 for c in steps)
+        assert all(c == [steps[0][i] for i in at] for c, at in zip(steps, lanes))
 
     @pytest.mark.parametrize(
         "name, sweep_size", [("barrier_well", None), ("barrier_well", 64), ("staircase", None)]
