@@ -55,7 +55,6 @@ from .zero_order import (
 
 __all__ = [
     "OmegaSet",
-    "TauSet",
     "OrderBasis",
     "OrderResult",
     "StateSeries",
@@ -68,6 +67,8 @@ __all__ = [
 ]
 
 _SIDES = ("left", "right")
+# one (left, right) piece pair per domain
+PiecePairs = tuple[tuple[TrigPoly, TrigPoly], ...]
 
 
 def _with_initial_data(particular: TrigPoly) -> TrigPoly:
@@ -114,19 +115,11 @@ class OmegaSet:
     <psi_0|psi_0>, the bordered matching matrix and its condition number.
     """
 
-    pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
-    psi0: tuple[tuple[TrigPoly, TrigPoly], ...]
+    pieces: PiecePairs
+    psi0: PiecePairs
     psi0_norm2: float
     matrix: np.ndarray
     condition: float
-
-
-@dataclass(frozen=True)
-class TauSet:
-    """Order-dependent right-hand side, one (left, right) piece pair per domain."""
-
-    k: int
-    pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
 
 
 @dataclass(frozen=True)
@@ -138,8 +131,7 @@ class OrderBasis:
     system's right-hand side.
     """
 
-    k: int
-    pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
+    pieces: PiecePairs
     at_lo: np.ndarray
     at_hi: np.ndarray
 
@@ -153,9 +145,8 @@ class OrderResult:
     the box.
     """
 
-    k: int
     energy: float
-    domain_pieces: tuple[tuple[TrigPoly, TrigPoly], ...]
+    domain_pieces: PiecePairs
     global_pieces: tuple[TrigPoly, ...]
     condition: float
     boundary_residual: float
@@ -191,9 +182,10 @@ def build_omega(state: MatchedState) -> OmegaSet:
 _local_poly = lru_cache(lambda poly, anchor: reanchor_poly(poly, anchor))
 
 
-def build_tau(omega: OmegaSet, history: list[OrderResult], pert: PerturbationSpec) -> TauSet:
+def build_tau(omega: OmegaSet, history: list[OrderResult], pert: PerturbationSpec) -> PiecePairs:
     """Right-hand side tau_(k-1) = -V1 psi_(k-1) + sum_i E_i psi_(k-i) of
-    the order k = len(history) + 1 that follows the orders in ``history``.
+    the order k = len(history) + 1 that follows the orders in ``history``,
+    as one (left, right) piece pair per domain.
 
     The sum runs over i = 1..k-1 (standard Rayleigh-Schroedinger
     bookkeeping); it is empty at first order.  Each domain keeps its own
@@ -212,13 +204,13 @@ def build_tau(omega: OmegaSet, history: list[OrderResult], pert: PerturbationSpe
                 tau = tau + history[i - 1].energy * history[k - i - 1].domain_pieces[j][s]
             pair.append(tau)
         pieces.append(tuple(pair))
-    return TauSet(k, tuple(pieces))
+    return tuple(pieces)
 
 
-def build_order_basis(state: MatchedState, tau: TauSet) -> OrderBasis:
-    """Order-k particular solutions of H P = tau with zero initial data on
-    every domain."""
-    return OrderBasis(tau.k, *_zero_data_solutions(state, tau.pieces))
+def build_order_basis(state: MatchedState, tau: PiecePairs) -> OrderBasis:
+    """Order-k particular solutions of H P = tau, build_tau's piece pairs,
+    with zero initial data on every domain."""
+    return OrderBasis(*_zero_data_solutions(state, tau))
 
 
 def solve_order(state: MatchedState, omega: OmegaSet, basis: OrderBasis) -> OrderResult:
@@ -235,7 +227,7 @@ def solve_order(state: MatchedState, omega: OmegaSet, basis: OrderBasis) -> Orde
     condition = omega.condition
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise DegeneracyParadoxError(
-            f"order-{basis.k} system condition {condition:.3e} beyond "
+            f"bordered system condition {condition:.3e} beyond "
             f"{CONDITION_LIMIT:.1e}; vanishing determinant would signal a "
             "degenerate unperturbed level"
         )
@@ -274,7 +266,6 @@ def solve_order(state: MatchedState, omega: OmegaSet, basis: OrderBasis) -> Orde
     )
 
     return OrderResult(
-        basis.k,
         eps,
         domain_pieces,
         global_pieces,
@@ -290,7 +281,7 @@ _RESIDUAL_SAMPLES = 50
 
 
 def equation_residual(
-    spec: PotentialSpec, omega: OmegaSet, result: OrderResult, tau: TauSet
+    spec: PotentialSpec, omega: OmegaSet, result: OrderResult, tau: PiecePairs
 ) -> float:
     """Max residual of the order-k differential equation over all pieces.
 
@@ -299,7 +290,7 @@ def equation_residual(
     a bookkeeping bug.
     """
     worst = 0.0
-    pieces = zip(result.global_pieces, cover(tau.pieces), cover(omega.psi0))
+    pieces = zip(result.global_pieces, cover(tau), cover(omega.psi0))
     for i, (piece, rhs, psi0) in enumerate(pieces):
         res_poly = apply_hamiltonian(piece) - rhs - result.energy * psi0
         xs = np.linspace(spec.breakpoints[i], spec.breakpoints[i + 1], _RESIDUAL_SAMPLES)
@@ -346,11 +337,14 @@ class StateSeries:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Perturbation series for every requested state in the window."""
+    """Perturbation series for every requested state in the window.  A
+    plain box is solved on ``embedded_spec``, split at its midpoint, and
+    ``pert`` is split along with it; otherwise pert is the one given."""
 
     states: tuple[StateSeries, ...]
     scan: EigenvalueScan
     embedded_spec: PotentialSpec | None = None
+    pert: PerturbationSpec | None = None
 
 
 # quad's node counts repeat across pieces and orders; the rule is built once
@@ -390,7 +384,7 @@ def _series_for_state(spec, pert, e0, order_max) -> StateSeries:
     except SolverError as exc:
         raise PipelineError("S3:omega", exc) from exc
     history: list[OrderResult] = []
-    taus: list[TauSet] = []
+    taus: list[PiecePairs] = []
     for k in range(1, order_max + 1):
         try:
             tau = build_tau(omega, history, pert)
@@ -453,4 +447,4 @@ def run_series(
         _series_for_state(embedded or spec, pert, e0, order_max)
         for e0 in scan_result.energies
     )
-    return SeriesResult(states, scan_result, embedded)
+    return SeriesResult(states, scan_result, embedded, pert)

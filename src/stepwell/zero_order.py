@@ -175,10 +175,10 @@ def matching_matrix(spec: PotentialSpec, energy: float) -> np.ndarray:
     if spec.n_interior < 1:
         raise ValueError("matching matrix needs at least one interior breakpoint")
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices, overflow = _matching_block(spec, np.array([float(energy)]))
-    if overflow[0].any():
-        raise _non_finite_error(energy, overflow[0])
-    return matrices[0]
+        matrix = _matching_block(spec, np.array([float(energy)]))[0]
+    if not np.isfinite(matrix).all():
+        raise _non_finite_error(spec, energy)
+    return matrix
 
 
 # Largest size of the stacked matching matrices evaluated at once; longer
@@ -202,64 +202,62 @@ def _matching_values(spec, energies) -> tuple[np.ndarray, np.ndarray]:
     return unit_solutions(beta[:, _assembly(spec.n_interior)[0]], _end_offsets(spec.breakpoints))
 
 
-def _matching_block(spec, energies):
-    """The matching kernel: row-normalized matching matrices at a block of
-    energies (N >= 1), the one place such a matrix is built.
-
-    Returns the (M, 2N, 2N) matrices and the (M, N + 1) mask of the
-    intervals whose matching values overflow the row normalization (an inf
-    or NaN row norm).  Rows are scaled to unit length, so the determinant
-    stays in [-1, 1] and keeps its zeros.
+def _matching_block(spec, energies) -> np.ndarray:
+    """The matching kernel: the (M, 2N, 2N) row-normalized matching
+    matrices at a block of energies (N >= 1), the one place such a matrix
+    is built.  Rows are scaled to unit length, so the determinant stays in
+    [-1, 1] and keeps its zeros.  A row whose values overflow the
+    normalization (an inf or NaN norm) is NaN, and so are its matrix's
+    determinant and null vector.
     """
-    n = spec.n_interior
     a = _stacked_matrices(*_matching_values(spec, energies))
     # the row norms, summed as np.linalg.norm sums them
     norms = np.sqrt(np.add.reduce(a * a, axis=-1))
-    # row 2j - 2 holds domain j's values on interval j - 1, row 2j - 1 on interval j
-    bad = ~np.isfinite(norms)
-    overflow = np.zeros((len(energies), n + 1), dtype=bool)
-    overflow[:, :-1] = bad[:, 0::2]
-    overflow[:, 1:] |= bad[:, 1::2]
-    return a / norms[..., None], overflow
+    norms[~np.isfinite(norms)] = np.nan
+    return a / norms[..., None]
 
 
-def _non_finite_error(energy, overflow) -> NonFiniteDeterminantError:
-    """The error for an energy whose boundary values overflow, naming the
-    first overflowing interval of its ``overflow`` mask row."""
+def _non_finite_error(spec, energy) -> NonFiniteDeterminantError:
+    """The error for an energy whose determinant is not finite, naming the
+    first interval whose boundary values overflow: the kernel's first NaN
+    row there, row r on interval (r + 1) // 2 (row 2j - 2 holds domain j's
+    values on interval j - 1, row 2j - 1 on interval j); interval 0 if no
+    row is NaN."""
+    interval = 0
+    if spec.n_interior:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.isnan(_matching_block(spec, np.array([float(energy)]))[0]).any(axis=1)
+        interval = (int(np.argmax(rows)) + 1) // 2
     return NonFiniteDeterminantError(
         f"secular determinant is not finite at E = {float(energy)!r}: "
-        f"the boundary values on interval {int(np.argmax(overflow))} "
+        f"the boundary values on interval {interval} "
         "overflow (barrier too tall or too wide for double precision)"
     )
 
 
-def _determinants(spec, energies):
-    """secular_determinant's values at a 1-D array of energies, with the
-    kernel's mask of the intervals whose boundary values overflow, one row
-    per energy: an energy whose determinant is not finite has one marked
-    (interval 0 if none overflows).  For N >= 1, and for a polynomial zero
-    order, the energies go through the kernel in blocks that keep the
-    stacked matrices near 8 MB, or the transfer products near 20 MB; a
-    value does not depend on the block it falls in."""
+def _determinants(spec, energies) -> np.ndarray:
+    """secular_determinant's values at a 1-D array of energies, not
+    finite where the boundary values overflow.  For N >= 1, and
+    for a polynomial zero order, the energies go through the kernel in
+    blocks that keep the stacked matrices near 8 MB, or the transfer
+    products near 20 MB; a value does not depend on the block it falls
+    in."""
     n = spec.n_interior
     polynomial = spec.zero_order_polys is not None
-    overflow = np.zeros((len(energies), spec.n_intervals), dtype=bool)
+    # np.linalg.det warns on a NaN matrix
     with np.errstate(over="ignore", invalid="ignore"):
         if n == 0 and not polynomial:
             beta = local_frequencies(spec, energies)
-            dets = unit_solutions(beta[:, 0], spec.x_max - spec.x_min)[1]
-        else:
-            step = _STAIRCASE_BLOCK if polynomial else max(1, _BLOCK_BYTES // (32 * n * n))
-            dets = np.empty(len(energies))
-            for lo in range(0, len(energies), step):
-                block = slice(lo, lo + step)
-                if n == 0:
-                    dets[block] = _staircase_values(spec, energies[block])
-                    continue
-                matrices, overflow[block] = _matching_block(spec, energies[block])
-                dets[block] = np.linalg.det(matrices)
-    overflow[:, 0] |= ~np.isfinite(dets) & ~overflow.any(axis=1)
-    return dets, overflow
+            return unit_solutions(beta[:, 0], spec.x_max - spec.x_min)[1]
+        step = _STAIRCASE_BLOCK if polynomial else max(1, _BLOCK_BYTES // (32 * n * n))
+        dets = np.empty(len(energies))
+        for lo in range(0, len(energies), step):
+            block = slice(lo, lo + step)
+            if n == 0:
+                dets[block] = _staircase_values(spec, energies[block])
+            else:
+                dets[block] = np.linalg.det(_matching_block(spec, energies[block]))
+    return dets
 
 
 def secular_determinant(
@@ -274,26 +272,26 @@ def secular_determinant(
     sign changes bracket the eigenvalues.  Row normalization keeps the
     value in [-1, 1] without moving any zero.  For N = 0 the matching
     degenerates to the boundary condition and the sine-like wall-to-wall
-    value is returned instead.  A spec with zero_order_polys builds the same matrix from extrapolated
-    boundary values (_staircase_values).  ``series_m`` is accepted and
-    ignored; it is kept only for callers written for an earlier backend.
+    value is returned instead.  A spec with zero_order_polys builds the
+    same matrix from extrapolated boundary values (_staircase_values).
+    ``series_m`` is accepted and ignored; it is kept only for callers
+    written for an earlier backend.
 
     ``energy`` is a scalar or a 1-D array.  The array form evaluates every
     energy in one vectorised pass (blocked so that the stacked matrices stay
     near 8 MB) and returns an array.  Either form raises
-    NonFiniteDeterminantError at an energy whose boundary values overflow:
-    the determinant there is NaN, or an exact 0 from rows normalized by an
-    infinite norm.
+    NonFiniteDeterminantError at the first energy whose determinant is not
+    finite: where boundary values overflow, the kernel's row is NaN, and so
+    is the determinant, never an exact 0.
     """
     e = np.asarray(energy, dtype=float)
     if e.ndim > 1:
         raise ValueError("energy must be a scalar or a one-dimensional array")
     energies = np.atleast_1d(e)
-    dets, overflow = _determinants(spec, energies)
-    bad = overflow.any(axis=1)
+    dets = _determinants(spec, energies)
+    bad = ~np.isfinite(dets)
     if bad.any():
-        i = int(np.argmax(bad))
-        raise _non_finite_error(energies[i], overflow[i])
+        raise _non_finite_error(spec, energies[np.argmax(bad)])
     return float(dets[0]) if e.ndim == 0 else dets
 
 
@@ -902,12 +900,15 @@ def find_eigenvalues(
     entry, listed as near-degenerate: a pair split below double precision.
     The secular determinant is not evaluated; its other zeros, the overlap
     resonances, are listed as spurious.  If fewer than ``count`` levels
-    exist in the window, complete=False.
+    exist in the window, complete=False.  A window that is not finite, or
+    not e_lo < e_hi, raises ValueError.
 
     A spec with zero_order_polys scans its staircases this way instead
     and returns their extrapolated levels (_polynomial_levels); its
     spurious entries are those of its own overlap intervals.
     """
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
+        raise ValueError("energy window must be finite")
     if not e_lo < e_hi:
         raise ValueError("energy window must satisfy e_lo < e_hi")
     if count is not None and count < 1:

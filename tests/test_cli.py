@@ -417,6 +417,30 @@ class TestValidate:
         fd = next(c for c in checks if c["name"] == "fd-oracle-agreement")
         assert fd["passed"] and fd["measured"] < 1e-2, fd
 
+    @pytest.mark.parametrize("corruption", [0.0, 1e-5])
+    def test_slope_floor_is_rounding_at_a_high_level(self, corruption, monkeypatch):
+        # level 150 of the box tilted by V1 = x: the remainders, 6 to 9 ulps
+        # of E = 22500, are rounding and fit no slope.  E2 off by 1e-5 leaves
+        # a remainder of 1e-9 at lambda = 1e-2, far above rounding
+        from dataclasses import replace
+
+        from stepwell import PerturbationSpec, PotentialSpec, cli
+
+        original = cli.run_series
+
+        def corrupted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            orders = list(result.states[0].orders)
+            orders[1] = replace(orders[1], energy=orders[1].energy + corruption)
+            return replace(result, states=(replace(result.states[0], orders=tuple(orders)),))
+
+        monkeypatch.setattr(cli, "run_series", corrupted)
+        spec, pert = PotentialSpec((0.0, PI), (0.0,)), PerturbationSpec(((0.0, 1.0),))
+        checks = cli._validate_checks(spec, pert, 22400.0, 22600.0, 2)
+        slope = next(c for c in checks if c["name"] == "series-consistency-slope")
+        assert slope["passed"] == (corruption == 0.0), slope
+        assert all(c["passed"] for c in checks if c is not slope)
+
     def test_corrupted_spec_exits_2(self, tmp_path):
         bad = write_spec(tmp_path, {"breakpoints": [0, 1, 2], "heights": [0]})
         assert main(["validate", "--spec", bad]) == 2
@@ -427,6 +451,31 @@ class TestValidate:
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+# out-of-range or non-finite numbers, the bad flag last: each used to end in
+# a traceback (exit 1), run with it (exit 0) or write inf into the output
+BAD_NUMBERS = [
+    ("spectrum", ["--points", "1"]),
+    ("spectrum", ["--count", "0"]),
+    ("spectrum", ["--e-lo", "0", "--e-hi", "inf"]),
+    ("spectrum", ["--e-hi", "5", "--e-lo", "nan"]),
+    ("scan", ["--k-lo", "0", "--k-hi", "inf"]),
+    ("perturb", ["--orders", "-1"]),
+    ("perturb", ["--max-states", "0"]),
+    ("perturb", ["--grid-points", "0"]),
+    ("validate", ["--orders", "-1"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", BAD_NUMBERS, ids=[f"{c} {' '.join(f)}" for c, f in BAD_NUMBERS])
+def test_bad_numbers_exit_2(tmp_path, capsys, command, flags):
+    doc = {"breakpoints": [0, 1, 2], "heights": [0, 5], "perturbation": {"global_poly": [0, 1]}}
+    spec = write_spec(tmp_path, doc)
+    assert main([command, "--spec", spec, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flags[-2]}: " in captured.err
 
 
 # sha256 of each command's output on the fixtures, tilted by V1 = x.  A
@@ -443,6 +492,14 @@ GOLDEN_COMMANDS = {
     "perturb": ["--orders", "4"],
     "validate": [],
 }
+# V0 = 2x on (0, 1.5, pi), solved on staircases, unperturbed: the series
+# refuses a polynomial zero order, so it has no perturb run
+POLYNOMIAL_FIXTURE = {"breakpoints": [0, 1.5, PI], "heights": [0, 0], "zero_order_polys": [[0, 2], [0, 2]]}
+POLYNOMIAL_COMMANDS = {
+    "scan": ["--k-lo", "0.5", "--k-hi", "3.5", "--points", "41"],
+    "spectrum": [],
+    "validate": [],
+}
 GOLDEN_SHA256 = {
     "box_scan": "a6c2f954ea1f144621f700b5e319bdfa53501e7b8fcc736cf36d630c51beb2d8",
     "box_spectrum": "49298a30c96eb59aea85d0dc07a21bd5a92f7804b37bbe78d57e2e7655b6e011",
@@ -456,14 +513,22 @@ GOLDEN_SHA256 = {
     "double_well_spectrum": "3f62b64436b5c56c40e8a5f0ca47e126e94e601a43256e6e23de12df27743c37",
     "double_well_perturb": "7a727ca06b36e94e2042f191f06ec97ec57d8e5229e9e168d847629ebfd6eda9",
     "double_well_validate": "e21c773c833ebc0f1eded46e3d50ef40dd9c523f9519bf179ebe29d88e510a56",
+    "polynomial_scan": "f5020e55f1952dfb7c5ff1b2624bc8911c03a20d39c14b391effa5c21c1d6804",
+    "polynomial_spectrum": "40540801cbb949e58f092d36426522373ba3d2144e9bec4e51e8772dc9cdd39d",
+    "polynomial_validate": "6fb04ec1e83728b16abc732b3521caa6e5cca50ee76e4b905569b75866d41ef4",
 }
 
 
 def test_output_bytes_on_the_fixtures(tmp_path):
+    runs = [
+        (geometry, {**obj, "perturbation": {"global_poly": [0, 1]}}, GOLDEN_COMMANDS)
+        for geometry, obj in GOLDEN_FIXTURES.items()
+    ]
+    runs.append(("polynomial", POLYNOMIAL_FIXTURE, POLYNOMIAL_COMMANDS))
     moved = []
-    for geometry, obj in GOLDEN_FIXTURES.items():
-        spec = write_spec(tmp_path, {**obj, "perturbation": {"global_poly": [0, 1]}}, f"{geometry}.json")
-        for command, extra in GOLDEN_COMMANDS.items():
+    for geometry, obj, commands in runs:
+        spec = write_spec(tmp_path, obj, f"{geometry}.json")
+        for command, extra in commands.items():
             out = tmp_path / f"{geometry}_{command}.out"
             assert main([command, "--spec", spec, *extra, "--out", str(out)]) == 0, out.name
             if hashlib.sha256(out.read_bytes()).hexdigest() != GOLDEN_SHA256[out.stem]:

@@ -79,7 +79,7 @@ class TestTau:
         state = box_state()
         pert = PerturbationSpec(((1.0,), (1.0,)))  # V1 = 1
         tau = build_tau(build_omega(state), [], pert)
-        for j, (left, right) in enumerate(tau.pieces, start=1):
+        for j, (left, right) in enumerate(tau, start=1):
             for side, piece in (("left", left), ("right", right)):
                 rhs = state.domain_piece(j, side)
                 xs = np.linspace(0.3, 2.8, 20)
@@ -97,7 +97,7 @@ class TestTau:
         first = solve_order(state, omega, basis1)
         tau2 = build_tau(omega, [first], pert)
         xs = np.linspace(0.1, 3.0, 25)
-        for left, right in tau2.pieces:
+        for left, right in tau2:
             assert np.max(np.abs(left.value(xs))) < 1e-13
             assert np.max(np.abs(right.value(xs))) < 1e-13
 
@@ -140,21 +140,18 @@ class TestOrderBasis:
                 out = apply_hamiltonian(piece)
                 lo, hi = (zero.x_lo, zero.anchor) if s == 0 else (zero.anchor, zero.x_hi)
                 xs = np.linspace(lo, hi, 25)
-                rhs = tau.pieces[j - 1][s]
+                rhs = tau[j - 1][s]
                 assert np.max(np.abs(out.value(xs) - rhs.value(xs))) < 1e-10
             assert basis.at_lo[j - 1] == left.eval(zero.x_lo)
             assert basis.at_hi[j - 1] == right.eval(zero.x_hi)
 
     def test_zero_tau_gives_zero_pieces(self):
         state = box_state()
-        from stepwell.perturbation import TauSet
         from stepwell.trigbasis import TrigPoly
 
         anchor = state.bases[0].anchor
         freq = state.bases[0].c_left.freq
-        tau = TauSet(
-            1, (((TrigPoly.zero(anchor, freq)), (TrigPoly.zero(anchor, freq))),)
-        )
+        tau = ((TrigPoly.zero(anchor, freq), TrigPoly.zero(anchor, freq)),)
         basis = build_order_basis(state, tau)
         for left, right in basis.pieces:
             assert left.is_zero() and right.is_zero()
@@ -163,7 +160,6 @@ class TestOrderBasis:
     def test_overflowing_piece_is_a_numerical_error(self):
         # an inf coefficient in tau overflows P's end values: a numerical
         # failure, neither a degenerate level nor a NaN energy
-        from stepwell.perturbation import TauSet
         from stepwell.trigbasis import TrigPoly
 
         state = box_state()
@@ -172,7 +168,7 @@ class TestOrderBasis:
         bad = TrigPoly(anchor, freq, [0.0, math.inf], [0.0, 0.0])
         omega = build_omega(state)
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteDeterminantError):
-            basis = build_order_basis(state, TauSet(1, ((bad, bad),)))
+            basis = build_order_basis(state, ((bad, bad),))
             solve_order(state, omega, basis)
 
 

@@ -293,6 +293,12 @@ class TestScanBehaviour:
         with pytest.raises(ValueError):
             find_eigenvalues(box_spec, 0.0, 10.0, count=0)
 
+    @pytest.mark.parametrize("e_lo, e_hi", [(0.0, math.inf), (-math.inf, 10.0), (0.0, math.nan)])
+    def test_non_finite_window_is_rejected(self, n1_step_spec, e_lo, e_hi):
+        # (0, inf) used to return no levels, marked complete
+        with pytest.raises(ValueError, match="must be finite"):
+            find_eigenvalues(n1_step_spec, e_lo, e_hi)
+
 
 def _unit_values(spec, energy, interval, anchor, x):
     """C and S from the anchor to x across one interval, by TrigPoly.eval of
@@ -395,6 +401,17 @@ class TestBatchedDeterminant:
         assert find_eigenvalues(spec, 0.05, 40.0).energies
         with pytest.raises(NonFiniteDeterminantError, match="E = 5.0"):
             secular_determinant(spec, 5.0)
+
+    @pytest.mark.parametrize("interval", [0, 1, 2])
+    def test_overflow_names_the_barriers_interval(self, interval):
+        # the kernel's first NaN row is domain 1's left row for interval 0,
+        # its right row for interval 1 and domain 2's right row for interval 2
+        heights = [0.0, 0.0, 0.0]
+        heights[interval] = 1e6
+        spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), tuple(heights))
+        for call in (secular_determinant, matching_matrix):
+            with pytest.raises(NonFiniteDeterminantError, match=f"interval {interval} overflow"):
+                call(spec, 5.0)
 
     @pytest.mark.parametrize("energy", [9.8204, 9.85])
     def test_match_on_overflow_is_not_a_degeneracy(self, energy):
@@ -798,7 +815,7 @@ class TestOneMatchingKernel:
     @pytest.mark.parametrize("spec", WELLS)
     def test_match_uses_the_kernels_matrix(self, spec):
         for energy in self.levels(spec):
-            kernel = zero_order._matching_block(spec, np.array([energy]))[0][0]
+            kernel = zero_order._matching_block(spec, np.array([energy]))[0]
             assert np.array_equal(kernel, _reference_matrix(spec, energy))
             assert np.array_equal(matching_matrix(spec, energy), kernel)
             assert np.linalg.det(kernel) == secular_determinant(spec, energy)
@@ -824,12 +841,12 @@ class TestOneMatchingKernel:
             with pytest.raises(NotARootError, match="matching residual"):
                 match_coefficients(spec, energy)
 
-    def test_overflow_mask_says_what_a_scalar_call_raises(self):
+    def test_non_finite_determinant_says_what_a_scalar_call_raises(self):
         # the barrier's own height is an ordinary energy: (C, S) = (1, t) there
         spec = PotentialSpec((0.0, 1.0, 2.0, 3.0), (0.0, 1.6e5, 0.0))
         energies = np.array([9.85, 1.6e5, 1.6e5 + 10.0])
-        dets, overflow = zero_order._determinants(spec, energies)
-        assert overflow.any(axis=1).tolist() == [True, False, False]
+        dets = zero_order._determinants(spec, energies)
+        assert np.isnan(dets).tolist() == [True, False, False]
         with pytest.raises(NonFiniteDeterminantError, match="interval 1 "):
             secular_determinant(spec, energies[0])
         for i in (1, 2):
